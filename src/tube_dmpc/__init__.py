@@ -8,7 +8,8 @@ from .tightening import (TightenedSets, ToleranceSchedule, coupling_terms,
                          tighten_local_sets, tolerance_schedule)
 from .local_solver import (CondensedOcp, OcpSolution, condense, dual_value,
                            solve_centralized, solve_inner)
-from .dual_admm import AdmmError, AdmmState, consensus_map, run_admm
+from .dual_admm import (AdmmError, AdmmState, consensus_adjoint, consensus_diff,
+                        run_admm)
 from .trigger import TriggerDecision, cost_decrease_bound_g, deviation_bound, select_Mk
 from .simulator import (DisturbanceSampler, MonteCarloReport, Pipeline, SimLog,
                         monte_carlo, prepare, run_closed_loop, step_plant)
@@ -22,7 +23,7 @@ __all__ = [
     "tighten_local_sets", "tolerance_schedule",
     "CondensedOcp", "OcpSolution", "condense", "dual_value",
     "solve_centralized", "solve_inner",
-    "AdmmError", "AdmmState", "consensus_map", "run_admm",
+    "AdmmError", "AdmmState", "consensus_adjoint", "consensus_diff", "run_admm",
     "TriggerDecision", "cost_decrease_bound_g", "deviation_bound", "select_Mk",
     "DisturbanceSampler", "MonteCarloReport", "Pipeline", "SimLog",
     "monte_carlo", "prepare", "run_closed_loop", "step_plant",

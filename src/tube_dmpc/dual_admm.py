@@ -9,8 +9,6 @@ import numpy as np
 from .model import SolverParams
 from .local_solver import CondensedOcp, OcpSolution, solve_inner
 
-AdmmParams = SolverParams
-
 
 class AdmmError(RuntimeError):
     """Raised when an inner subproblem fails inside the dual iteration."""
@@ -20,66 +18,59 @@ class AdmmError(RuntimeError):
         self.agent_index = agent_index
 
 
-def consensus_map(M: int, p: int, N: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Chain-difference encoding lam^i - lam^{i+1} = 0, stacked over i.
+def consensus_diff(lambdas: np.ndarray) -> np.ndarray:
+    """E lam: path-graph differences lam^i - lam^{i+1}, shape (M-1, d).
 
-    Returns per-agent matrices E^i with sum_i E^i lam^i = c and c = 0. For
-    M = 1 the map is empty and the iteration degenerates to projected dual
+    For M = 1 the map is empty and the iteration degenerates to projected dual
     ascent on a single multiplier.
     """
-    d = p * N
-    rows = (M - 1) * d
-    E = [np.zeros((rows, d)) for _ in range(M)]
-    for r in range(M - 1):
-        E[r][r * d:(r + 1) * d] = np.eye(d)
-        E[r + 1][r * d:(r + 1) * d] = -np.eye(d)
-    return E, np.zeros(rows)
+    return lambdas[:-1] - lambdas[1:]
+
+
+def consensus_adjoint(w: np.ndarray) -> np.ndarray:
+    """E'w: agent i receives w^i - w^{i-1} (zero beyond either end), shape (M, d)."""
+    return np.diff(w, axis=0, prepend=0.0, append=0.0)
 
 
 def consensus_gain(M: int) -> float:
     """Largest eigenvalue of E'E per coordinate (path-graph Laplacian)."""
-    if M <= 1:
-        return 0.0
-    lap = 2.0 * np.eye(M)
-    lap[0, 0] = lap[-1, -1] = 1.0
-    for i in range(M - 1):
-        lap[i, i + 1] = lap[i + 1, i] = -1.0
-    return float(np.linalg.eigvalsh(lap).max())
+    return float(2.0 - 2.0 * np.cos(np.pi * (M - 1) / M))
 
 
 @dataclass
 class AdmmState:
-    """Iterate state: per-agent multiplier copies, aggregate multiplier, stats."""
+    """Iterate state: multiplier copies (one row per agent), aggregate
+    multiplier, per-row coupling excess f_total - b_total, stats."""
 
-    lambdas: list
+    lambdas: np.ndarray
     omega: np.ndarray
+    coupling_excess: np.ndarray
     iteration: int = 0
     primal_residual: float = np.inf
     dual_residual: float = np.inf
-    coupling_violation: float = np.inf
     solutions: list = field(default_factory=list)
     total_inner_iterations: int = 0
 
-
-def lambda_update(lambdas, f_values, b_shares, E, omega, rho: float, tau: float):
-    """Simultaneous clipped proximal step for every agent copy."""
-    v = sum(Ei @ li for Ei, li in zip(E, lambdas))
-    new = []
-    for li, fi, bi, Ei in zip(lambdas, f_values, b_shares, E):
-        step = (fi - bi) - Ei.T @ omega - rho * (Ei.T @ v)
-        new.append(np.maximum(0.0, li + step / tau))
-    return new
+    @property
+    def coupling_violation(self) -> float:
+        """Largest positive entry of the coupling excess (0 when all rows hold)."""
+        return max(0.0, float(np.max(self.coupling_excess)))
 
 
-def omega_update(omega, lambdas, E, c, rho: float, gamma: float) -> np.ndarray:
+def lambda_update(lambdas, f_values, b_shares, omega, rho: float, tau: float) -> np.ndarray:
+    """Simultaneous clipped proximal step for every agent copy (rows of (M, d) arrays)."""
+    step = ((f_values - b_shares) - consensus_adjoint(omega)
+            - rho * consensus_adjoint(consensus_diff(lambdas)))
+    return np.maximum(0.0, lambdas + step / tau)
+
+
+def omega_update(omega, lambdas, rho: float, gamma: float) -> np.ndarray:
     """Aggregate-multiplier step along the consensus residual.
 
     Sign note: the ascent direction consistent with the lambda step above is
-    +rho*gamma*(sum E^i lam^i - c); the opposite sign makes the saddle
-    iteration divergent.
+    +rho*gamma*E lam; the opposite sign makes the saddle iteration divergent.
     """
-    v = sum(Ei @ li for Ei, li in zip(E, lambdas)) - c
-    return omega + rho * gamma * v
+    return omega + rho * gamma * consensus_diff(lambdas)
 
 
 def default_tau(ocps, rho: float, M: int) -> float:
@@ -104,14 +95,15 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
     d = ocps[0].F.shape[0]
     if b_shares is None:
         b_shares = [ocp.b_share for ocp in ocps]
-    E, c = consensus_map(M, 1, d)
+    b_shares = np.array(b_shares, dtype=float)
     tau = params.tau if params.tau is not None else default_tau(ocps, params.rho, M)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if M > 1 and tau < params.rho * consensus_gain(M):
+    if tau < params.rho * consensus_gain(M):
         raise ValueError("tau below rho * sigma_max(E'E); proximal step would not majorize")
 
-    state = AdmmState(lambdas=[np.zeros(d) for _ in range(M)], omega=c.copy())
+    state = AdmmState(lambdas=np.zeros((M, d)), omega=np.zeros((M - 1, d)),
+                      coupling_excess=np.full(d, np.inf))
     warm = [None] * M
 
     def inner(i, lam):
@@ -123,10 +115,13 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
         state.total_inner_iterations += sol.iterations
         return sol
 
+    def coupling_values():
+        return np.array([ocp.coupling_values(sol.u_star)
+                         for ocp, sol in zip(ocps, state.solutions)])
+
     state.solutions = [inner(i, state.lambdas[i]) for i in range(M)]
-    f_values = [ocp.coupling_values(sol.u_star)
-                for ocp, sol in zip(ocps, state.solutions)]
-    b_total = sum(np.asarray(b, dtype=float) for b in b_shares)
+    f_values = coupling_values()
+    b_total = b_shares.sum(axis=0)
 
     trace = open(trace_path, "w") if trace_path is not None else None
     if trace is not None:
@@ -135,20 +130,16 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
     converged = False
     try:
         for k in range(1, params.max_iter + 1):
-            new_lambdas = lambda_update(state.lambdas, f_values, b_shares, E,
+            new_lambdas = lambda_update(state.lambdas, f_values, b_shares,
                                         state.omega, params.rho, tau)
             state.solutions = [inner(i, new_lambdas[i]) for i in range(M)]
-            f_values = [ocp.coupling_values(sol.u_star)
-                        for ocp, sol in zip(ocps, state.solutions)]
-            state.omega = omega_update(state.omega, new_lambdas, E, c,
-                                       params.rho, params.gamma)
+            f_values = coupling_values()
+            state.omega = omega_update(state.omega, new_lambdas, params.rho, params.gamma)
 
-            state.primal_residual = float(np.linalg.norm(
-                sum(Ei @ li for Ei, li in zip(E, new_lambdas)) - c)) if M > 1 else 0.0
-            state.dual_residual = max(
-                float(np.linalg.norm(nl - ol)) for nl, ol in zip(new_lambdas, state.lambdas))
-            total_f = sum(f_values)
-            state.coupling_violation = float(np.max(np.maximum(0.0, total_f - b_total)))
+            state.primal_residual = float(np.linalg.norm(consensus_diff(new_lambdas)))
+            state.dual_residual = float(np.linalg.norm(new_lambdas - state.lambdas,
+                                                       axis=1).max())
+            state.coupling_excess = f_values.sum(axis=0) - b_total
             state.lambdas = new_lambdas
             state.iteration = k
             if trace is not None:

@@ -9,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .model import AgentModel, Scenario
 from .synthesis import TerminalIngredients
-from .tightening import TightenedSets, ToleranceSchedule, coupling_affine
+from .tightening import TightenedSets, ToleranceSchedule
 
 FEAS_TOL = 1e-6
 RELAXATION = 1.6  # classic over-relaxation factor for the splitting iteration
@@ -55,12 +55,8 @@ class CondensedOcp:
     f0: np.ndarray
     b_share: np.ndarray
     x0: np.ndarray
-    N: int
-    n: int
-    m: int
     Phi: np.ndarray
     Gamma: np.ndarray
-    P: np.ndarray
 
     def trajectory(self, u: np.ndarray) -> np.ndarray:
         return self.Phi @ self.x0 + self.Gamma @ u
@@ -90,7 +86,7 @@ def condense(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSe
              Psi_x, Psi_u, x0, N: int, b_share=None) -> CondensedOcp:
     """Assemble the condensed OCP at state x0 over horizon N."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    n, m = agent.n, agent.m
+    n, m, p = agent.n, agent.m, Psi_x.shape[0]
     Phi, Gamma = rollout_maps(agent.A, agent.B, N)
 
     H = np.zeros((N * m, N * m))
@@ -122,15 +118,16 @@ def condense(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSe
     ball_C = L.T @ Gamma[N]
     ball_off = L.T @ (Phi[N] @ x0)
 
-    Fx, Fu = coupling_affine(agent, Psi_x, Psi_u, N)
-    f0 = Fx @ x0
+    # coupling block l: Psi_x z(l) + Psi_u u(l), from the same rollout
+    F = (Psi_x @ Gamma[:N]).reshape(N * p, N * m) + np.kron(np.eye(N), Psi_u)
+    f0 = (Psi_x @ Phi[:N]).reshape(N * p, n) @ x0
     if b_share is None:
         b_share = np.zeros(f0.shape[0])
 
     return CondensedOcp(H=H, q=q, c0=c0, rows_C=rows_C, rows_rhs=rows_rhs,
                         ball_C=ball_C, ball_off=ball_off, ball_radius=ing.eps_r,
-                        F=Fu, f0=f0, b_share=np.asarray(b_share, dtype=float),
-                        x0=x0, N=N, n=n, m=m, Phi=Phi, Gamma=Gamma, P=ing.P)
+                        F=F, f0=f0, b_share=np.asarray(b_share, dtype=float),
+                        x0=x0, Phi=Phi, Gamma=Gamma)
 
 
 def project_ball(s: np.ndarray, radius: float) -> np.ndarray:
@@ -145,14 +142,21 @@ def _split_qp(H, g, rows_C, rows_rhs, balls, tol, max_iter, warm=None):
     """ADMM splitting for min 0.5u'Hu + g'u s.t. rows and ball blocks.
 
     balls: list of (C, offset, radius). Returns (u, warm_state, iters,
-    r_primal, r_dual, flag) with flag in {converged, iteration-cap, stalled}.
+    r_primal, r_dual, flag) with flag in {converged, iteration-cap, infeasible}.
+    A row with all-zero coefficients is dropped when its rhs is >= 0 and
+    makes the problem infeasible when its rhs is < 0.
     """
+    norms = np.linalg.norm(rows_C, axis=1)
+    zero = norms == 0.0
+    if np.any(rows_rhs[zero] < 0):
+        return (np.zeros(H.shape[0]), None, 0, float(-rows_rhs[zero].min()), 0.0,
+                "infeasible")
+    if np.any(zero):
+        rows_C, rows_rhs, norms = rows_C[~zero], rows_rhs[~zero], norms[~zero]
     nrows = rows_C.shape[0]
-    scale = np.ones(nrows)
-    if nrows:
-        scale = 1.0 / np.linalg.norm(rows_C, axis=1)
-    blocks = [rows_C * scale[:, None]] if nrows else []
-    rhs_s = rows_rhs * scale if nrows else np.zeros(0)
+    scale = 1.0 / norms
+    blocks = [rows_C * scale[:, None]]
+    rhs_s = rows_rhs * scale
 
     ball_slices, ball_data = [], []
     offset = nrows
@@ -186,8 +190,7 @@ def _split_qp(H, g, rows_C, rows_rhs, balls, tol, max_iter, warm=None):
         Cu_rel = RELAXATION * Cu + (1.0 - RELAXATION) * s
         v = Cu_rel + y
         s_new = v.copy()
-        if nrows:
-            s_new[:nrows] = np.minimum(v[:nrows], rhs_s)
+        s_new[:nrows] = np.minimum(v[:nrows], rhs_s)
         for sl, (off_s, rad_s) in zip(ball_slices, ball_data):
             s_new[sl] = project_ball(v[sl] + off_s, rad_s) - off_s
         y = y + Cu_rel - s_new
@@ -200,7 +203,7 @@ def _split_qp(H, g, rows_C, rows_rhs, balls, tol, max_iter, warm=None):
         if r_prim > STALL_LEVEL:
             stall += 1
             if stall >= STALL_WINDOW:
-                flag = "stalled"
+                flag = "infeasible"
                 break
         else:
             stall = 0
@@ -215,7 +218,7 @@ def _solution_from(ocp: CondensedOcp, u, warm, iters, rp, rd, flag) -> OcpSoluti
     feasible = viol <= FEAS_TOL and ball_viol <= FEAS_TOL
     if flag == "converged" and feasible:
         status = "optimal"
-    elif flag == "stalled" and not feasible:
+    elif flag == "infeasible" and not feasible:
         status = "infeasible"
     else:
         status = "iteration-cap"
@@ -287,7 +290,7 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
 
     u, warm, iters, rp, rd, flag = _split_qp(H, g, rows_C, rows_rhs, balls,
                                              tol, max_iter)
-    if flag == "stalled":
+    if flag == "infeasible":
         viol = rows_C @ u - rows_rhs
         worst = int(np.argmax(viol))
         raise OcpInfeasibleError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -45,10 +46,6 @@ class HPolytope:
     @property
     def dim(self) -> int:
         return self.G.shape[1]
-
-    @property
-    def num_faces(self) -> int:
-        return self.G.shape[0]
 
     @classmethod
     def box(cls, half_widths) -> "HPolytope":
@@ -108,6 +105,11 @@ class AgentModel:
     @property
     def m(self) -> int:
         return self.B.shape[1]
+
+    @cached_property
+    def norm_A(self) -> float:
+        """Spectral norm ||A||_2, shared by the schedule, certificates and bounds."""
+        return float(np.linalg.norm(self.A, 2))
 
     def controllability_matrix(self) -> np.ndarray:
         blocks = [self.B]

@@ -11,7 +11,7 @@ import numpy as np
 from .model import AgentModel, Scenario, membership
 from .synthesis import certify, synthesize
 from .tightening import tolerance_schedule, tighten_local_sets
-from .local_solver import condense
+from .local_solver import condense, rollout_maps
 from .dual_admm import AdmmError, run_admm
 from .trigger import g_profile, select_Mk
 
@@ -47,9 +47,7 @@ class Pipeline:
 def prepare(scenario: Scenario) -> Pipeline:
     ingredients = tuple(synthesize(agent) for agent in scenario.agents)
     schedule = tolerance_schedule(scenario, ingredients)
-    tightened = tuple(
-        tighten_local_sets(agent, scenario.N, P=ing.P, eps_r=ing.eps_r)
-        for agent, ing in zip(scenario.agents, ingredients))
+    tightened = tuple(tighten_local_sets(agent, scenario.N) for agent in scenario.agents)
     certificate = certify(scenario, ingredients, schedule.eps)
     return Pipeline(ingredients=ingredients, schedule=schedule,
                     tightened=tightened, certificate=certificate)
@@ -100,7 +98,6 @@ class TriggerRecord:
     ocp_agents: tuple
     Mk_per_agent: tuple
     statuses: tuple
-    per_agent_cost: dict
     total_cost: float
     admm_iterations: int
     converged: bool
@@ -156,17 +153,14 @@ def _coupling_row(scenario, xs, us) -> np.ndarray:
 
 def _dual_mode_contribution(scenario, pipeline, dual_idx, xs, N) -> np.ndarray:
     """Stacked coupling values of terminal-mode agents' nominal feedback plans."""
-    p = scenario.coupling.p
-    contrib = np.zeros(p * N)
+    contrib = np.zeros(scenario.coupling.p * N)
     for i in dual_idx:
         agent = scenario.agents[i]
         K = pipeline.ingredients[i].K
-        Acl = agent.A + agent.B @ K
-        z = xs[i].copy()
-        for l in range(N):
-            contrib[l * p:(l + 1) * p] += (scenario.coupling.Psi_x[i] @ z
-                                           + scenario.coupling.Psi_u[i] @ (K @ z))
-            z = Acl @ z
+        Phi, _ = rollout_maps(agent.A + agent.B @ K, agent.B, N)
+        z = Phi[:N] @ xs[i]  # row l: closed-loop nominal state at step l
+        contrib += (z @ scenario.coupling.Psi_x[i].T
+                    + (z @ K.T) @ scenario.coupling.Psi_u[i].T).ravel()
     return contrib
 
 
@@ -240,12 +234,15 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
 
         fallback = False
         if not converged:
-            headroom = sched.eps[1] / 2.0
-            if admm_state.coupling_violation > headroom:
+            # row block l of b keeps eps[l] of tolerance; half of it absorbs the iterate
+            headroom = np.repeat(sched.eps[:N] / 2.0, sched.p)
+            excess = admm_state.coupling_excess
+            worst = int(np.argmax(excess - headroom))
+            if excess[worst] > headroom[worst]:
                 raise SimulationAborted(
-                    f"dual iteration did not converge at t = {t}: coupling violation "
-                    f"{admm_state.coupling_violation:.3e} exceeds headroom {headroom:.3e}",
-                    log=log)
+                    f"dual iteration did not converge at t = {t}: coupling excess "
+                    f"{excess[worst]:.3e} in row block {worst // sched.p} exceeds "
+                    f"headroom {headroom[worst]:.3e}", log=log)
             fallback = True
             log.counters["fallback_steps"] += 1
 
@@ -279,7 +276,6 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
             ocp_agents=tuple(ocp_idx),
             Mk_per_agent=decision.Mk_per_agent,
             statuses=tuple(sol.status for sol in solutions),
-            per_agent_cost={i: sol.J_star for i, sol in zip(ocp_idx, solutions)},
             total_cost=float(sum(sol.J_star for sol in solutions)),
             admm_iterations=admm_state.iteration,
             converged=converged, fallback=fallback,

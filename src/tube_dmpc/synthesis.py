@@ -15,10 +15,6 @@ class SynthesisError(RuntimeError):
     """Raised when an offline synthesis iteration fails to converge."""
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2))
-
-
 def error_gain(norm_A: float, steps: int) -> float:
     """Accumulated open-loop error gain sum_{j=0}^{steps-1} ||A||^j.
 
@@ -246,8 +242,7 @@ def certify(scenario: Scenario, ingredients, schedule_eps=None) -> CertificateRe
     agents = []
     terminal_sum = 0.0
     for i, (agent, ing) in enumerate(zip(scenario.agents, ingredients)):
-        a = spectral_norm(agent.A)
-        gain = error_gain(a, scenario.N)
+        gain = error_gain(agent.norm_A, scenario.N)
         sqrt_lam = np.sqrt(ing.lam_max_P)
         margin_re = ing.r - ing.eps_r
 
@@ -259,7 +254,7 @@ def certify(scenario: Scenario, ingredients, schedule_eps=None) -> CertificateRe
 
         agents.append(AgentCertificate(
             w_bar=agent.w_bar,
-            norm_A=a,
+            norm_A=agent.norm_A,
             local_rhs=float(local_rhs),
             local_margin=float(local_rhs - agent.w_bar),
             local_ok=bool(agent.w_bar <= local_rhs),

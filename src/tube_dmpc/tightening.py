@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AgentModel, HPolytope, Scenario
-from .synthesis import error_gain, spectral_norm
+from .synthesis import error_gain
 
 
 class TighteningError(RuntimeError):
@@ -37,14 +37,12 @@ def schedule_values(scenario: Scenario, ingredients) -> np.ndarray:
     N = scenario.N
     norms_x = scenario.coupling.norms_x()
     norms_N = scenario.coupling.norms_N([ing.K for ing in ingredients])
-    norm_A = [spectral_norm(agent.A) for agent in scenario.agents]
-    w_bar = [agent.w_bar for agent in scenario.agents]
 
     eps = np.zeros(N + 1)
     for l in range(1, N + 1):
         norms = norms_N if l == N else norms_x
-        eps[l] = sum(norms[i] * w_bar[i] * error_gain(norm_A[i], l)
-                     for i in range(scenario.M))
+        eps[l] = sum(norms[i] * agent.w_bar * error_gain(agent.norm_A, l)
+                     for i, agent in enumerate(scenario.agents))
     return eps
 
 
@@ -60,15 +58,12 @@ def tolerance_schedule(scenario: Scenario, ingredients) -> ToleranceSchedule:
 
 @dataclass(frozen=True)
 class TightenedSets:
-    """Per-step nominal state sets Z[l] = X shrunk by the l-step error tube,
-    plus the terminal ellipsoid parameters."""
+    """Per-step nominal state sets Z[l] = X shrunk by the l-step error tube."""
 
     Z: tuple
-    P: np.ndarray | None = None
-    eps_r: float | None = None
 
 
-def tighten_local_sets(agent: AgentModel, N: int, P=None, eps_r=None) -> TightenedSets:
+def tighten_local_sets(agent: AgentModel, N: int) -> TightenedSets:
     """Z[l] for l = 0..N-1 via exact ball support: offset h - w_bar * sum ||(A^j)'g||."""
     G, h = agent.X.G, agent.X.h
     sets = [agent.X]
@@ -81,7 +76,7 @@ def tighten_local_sets(agent: AgentModel, N: int, P=None, eps_r=None) -> Tighten
             raise TighteningError(f"local tightening infeasible at step {l}")
         sets.append(HPolytope(G, offsets))
         normals = normals @ agent.A  # row g'A^j -> g'A^{j+1}
-    return TightenedSets(Z=tuple(sets), P=P, eps_r=eps_r)
+    return TightenedSets(Z=tuple(sets))
 
 
 def coupling_terms(agent: AgentModel, Psi_x, Psi_u, x0, u) -> np.ndarray:
@@ -104,24 +99,3 @@ def coupling_terms(agent: AgentModel, Psi_x, Psi_u, x0, u) -> np.ndarray:
         blocks.append(Psi_x @ z + Psi_u @ ul)
         z = agent.A @ z + agent.B @ ul
     return np.concatenate(blocks)
-
-
-def coupling_affine(agent: AgentModel, Psi_x, Psi_u, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Affine representation f(x0, u) = Fx @ x0 + Fu @ u of coupling_terms."""
-    p = Psi_x.shape[0]
-    n, m = agent.n, agent.m
-    Fx = np.zeros((p * N, n))
-    Fu = np.zeros((p * N, N * m))
-    A_pow = np.eye(n)  # A^l
-    # Gamma rows for z(l): [A^{l-1}B, ..., B, 0, ...]
-    gamma = np.zeros((n, N * m))
-    for l in range(N):
-        rows = slice(l * p, (l + 1) * p)
-        Fx[rows] = Psi_x @ A_pow
-        Fu[rows] = Psi_x @ gamma
-        Fu[rows, l * m:(l + 1) * m] += Psi_u
-        # advance to l+1
-        gamma = agent.A @ gamma
-        gamma[:, l * m:(l + 1) * m] += agent.B
-        A_pow = agent.A @ A_pow
-    return Fx, Fu

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AgentModel
-from .synthesis import NORM_ONE_TOL, TerminalIngredients, error_gain, spectral_norm
+from .synthesis import NORM_ONE_TOL, TerminalIngredients, error_gain
 
 
 def deviation_bound(agent: AgentModel, phi, l: int, Mk: int) -> float:
@@ -17,7 +17,7 @@ def deviation_bound(agent: AgentModel, phi, l: int, Mk: int) -> float:
     ||A|| = 1 branch collapsing to sqrt(lam_max(phi)) * w_bar * Mk.
     """
     lam = float(np.linalg.eigvalsh(np.atleast_2d(phi)).max())
-    a = spectral_norm(agent.A)
+    a = agent.norm_A
     if abs(a - 1.0) <= NORM_ONE_TOL:
         return float(np.sqrt(lam) * agent.w_bar * Mk)
     return float(np.sqrt(lam) * agent.w_bar * a ** l * error_gain(a, Mk))

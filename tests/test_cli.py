@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -9,6 +10,8 @@ from tube_dmpc.cli import main
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "four_agent.yaml")
 INFEASIBLE_X0 = str(Path(__file__).resolve().parent.parent / "scenarios"
                / "four_agent_infeasible_x0.yaml")
+COUPLED_INFEASIBLE = str(Path(__file__).resolve().parent.parent / "scenarios"
+                         / "four_agent_coupled_infeasible.yaml")
 
 
 def write_variant(tmp_path, mutate, name="variant.yaml"):
@@ -95,6 +98,15 @@ def test_run_initial_infeasibility_exit_three(tmp_path):
     assert main(["run", "--scenario", INFEASIBLE_X0, "--out", str(tmp_path)]) == 3
 
 
+def test_run_coupled_infeasible_exit_four(tmp_path, capsys):
+    # the last dual iterate breaks the coupled row in block 0, which has no
+    # tolerance: the run aborts instead of accepting a fallback
+    code = main(["run", "--scenario", COUPLED_INFEASIBLE, "--out", str(tmp_path),
+                 "--max-iter", "50"])
+    assert code == 4
+    assert "row block 0" in capsys.readouterr().err
+
+
 def test_montecarlo_small_campaign(tmp_path):
     code = main(["montecarlo", "--scenario", SCENARIO, "--out", str(tmp_path),
                  "--runs", "5"])
@@ -163,7 +175,7 @@ def test_run_admm_failure_exit_four(tmp_path, monkeypatch):
 
     def broken(ocps, params, **kw):
         sols, state, _ = real_run(ocps, params, **kw)
-        state.coupling_violation = 1.0
+        state.coupling_excess = np.ones_like(state.coupling_excess)
         return sols, state, False
 
     monkeypatch.setattr(simulator, "run_admm", broken)

@@ -5,8 +5,8 @@ from tube_dmpc.model import AgentModel, HPolytope, SolverParams
 from tube_dmpc.synthesis import synthesize
 from tube_dmpc.tightening import tighten_local_sets
 from tube_dmpc.local_solver import condense, solve_inner, solve_centralized, dual_value
-from tube_dmpc.dual_admm import (consensus_gain, consensus_map, lambda_update,
-                                 omega_update, run_admm)
+from tube_dmpc.dual_admm import (consensus_adjoint, consensus_diff, consensus_gain,
+                                 lambda_update, omega_update, run_admm)
 
 
 def scalar_agent(a=0.5, inp=5.0):
@@ -16,23 +16,25 @@ def scalar_agent(a=0.5, inp=5.0):
 
 
 def test_consensus_map_single_agent_empty():
-    E, c = consensus_map(1, 1, 3)
-    assert E[0].shape == (0, 3)
-    assert c.shape == (0,)
+    assert consensus_diff(np.ones((1, 3))).shape == (0, 3)
+    np.testing.assert_array_equal(consensus_adjoint(np.zeros((0, 3))), np.zeros((1, 3)))
+    assert consensus_gain(1) == 0.0
 
 
 def test_consensus_map_two_agents():
-    E, c = consensus_map(2, 1, 2)
-    np.testing.assert_array_equal(E[0], np.eye(2))
-    np.testing.assert_array_equal(E[1], -np.eye(2))
-    np.testing.assert_array_equal(c, np.zeros(2))
+    # E = [I, -I]: E lam = lam^0 - lam^1 and E'w = (w, -w)
+    lam = np.array([[1.0, 2.0], [3.0, 5.0]])
+    np.testing.assert_array_equal(consensus_diff(lam), [[-2.0, -3.0]])
+    w = np.array([[0.5, -4.0]])
+    np.testing.assert_array_equal(consensus_adjoint(w), [[0.5, -4.0], [-0.5, 4.0]])
 
 
 def test_consensus_map_four_agents_path_laplacian():
     M, d = 4, 3
-    E, _ = consensus_map(M, 1, d)
-    stacked = np.hstack(E)
-    gram = stacked.T @ stacked
+    # dense E'E assembled column by column from the operator
+    basis = np.eye(M * d).reshape(M * d, M, d)
+    gram = np.stack([consensus_adjoint(consensus_diff(e)).ravel() for e in basis], axis=1)
+    np.testing.assert_array_equal(gram, gram.T)
     eigs = np.linalg.eigvalsh(gram)
     # oracle: path-graph Laplacian spectrum 2 - 2cos(k pi / M), tensored with I_d
     lap_eigs = np.sort([2 - 2 * np.cos(k * np.pi / M) for k in range(M)])
@@ -42,33 +44,29 @@ def test_consensus_map_four_agents_path_laplacian():
 
 
 def test_lambda_update_slack_stays_zero():
-    E, _ = consensus_map(2, 1, 2)
-    lambdas = [np.zeros(2), np.zeros(2)]
-    f = [np.array([-1.0, -0.5]), np.array([-0.2, -0.3])]  # strictly below share
-    b = [np.zeros(2), np.zeros(2)]
-    out = lambda_update(lambdas, f, b, E, np.zeros(2), rho=1.0, tau=2.0)
-    for li in out:
-        np.testing.assert_array_equal(li, np.zeros(2))
+    lambdas = np.zeros((2, 2))
+    f = np.array([[-1.0, -0.5], [-0.2, -0.3]])  # strictly below share
+    b = np.zeros((2, 2))
+    out = lambda_update(lambdas, f, b, np.zeros((1, 2)), rho=1.0, tau=2.0)
+    np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
 
 def test_lambda_update_single_scalar_step():
-    E, _ = consensus_map(1, 1, 1)
-    out = lambda_update([np.zeros(1)], [np.array([1.0])], [np.zeros(1)],
-                        E, np.zeros(0), rho=1.0, tau=1.0)
+    out = lambda_update(np.zeros((1, 1)), np.array([[1.0]]), np.zeros((1, 1)),
+                        np.zeros((0, 1)), rho=1.0, tau=1.0)
     assert out[0][0] == pytest.approx(1.0)
 
 
 def test_lambda_update_drives_consensus_closed_form():
     # identical gradients, omega frozen at zero: difference contracts linearly
-    E, _ = consensus_map(2, 1, 1)
     rho, tau = 1.0, 4.0
-    lam = [np.array([3.0]), np.array([1.0])]
-    f = [np.array([0.5]), np.array([0.5])]
-    b = [np.zeros(1), np.zeros(1)]
+    lam = np.array([[3.0], [1.0]])
+    f = np.array([[0.5], [0.5]])
+    b = np.zeros((2, 1))
     diff_oracle = lam[0][0] - lam[1][0]
     mean_oracle = 0.5 * (lam[0][0] + lam[1][0])
     for _ in range(100):
-        lam = lambda_update(lam, f, b, E, np.zeros(1), rho=rho, tau=tau)
+        lam = lambda_update(lam, f, b, np.zeros((1, 1)), rho=rho, tau=tau)
         diff_oracle *= 1.0 - 2.0 * rho / tau
         mean_oracle += 0.5 / tau  # both copies gain f/tau
     assert lam[0][0] - lam[1][0] == pytest.approx(diff_oracle, abs=1e-12)
@@ -76,20 +74,18 @@ def test_lambda_update_drives_consensus_closed_form():
 
 
 def test_omega_update_consensus_exact_unchanged():
-    E, c = consensus_map(2, 1, 2)
-    lam = [np.array([1.0, 2.0]), np.array([1.0, 2.0])]
-    omega = np.array([0.3, -0.4])
-    out = omega_update(omega, lam, E, c, rho=1.0, gamma=1.0)
+    lam = np.array([[1.0, 2.0], [1.0, 2.0]])
+    omega = np.array([[0.3, -0.4]])
+    out = omega_update(omega, lam, rho=1.0, gamma=1.0)
     np.testing.assert_array_equal(out, omega)
 
 
 def test_omega_update_two_agent_scalar_step():
     # lam = (1, 0), rho = gamma = 1: step along the violation; the convergent
-    # sign pairs the printed lambda rule with +rho*gamma*(E-sum)
-    E, c = consensus_map(2, 1, 1)
-    out = omega_update(np.zeros(1), [np.ones(1), np.zeros(1)], E, c,
+    # sign pairs the printed lambda rule with +rho*gamma*E lam
+    out = omega_update(np.zeros((1, 1)), np.array([[1.0], [0.0]]),
                        rho=1.0, gamma=1.0)
-    assert out[0] == pytest.approx(1.0)
+    assert out[0, 0] == pytest.approx(1.0)
 
 
 def test_gamma_zero_rejected():
@@ -200,16 +196,14 @@ def test_lambda_nonnegative_throughout():
     b = np.zeros(2)
     ocps = [condense(agent, ing, tz, Px, Pu, [-3.0], 2, b_share=b / 2)
             for _ in range(2)]
-    E, _ = consensus_map(2, 1, 2)
-    lambdas = [np.zeros(2), np.zeros(2)]
-    omega = np.zeros(2)
+    lambdas = np.zeros((2, 2))
+    omega = np.zeros((1, 2))
     rng = np.random.default_rng(2)
     for _ in range(50):
-        f = [rng.uniform(-2, 2, size=2) for _ in range(2)]
-        lambdas = lambda_update(lambdas, f, [b / 2] * 2, E, omega, rho=1.0, tau=4.0)
-        omega = omega_update(omega, lambdas, E, np.zeros(2), rho=1.0, gamma=1.0)
-        for lam in lambdas:
-            assert np.all(lam >= 0.0)
+        f = rng.uniform(-2, 2, size=(2, 2))
+        lambdas = lambda_update(lambdas, f, np.array([b / 2] * 2), omega, rho=1.0, tau=4.0)
+        omega = omega_update(omega, lambdas, rho=1.0, gamma=1.0)
+        assert np.all(lambdas >= 0.0)
 
 
 def test_run_admm_trace_csv(tmp_path, default_scenario, default_pipeline):

@@ -1,7 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
-from tube_dmpc.model import AgentModel, HPolytope
+from tube_dmpc.dual_admm import run_admm
+from tube_dmpc.model import AgentModel, HPolytope, validate_scenario
+from tube_dmpc.simulator import prepare
 from tube_dmpc.synthesis import TerminalIngredients, synthesize
 from tube_dmpc.tightening import tighten_local_sets, ToleranceSchedule
 from tube_dmpc.local_solver import (condense, dual_value, project_ball,
@@ -264,3 +268,36 @@ def test_solve_inner_rejects_negative_lambda(default_scenario, default_pipeline)
                    sc.coupling.Psi_x[0], sc.coupling.Psi_u[0], sc.x0[0], sc.N)
     with pytest.raises(ValueError, match="nonnegative"):
         solve_inner(ocp, -np.ones(ocp.F.shape[0]))
+
+
+def test_zero_constraint_row_dropped_or_infeasible():
+    # double integrator: the x1 row of Z[1] times Gamma[1] is G B = 0, so only
+    # its rhs h - G A x0 decides: >= 0 drops the row, < 0 is infeasible
+    agent = make_agent([[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]], state=10.0, inp=2.0)
+    ing = synthesize(agent)
+    ocp = plain_ocp(agent, ing, [2.0, 1.0], 3)
+    assert np.any(np.linalg.norm(ocp.rows_C, axis=1) == 0.0)
+    sol = solve_inner(ocp, np.zeros(3))
+    assert sol.status == "optimal"
+    assert np.all(ocp.rows_C @ sol.u_star <= ocp.rows_rhs + 1e-6)
+
+    bad = solve_inner(plain_ocp(agent, ing, [9.0, 3.0], 3), np.zeros(3))  # x1(1) = 12
+    assert bad.status == "infeasible"
+
+
+def test_centralized_zero_psi_u_matches_admm(default_raw):
+    # Psi_u = 0 makes block 0 of every stacked coupling row all zeros
+    raw = copy.deepcopy(default_raw)
+    raw["coupling"]["psi_u"] = [[[0.0]]] * len(raw["agents"])
+    sc = validate_scenario(raw)
+    pipe = prepare(sc)
+    sols, central = solve_centralized(sc, pipe.ingredients, pipe.tightened,
+                                      pipe.schedule, sc.x0)
+    assert all(s.status == "optimal" for s in sols)
+    ocps = [condense(sc.agents[i], pipe.ingredients[i], pipe.tightened[i],
+                     sc.coupling.Psi_x[i], sc.coupling.Psi_u[i], sc.x0[i], sc.N,
+                     b_share=pipe.schedule.b / sc.M) for i in range(sc.M)]
+    admm_sols, _, converged = run_admm(ocps, sc.solver)
+    assert converged
+    total = sum(s.J_star for s in admm_sols)
+    assert abs(total - central) / central <= 5e-3

@@ -213,11 +213,12 @@ def test_agent_inside_terminal_set_routed_to_feedback(default_raw):
 def test_admm_fallback_accepts_small_violation(default_scenario, default_pipeline,
                                                monkeypatch):
     real_run = simulator.run_admm
-    headroom = default_pipeline.schedule.eps[1] / 2.0
+    sched = default_pipeline.schedule
+    headroom = np.repeat(sched.eps[:-1] / 2.0, sched.p)  # per row of b
 
     def flaky(ocps, params, **kw):
         sols, state, _ = real_run(ocps, params, **kw)
-        state.coupling_violation = 0.9 * headroom
+        state.coupling_excess = 0.9 * headroom
         return sols, state, False  # below headroom: usable last iterate
 
     monkeypatch.setattr(simulator, "run_admm", flaky)
@@ -228,11 +229,12 @@ def test_admm_fallback_accepts_small_violation(default_scenario, default_pipelin
 def test_admm_failure_aborts_with_partial_log(default_scenario, default_pipeline,
                                               monkeypatch):
     real_run = simulator.run_admm
-    headroom = default_pipeline.schedule.eps[1] / 2.0
+    sched = default_pipeline.schedule
+    headroom = np.repeat(sched.eps[:-1] / 2.0, sched.p)  # per row of b
 
     def broken(ocps, params, **kw):
         sols, state, _ = real_run(ocps, params, **kw)
-        state.coupling_violation = 10.0 * headroom
+        state.coupling_excess = 10.0 * headroom
         return sols, state, False
 
     monkeypatch.setattr(simulator, "run_admm", broken)

@@ -3,8 +3,8 @@ import pytest
 
 from tube_dmpc.model import AgentModel, HPolytope
 from tube_dmpc.synthesis import synthesize
-from tube_dmpc.tightening import (TighteningError, coupling_affine,
-                                  coupling_terms, schedule_values,
+from tube_dmpc.local_solver import condense
+from tube_dmpc.tightening import (TighteningError, coupling_terms, schedule_values,
                                   tighten_local_sets, tolerance_schedule)
 
 
@@ -135,17 +135,19 @@ def test_coupling_terms_open_loop_matrix_power_oracle(default_scenario):
     np.testing.assert_allclose(f, oracle, atol=1e-12)
 
 
-def test_coupling_affine_consistency(default_scenario):
+def test_coupling_affine_consistency(default_scenario, default_pipeline):
+    # the condensed coupling map f0 + F u against direct simulation
     agent = default_scenario.agents[1]
+    ing, tz = default_pipeline.ingredients[1], default_pipeline.tightened[1]
     Px, Pu = default_scenario.coupling.Psi_x[1], default_scenario.coupling.Psi_u[1]
     N = default_scenario.N
-    Fx, Fu = coupling_affine(agent, Px, Pu, N)
     rng = np.random.default_rng(11)
     for _ in range(25):
         x0 = rng.uniform(-5, 5, size=2)
         u = rng.uniform(-2, 2, size=N)
         direct = coupling_terms(agent, Px, Pu, x0, u)
-        np.testing.assert_allclose(direct, Fx @ x0 + Fu @ u, atol=1e-12)
+        ocp = condense(agent, ing, tz, Px, Pu, x0, N)
+        np.testing.assert_allclose(direct, ocp.coupling_values(u), atol=1e-12)
 
 
 def test_tightening_soundness_sampled(default_scenario, default_pipeline):
