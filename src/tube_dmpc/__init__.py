@@ -6,8 +6,8 @@ from .synthesis import (CertificateReport, TerminalIngredients, certify,
                         lqr_gain, synthesize, terminal_radii, terminal_weight)
 from .tightening import (TightenedSets, ToleranceSchedule, coupling_terms,
                          tighten_local_sets, tolerance_schedule)
-from .local_solver import (CondensedOcp, OcpSolution, condense, dual_value,
-                           solve_centralized, solve_inner)
+from .local_solver import (CondensedOcp, OcpSolution, OcpTemplate, condense, dual_value,
+                           ocp_template, solve_centralized, solve_inner)
 from .dual_admm import (AdmmError, AdmmState, consensus_adjoint, consensus_diff,
                         run_admm)
 from .trigger import TriggerDecision, cost_decrease_bound_g, deviation_bound, select_Mk
@@ -21,8 +21,8 @@ __all__ = [
     "synthesize", "terminal_radii", "terminal_weight",
     "TightenedSets", "ToleranceSchedule", "coupling_terms",
     "tighten_local_sets", "tolerance_schedule",
-    "CondensedOcp", "OcpSolution", "condense", "dual_value",
-    "solve_centralized", "solve_inner",
+    "CondensedOcp", "OcpSolution", "OcpTemplate", "condense", "dual_value",
+    "ocp_template", "solve_centralized", "solve_inner",
     "AdmmError", "AdmmState", "consensus_adjoint", "consensus_diff", "run_admm",
     "TriggerDecision", "cost_decrease_bound_g", "deviation_bound", "select_Mk",
     "DisturbanceSampler", "MonteCarloReport", "Pipeline", "SimLog",

@@ -74,11 +74,11 @@ def omega_update(omega, lambdas, rho: float, gamma: float) -> np.ndarray:
 
 
 def default_tau(ocps, rho: float, M: int) -> float:
-    """Stepsize weight: consensus-penalty curvature plus worst dual curvature."""
-    curv = 0.0
-    for ocp in ocps:
-        FHF = ocp.F @ np.linalg.solve(ocp.H, ocp.F.T)
-        curv = max(curv, float(np.linalg.norm(FHF, 2)))
+    """Stepsize weight: consensus-penalty curvature plus worst dual curvature.
+
+    Each agent's dual curvature ||F H^-1 F'||_2 is fixed by its OCP template.
+    """
+    curv = max(ocp.template.dual_curvature for ocp in ocps)
     return rho * consensus_gain(M) + max(curv, 1e-8)
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .model import AgentModel, Scenario
 from .synthesis import TerminalIngredients
@@ -15,6 +16,7 @@ FEAS_TOL = 1e-6
 RELAXATION = 1.6  # classic over-relaxation factor for the splitting iteration
 STALL_WINDOW = 2000
 STALL_LEVEL = 1e-3
+SCALE_FLOOR = np.finfo(float).tiny  # a row or block normed below this cannot be rescaled
 
 
 class OcpInfeasibleError(RuntimeError):
@@ -34,6 +36,209 @@ def rollout_maps(A, B, N: int) -> tuple[np.ndarray, np.ndarray]:
     return Phi, Gamma
 
 
+def _read_only(obj):
+    """Clear the write flag of every array field of a template (tuples included)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
+class SplitSetup:
+    """State-independent part of the splitting QP: scaled constraints, step, factor.
+
+    Rows of the halfspace block are scaled to unit norm; rows normed below
+    SCALE_FLOOR (all-zero rows included) are dropped through `zero`. Each
+    ball block is scaled by 1/||C_ball||_2 and `balls` holds (slice, scale,
+    scaled radius) per block. `factor` is the upper Cholesky factor of
+    H + sigma C'C in LAPACK layout.
+    """
+
+    zero: np.ndarray | None  # mask of the dropped halfspace rows, None when none is
+    row_scale: np.ndarray
+    C: np.ndarray
+    sigma: float
+    sigmaCT: np.ndarray
+    factor: np.ndarray
+    balls: tuple
+
+
+def split_setup(H, rows_C, ball_Cs, ball_radii) -> SplitSetup:
+    """Scale the constraint blocks, pick the step sigma and factor H + sigma C'C."""
+    norms = np.linalg.norm(rows_C, axis=1)
+    zero = norms < SCALE_FLOOR
+    if np.any(zero):
+        rows_C, norms = rows_C[~zero], norms[~zero]
+    else:
+        zero = None
+    nrows = rows_C.shape[0]
+    scale = 1.0 / norms
+    blocks = [rows_C * scale[:, None]]
+
+    balls = []
+    offset = nrows
+    for C, radius in zip(ball_Cs, ball_radii):
+        beta = np.linalg.norm(C, 2)
+        beta = 1.0 / beta if beta >= SCALE_FLOOR else 1.0
+        blocks.append(C * beta)
+        balls.append((slice(offset, offset + C.shape[0]), beta, radius * beta))
+        offset += C.shape[0]
+    C = np.vstack(blocks)
+    del blocks  # the oracle's stacked blocks are large: free them before the SVDs
+
+    sigma = np.linalg.norm(H, 2) / max(1.0, np.linalg.norm(C, 2) ** 2)
+    sigma = float(np.clip(sigma, 1e-3, 1e6))
+    sigmaCT = sigma * C.T
+    factor, _ = cho_factor(H + sigmaCT @ C, lower=False)
+    setup = SplitSetup(zero=zero, row_scale=scale, C=C, sigma=sigma, sigmaCT=sigmaCT,
+                       factor=factor, balls=tuple(balls))
+    _read_only(setup)
+    return setup
+
+
+def split_iterate(setup: SplitSetup, g, rows_rhs, ball_offsets, tol, max_iter, warm=None):
+    """ADMM splitting for min 0.5u'Hu + g'u s.t. rows and ball blocks.
+
+    H and the constraint matrices are fixed by `setup`; the call supplies the
+    linear term, the halfspace right-hand sides and one offset per ball.
+    Returns (u, warm_state, iters, r_primal, r_dual, flag) with flag in
+    {converged, iteration-cap, infeasible}. A row dropped by the setup (all
+    coefficients zero, or too small to rescale) is ignored when its rhs is
+    >= 0 and makes the problem infeasible when its rhs is < 0.
+    """
+    if setup.zero is not None:
+        zero_rhs = rows_rhs[setup.zero]
+        if np.any(zero_rhs < 0):
+            return (np.zeros(g.shape[0]), None, 0, float(-zero_rhs.min()), 0.0,
+                    "infeasible")
+        rows_rhs = rows_rhs[~setup.zero]
+    rhs_s = rows_rhs * setup.row_scale
+    nrows = rhs_s.shape[0]
+    balls = [(sl, off * beta, rad_s)
+             for (sl, beta, rad_s), off in zip(setup.balls, ball_offsets)]
+
+    C, sigma, sigmaCT, factor = setup.C, setup.sigma, setup.sigmaCT, setup.factor
+    CT = C.T
+    total = C.shape[0]
+    if warm is not None and warm[0].shape[0] == total:
+        s, y = warm[0].copy(), warm[1].copy()
+    else:
+        s, y = np.zeros(total), np.zeros(total)
+
+    r_prim = r_dual = np.inf
+    stall = 0
+    flag = "iteration-cap"
+    it = 0
+    for it in range(1, max_iter + 1):
+        u, info = dpotrs(factor, sigmaCT @ (s - y) - g, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        Cu = C @ u
+        Cu_rel = RELAXATION * Cu + (1.0 - RELAXATION) * s
+        v = Cu_rel + y
+        s_new = v.copy()
+        s_new[:nrows] = np.minimum(v[:nrows], rhs_s)
+        for sl, off_s, rad_s in balls:  # project onto the ball ||. + off_s|| <= rad_s
+            w = v[sl] + off_s
+            nrm = np.sqrt(w.dot(w))
+            if nrm > rad_s:
+                w *= rad_s / nrm
+            s_new[sl] = w - off_s
+        y = y + Cu_rel - s_new
+        r_prim = float(np.abs(Cu - s_new).max())
+        r_dual = float(sigma * np.abs(CT @ (s_new - s)).max())
+        s = s_new
+        if r_prim < tol and r_dual < tol:
+            flag = "converged"
+            break
+        if r_prim > STALL_LEVEL:
+            stall += 1
+            if stall >= STALL_WINDOW:
+                flag = "infeasible"
+                break
+        else:
+            stall = 0
+    return u, (s, y), it, r_prim, r_dual, flag
+
+
+@dataclass(frozen=True, eq=False)
+class OcpTemplate:
+    """State-independent part of one agent's condensed OCP, built once per scenario.
+
+    Only q, c0, the halfspace right-hand sides, the ball offset and f0 depend
+    on the state x0; `condense` reads them off these arrays. `W[l - 1]` is the
+    stage weight at step l (P at l = N), `q_maps[l - 1]` = 2 Gamma[l]' W[l - 1],
+    `rhs_G`/`rhs_h` are the tightened state sets Z[1..N-1], `rhs_U` the input
+    rows over the horizon, `ball_map` = L' with P = L L', and `f0_map` the x0
+    part of the coupling map. `dual_curvature` is ||F H^-1 F'||_2 and `split`
+    the splitting solver's setup. Every array is read-only.
+    """
+
+    Phi: np.ndarray
+    Gamma: np.ndarray
+    H: np.ndarray
+    Q: np.ndarray
+    W: tuple
+    q_maps: tuple
+    rows_C: np.ndarray
+    rhs_G: tuple
+    rhs_h: tuple
+    rhs_U: np.ndarray
+    ball_map: np.ndarray
+    ball_C: np.ndarray
+    ball_radius: float
+    F: np.ndarray
+    f0_map: np.ndarray
+    dual_curvature: float
+    split: SplitSetup = field(repr=False)
+
+
+def ocp_template(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSets,
+                 Psi_x, Psi_u, N: int) -> OcpTemplate:
+    """Assemble everything of the condensed OCP that does not depend on x0."""
+    n, m, p = agent.n, agent.m, Psi_x.shape[0]
+    Phi, Gamma = rollout_maps(agent.A, agent.B, N)
+    Q = np.array(agent.Q)
+    W = (Q,) * (N - 1) + (np.array(ing.P),)
+
+    H = np.zeros((N * m, N * m))
+    q_maps = []
+    for l in range(1, N + 1):
+        H += 2.0 * Gamma[l].T @ W[l - 1] @ Gamma[l]
+        q_maps.append(2.0 * Gamma[l].T @ W[l - 1])
+    for l in range(N):
+        H[l * m:(l + 1) * m, l * m:(l + 1) * m] += 2.0 * agent.R
+
+    rows = [tightened.Z[l].G @ Gamma[l] for l in range(1, N)]
+    GU = agent.U.G
+    for l in range(N):
+        block = np.zeros((GU.shape[0], N * m))
+        block[:, l * m:(l + 1) * m] = GU
+        rows.append(block)
+    rows_C = np.vstack(rows)
+
+    L = np.linalg.cholesky(ing.P)  # P = L L', so ||z||_P = ||L' z||
+    ball_map = L.T
+    ball_C = ball_map @ Gamma[N]
+
+    # coupling block l: Psi_x z(l) + Psi_u u(l), from the same rollout
+    F = (Psi_x @ Gamma[:N]).reshape(N * p, N * m) + np.kron(np.eye(N), Psi_u)
+    f0_map = (Psi_x @ Phi[:N]).reshape(N * p, n)
+
+    template = OcpTemplate(
+        Phi=Phi, Gamma=Gamma, H=H, Q=Q, W=W, q_maps=tuple(q_maps), rows_C=rows_C,
+        rhs_G=tuple(np.array(tightened.Z[l].G) for l in range(1, N)),
+        rhs_h=tuple(np.array(tightened.Z[l].h) for l in range(1, N)),
+        rhs_U=np.tile(agent.U.h, N), ball_map=ball_map, ball_C=ball_C,
+        ball_radius=ing.eps_r, F=F, f0_map=f0_map,
+        dual_curvature=float(np.linalg.norm(F @ np.linalg.solve(H, F.T), 2)),
+        split=split_setup(H, rows_C, [ball_C], [ing.eps_r]))
+    _read_only(template)
+    return template
+
+
 @dataclass(frozen=True)
 class CondensedOcp:
     """State-eliminated OCP: J(u) = 0.5 u'Hu + q'u + c0 over stacked inputs.
@@ -41,25 +246,40 @@ class CondensedOcp:
     Constraint bundle: halfspace rows (rows_C u <= rows_rhs), the terminal
     ellipsoid ||ball_C u + ball_off|| <= ball_radius, and the affine coupling
     map f(u) = f0 + F u with per-agent share b_share of the tightened RHS.
+    The state-independent matrices live in `template`.
     """
 
-    H: np.ndarray
+    template: OcpTemplate
+    x0: np.ndarray
     q: np.ndarray
     c0: float
-    rows_C: np.ndarray
     rows_rhs: np.ndarray
-    ball_C: np.ndarray
     ball_off: np.ndarray
-    ball_radius: float
-    F: np.ndarray
     f0: np.ndarray
     b_share: np.ndarray
-    x0: np.ndarray
-    Phi: np.ndarray
-    Gamma: np.ndarray
+
+    @property
+    def H(self) -> np.ndarray:
+        return self.template.H
+
+    @property
+    def rows_C(self) -> np.ndarray:
+        return self.template.rows_C
+
+    @property
+    def ball_C(self) -> np.ndarray:
+        return self.template.ball_C
+
+    @property
+    def ball_radius(self) -> float:
+        return self.template.ball_radius
+
+    @property
+    def F(self) -> np.ndarray:
+        return self.template.F
 
     def trajectory(self, u: np.ndarray) -> np.ndarray:
-        return self.Phi @ self.x0 + self.Gamma @ u
+        return self.template.Phi @ self.x0 + self.template.Gamma @ u
 
     def cost(self, u: np.ndarray) -> float:
         return float(0.5 * u @ self.H @ u + self.q @ u + self.c0)
@@ -82,132 +302,39 @@ class OcpSolution:
     warm: tuple | None = field(default=None, repr=False)
 
 
-def condense(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSets,
-             Psi_x, Psi_u, x0, N: int, b_share=None) -> CondensedOcp:
-    """Assemble the condensed OCP at state x0 over horizon N."""
+def condense(template: OcpTemplate, x0, b_share=None) -> CondensedOcp:
+    """The condensed OCP of `template` at state x0 (only the x0-dependent terms)."""
+    t = template
     x0 = np.asarray(x0, dtype=float).ravel()
-    n, m, p = agent.n, agent.m, Psi_x.shape[0]
-    Phi, Gamma = rollout_maps(agent.A, agent.B, N)
+    N = len(t.W)
+    free = [Phi_l @ x0 for Phi_l in t.Phi]  # input-free rollout z(l) = A^l x0
 
-    H = np.zeros((N * m, N * m))
-    q = np.zeros(N * m)
-    c0 = float(x0 @ agent.Q @ x0)
+    q = np.zeros(t.H.shape[0])
+    c0 = float(x0 @ t.Q @ x0)
     for l in range(1, N + 1):
-        W = ing.P if l == N else agent.Q
-        H += 2.0 * Gamma[l].T @ W @ Gamma[l]
-        q += 2.0 * Gamma[l].T @ W @ (Phi[l] @ x0)
-        c0 += float(x0 @ Phi[l].T @ W @ Phi[l] @ x0)
-    for l in range(N):
-        H[l * m:(l + 1) * m, l * m:(l + 1) * m] += 2.0 * agent.R
+        q += t.q_maps[l - 1] @ free[l]
+        c0 += float(x0 @ t.Phi[l].T @ t.W[l - 1] @ t.Phi[l] @ x0)
 
-    rows, rhs = [], []
-    for l in range(1, N):
-        Z = tightened.Z[l]
-        rows.append(Z.G @ Gamma[l])
-        rhs.append(Z.h - Z.G @ (Phi[l] @ x0))
-    GU, hU = agent.U.G, agent.U.h
-    for l in range(N):
-        block = np.zeros((GU.shape[0], N * m))
-        block[:, l * m:(l + 1) * m] = GU
-        rows.append(block)
-        rhs.append(hU)
-    rows_C = np.vstack(rows)
-    rows_rhs = np.concatenate(rhs)
-
-    L = np.linalg.cholesky(ing.P)  # P = L L', so ||z||_P = ||L' z||
-    ball_C = L.T @ Gamma[N]
-    ball_off = L.T @ (Phi[N] @ x0)
-
-    # coupling block l: Psi_x z(l) + Psi_u u(l), from the same rollout
-    F = (Psi_x @ Gamma[:N]).reshape(N * p, N * m) + np.kron(np.eye(N), Psi_u)
-    f0 = (Psi_x @ Phi[:N]).reshape(N * p, n) @ x0
+    rows_rhs = np.concatenate([h - G @ free[l]
+                               for l, G, h in zip(range(1, N), t.rhs_G, t.rhs_h)]
+                              + [t.rhs_U])
+    f0 = t.f0_map @ x0
     if b_share is None:
         b_share = np.zeros(f0.shape[0])
-
-    return CondensedOcp(H=H, q=q, c0=c0, rows_C=rows_C, rows_rhs=rows_rhs,
-                        ball_C=ball_C, ball_off=ball_off, ball_radius=ing.eps_r,
-                        F=F, f0=f0, b_share=np.asarray(b_share, dtype=float),
-                        x0=x0, Phi=Phi, Gamma=Gamma)
+    return CondensedOcp(template=t, x0=x0, q=q, c0=c0, rows_rhs=rows_rhs,
+                        ball_off=t.ball_map @ free[N], f0=f0,
+                        b_share=np.asarray(b_share, dtype=float))
 
 
 def project_ball(s: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the origin-centered ball (radial scaling)."""
+    """Euclidean projection onto the origin-centered ball (radial scaling).
+
+    split_iterate performs the same arithmetic inline on its ball blocks.
+    """
     nrm = np.linalg.norm(s)
     if nrm <= radius:
         return s.copy()
     return s * (radius / nrm)
-
-
-def _split_qp(H, g, rows_C, rows_rhs, balls, tol, max_iter, warm=None):
-    """ADMM splitting for min 0.5u'Hu + g'u s.t. rows and ball blocks.
-
-    balls: list of (C, offset, radius). Returns (u, warm_state, iters,
-    r_primal, r_dual, flag) with flag in {converged, iteration-cap, infeasible}.
-    A row with all-zero coefficients is dropped when its rhs is >= 0 and
-    makes the problem infeasible when its rhs is < 0.
-    """
-    norms = np.linalg.norm(rows_C, axis=1)
-    zero = norms == 0.0
-    if np.any(rows_rhs[zero] < 0):
-        return (np.zeros(H.shape[0]), None, 0, float(-rows_rhs[zero].min()), 0.0,
-                "infeasible")
-    if np.any(zero):
-        rows_C, rows_rhs, norms = rows_C[~zero], rows_rhs[~zero], norms[~zero]
-    nrows = rows_C.shape[0]
-    scale = 1.0 / norms
-    blocks = [rows_C * scale[:, None]]
-    rhs_s = rows_rhs * scale
-
-    ball_slices, ball_data = [], []
-    offset = nrows
-    for C, off, radius in balls:
-        beta = np.linalg.norm(C, 2)
-        beta = 1.0 / beta if beta > 0 else 1.0
-        blocks.append(C * beta)
-        ball_slices.append(slice(offset, offset + C.shape[0]))
-        ball_data.append((off * beta, radius * beta))
-        offset += C.shape[0]
-    C = np.vstack(blocks)
-
-    sigma = np.linalg.norm(H, 2) / max(1.0, np.linalg.norm(C, 2) ** 2)
-    sigma = float(np.clip(sigma, 1e-3, 1e6))
-    K = cho_factor(H + sigma * C.T @ C)
-
-    total = C.shape[0]
-    if warm is not None and warm[0].shape[0] == total:
-        s, y = warm[0].copy(), warm[1].copy()
-    else:
-        s, y = np.zeros(total), np.zeros(total)
-
-    sigmaCT = sigma * C.T
-    r_prim = r_dual = np.inf
-    stall = 0
-    flag = "iteration-cap"
-    it = 0
-    for it in range(1, max_iter + 1):
-        u = cho_solve(K, sigmaCT @ (s - y) - g)
-        Cu = C @ u
-        Cu_rel = RELAXATION * Cu + (1.0 - RELAXATION) * s
-        v = Cu_rel + y
-        s_new = v.copy()
-        s_new[:nrows] = np.minimum(v[:nrows], rhs_s)
-        for sl, (off_s, rad_s) in zip(ball_slices, ball_data):
-            s_new[sl] = project_ball(v[sl] + off_s, rad_s) - off_s
-        y = y + Cu_rel - s_new
-        r_prim = float(np.linalg.norm(Cu - s_new, np.inf))
-        r_dual = float(sigma * np.linalg.norm(C.T @ (s_new - s), np.inf))
-        s = s_new
-        if r_prim < tol and r_dual < tol:
-            flag = "converged"
-            break
-        if r_prim > STALL_LEVEL:
-            stall += 1
-            if stall >= STALL_WINDOW:
-                flag = "infeasible"
-                break
-        else:
-            stall = 0
-    return u, (s, y), it, r_prim, r_dual, flag
 
 
 def _solution_from(ocp: CondensedOcp, u, warm, iters, rp, rd, flag) -> OcpSolution:
@@ -236,10 +363,9 @@ def solve_inner(ocp: CondensedOcp, lam, warm_start=None,
     if np.any(lam < 0):
         raise ValueError("lambda must be componentwise nonnegative")
     g = ocp.q + ocp.F.T @ lam
-    u, warm, iters, rp, rd, flag = _split_qp(
-        ocp.H, g, ocp.rows_C, ocp.rows_rhs,
-        [(ocp.ball_C, ocp.ball_off, ocp.ball_radius)],
-        tol, max_iter, warm=warm_start)
+    u, warm, iters, rp, rd, flag = split_iterate(
+        ocp.template.split, g, ocp.rows_rhs, [ocp.ball_off], tol, max_iter,
+        warm=warm_start)
     return _solution_from(ocp, u, warm, iters, rp, rd, flag)
 
 
@@ -256,8 +382,8 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     Ground-truth oracle for the distributed path; returns (per-agent
     solutions, total cost).
     """
-    ocps = [condense(agent, ing, tz, scenario.coupling.Psi_x[i],
-                     scenario.coupling.Psi_u[i], x0_all[i], scenario.N)
+    ocps = [condense(ocp_template(agent, ing, tz, scenario.coupling.Psi_x[i],
+                                  scenario.coupling.Psi_u[i], scenario.N), x0_all[i])
             for i, (agent, ing, tz) in enumerate(zip(scenario.agents, ingredients,
                                                      tightened_list))]
     dims = [ocp.H.shape[0] for ocp in ocps]
@@ -267,7 +393,7 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     H = np.zeros((total_dim, total_dim))
     g = np.zeros(total_dim)
     rows, rhs = [], []
-    balls = []
+    ball_Cs = []
     coupling_C = np.zeros((schedule.b.shape[0], total_dim))
     coupling_rhs = schedule.b.copy()
     for i, ocp in enumerate(ocps):
@@ -280,16 +406,18 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
         rhs.append(ocp.rows_rhs)
         ball_C = np.zeros((ocp.ball_C.shape[0], total_dim))
         ball_C[:, sl] = ocp.ball_C
-        balls.append((ball_C, ocp.ball_off, ocp.ball_radius))
+        ball_Cs.append(ball_C)
         coupling_C[:, sl] = ocp.F
         coupling_rhs -= ocp.f0
     rows.append(coupling_C)
     rhs.append(coupling_rhs)
     rows_C = np.vstack(rows)
+    del rows  # one stacked copy of the (large) halfspace block is enough
     rows_rhs = np.concatenate(rhs)
 
-    u, warm, iters, rp, rd, flag = _split_qp(H, g, rows_C, rows_rhs, balls,
-                                             tol, max_iter)
+    setup = split_setup(H, rows_C, ball_Cs, [ocp.ball_radius for ocp in ocps])
+    u, warm, iters, rp, rd, flag = split_iterate(
+        setup, g, rows_rhs, [ocp.ball_off for ocp in ocps], tol, max_iter)
     if flag == "infeasible":
         viol = rows_C @ u - rows_rhs
         worst = int(np.argmax(viol))

@@ -58,17 +58,19 @@ class HPolytope:
         return bool(np.all(self.h > tol))
 
     def is_bounded(self) -> bool:
-        """Check boundedness by maximizing +/- each coordinate over the set."""
-        for j in range(self.dim):
-            for sign in (1.0, -1.0):
-                c = np.zeros(self.dim)
-                c[j] = -sign  # linprog minimizes
-                res = linprog(c, A_ub=self.G, b_ub=self.h,
-                              bounds=[(None, None)] * self.dim, method="highs")
-                if res.status == 3:  # unbounded
-                    return False
-                if not res.success:
-                    raise ScenarioError(f"polytope boundedness LP failed: {res.message}")
+        """Boundedness of a nonempty set: its recession cone {d : G d <= 0} is {0}.
+
+        By Stiemke's lemma that holds iff rank(G) = dim and some y > 0 (scaled:
+        y >= 1) has G'y = 0, which one feasibility LP decides.
+        """
+        if np.linalg.matrix_rank(self.G) < self.dim:
+            return False
+        res = linprog(np.zeros(self.G.shape[0]), A_eq=self.G.T, b_eq=np.zeros(self.dim),
+                      bounds=(1.0, None), method="highs")
+        if res.status == 2:  # infeasible: some d != 0 has G d <= 0
+            return False
+        if not res.success:
+            raise ScenarioError(f"polytope boundedness LP failed: {res.message}")
         return True
 
 
@@ -97,6 +99,11 @@ class AgentModel:
     Q: np.ndarray
     R: np.ndarray
     box_half_widths: np.ndarray | None = None
+    lam_max_Q: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # largest eigenvalue of Q, read by every deviation bound of the trigger
+        object.__setattr__(self, "lam_max_Q", float(np.linalg.eigvalsh(self.Q).max()))
 
     @property
     def n(self) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 from .model import AgentModel, Scenario, membership
 from .synthesis import certify, synthesize
 from .tightening import tolerance_schedule, tighten_local_sets
-from .local_solver import condense, rollout_maps
+from .local_solver import condense, ocp_template, rollout_maps
 from .dual_admm import AdmmError, run_admm
 from .trigger import g_profile, select_Mk
 
@@ -36,12 +36,25 @@ class SimulationAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Offline products shared across runs of one scenario."""
+    """Offline products shared across runs of one scenario.
+
+    templates[i] is agent i's OCP template; agents with identical data share one.
+    """
 
     ingredients: tuple
     schedule: object
     tightened: tuple
     certificate: object
+    templates: tuple
+
+
+def _template_key(agent: AgentModel, Psi_x, Psi_u) -> tuple:
+    """Bytes of the agent data its OCP template (synthesis included) is built from."""
+    arrays = (agent.A, agent.B, agent.Q, agent.R, agent.X.G, agent.X.h,
+              agent.U.G, agent.U.h, Psi_x, Psi_u)
+    box = agent.box_half_widths
+    return (tuple((a.shape, a.tobytes()) for a in arrays), agent.w_bar,
+            None if box is None else box.tobytes())
 
 
 def prepare(scenario: Scenario) -> Pipeline:
@@ -49,8 +62,17 @@ def prepare(scenario: Scenario) -> Pipeline:
     schedule = tolerance_schedule(scenario, ingredients)
     tightened = tuple(tighten_local_sets(agent, scenario.N) for agent in scenario.agents)
     certificate = certify(scenario, ingredients, schedule.eps)
-    return Pipeline(ingredients=ingredients, schedule=schedule,
-                    tightened=tightened, certificate=certificate)
+    Psi_x, Psi_u = scenario.coupling.Psi_x, scenario.coupling.Psi_u
+    built = {}
+    templates = []
+    for i, agent in enumerate(scenario.agents):
+        key = _template_key(agent, Psi_x[i], Psi_u[i])
+        if key not in built:
+            built[key] = ocp_template(agent, ingredients[i], tightened[i],
+                                      Psi_x[i], Psi_u[i], scenario.N)
+        templates.append(built[key])
+    return Pipeline(ingredients=ingredients, schedule=schedule, tightened=tightened,
+                    certificate=certificate, templates=tuple(templates))
 
 
 @dataclass
@@ -143,6 +165,11 @@ class SimLog:
     def global_violations(self, tol: float = VIOLATION_TOL) -> int:
         return int(sum(np.any(row > 1.0 + tol) for row in self.coupling))
 
+    def recursive_feasible(self) -> bool:
+        """Every inner problem solved to optimality and the coupled row never broken."""
+        return (all(st == "optimal" for rec in self.triggers for st in rec.statuses)
+                and self.global_violations() == 0)
+
 
 def _coupling_row(scenario, xs, us) -> np.ndarray:
     row = np.zeros(scenario.coupling.p)
@@ -218,10 +245,7 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
         b_eff = sched.b - contrib
         b_share = b_eff / len(ocp_idx)
 
-        ocps = [condense(scenario.agents[i], pipeline.ingredients[i],
-                         pipeline.tightened[i], scenario.coupling.Psi_x[i],
-                         scenario.coupling.Psi_u[i], xs[i], N, b_share=b_share)
-                for i in ocp_idx]
+        ocps = [condense(pipeline.templates[i], xs[i], b_share=b_share) for i in ocp_idx]
         try:
             solutions, admm_state, converged = run_admm(ocps, scenario.solver)
         except AdmmError as exc:
@@ -384,8 +408,7 @@ def monte_carlo(scenario: Scenario, n_runs: int,
             continue
         local += log.local_violations(scenario)
         glob += log.global_violations()
-        feasible.append(all(st == "optimal" for rec in log.triggers
-                            for st in rec.statuses))
+        feasible.append(log.recursive_feasible())
         for rec in log.triggers:
             hist[rec.Mk] = hist.get(rec.Mk, 0) + 1
         transitions.extend(collect_transitions(log))
@@ -446,8 +469,7 @@ def write_summary_json(log: SimLog, scenario: Scenario, path,
         "counters": log.counters,
         "local_violations": log.local_violations(scenario),
         "global_violations": log.global_violations(),
-        "recursive_feasible": all(st == "optimal" for rec in log.triggers
-                                  for st in rec.statuses),
+        "recursive_feasible": log.recursive_feasible(),
         "trigger_instants": [rec.t_k for rec in log.triggers],
         "intervals": [rec.Mk_applied for rec in log.triggers],
         "final_states": [[float(v) for v in x] for x in log.states[-1]],

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,11 @@ class TerminalIngredients:
     r: float
     eps_r: float
     contraction: float  # kappa = 1 - lam_min(Q)/lam_max(P)
+    lam_max_P: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def lam_max_P(self) -> float:
-        return float(np.linalg.eigvalsh(self.P).max())
+    def __post_init__(self):
+        # read by the certificates and by every terminal deviation bound
+        object.__setattr__(self, "lam_max_P", float(np.linalg.eigvalsh(self.P).max()))
 
     def p_norm(self, z) -> float:
         z = np.asarray(z, dtype=float).ravel()

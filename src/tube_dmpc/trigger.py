@@ -16,7 +16,12 @@ def deviation_bound(agent: AgentModel, phi, l: int, Mk: int) -> float:
     Equals sqrt(lam_max(phi)) * w_bar * ||A||^l * sum_{j<Mk} ||A||^j, with the
     ||A|| = 1 branch collapsing to sqrt(lam_max(phi)) * w_bar * Mk.
     """
-    lam = float(np.linalg.eigvalsh(np.atleast_2d(phi)).max())
+    return _deviation_bound(agent, float(np.linalg.eigvalsh(np.atleast_2d(phi)).max()),
+                            l, Mk)
+
+
+def _deviation_bound(agent: AgentModel, lam: float, l: int, Mk: int) -> float:
+    """deviation_bound for a weight whose largest eigenvalue lam is known."""
     a = agent.norm_A
     if abs(a - 1.0) <= NORM_ONE_TOL:
         return float(np.sqrt(lam) * agent.w_bar * Mk)
@@ -39,10 +44,10 @@ def cost_decrease_bound_g(agent: AgentModel, Mk: int, sol, ing: TerminalIngredie
     g0 = 0.0
     for l in range(N - Mk):
         zq = float(np.sqrt(z[Mk + l] @ agent.Q @ z[Mk + l]))
-        d = deviation_bound(agent, agent.Q, l, Mk)
+        d = _deviation_bound(agent, agent.lam_max_Q, l, Mk)
         g0 += 2.0 * zq * d + d * d
     zp = float(np.sqrt(z[N] @ ing.P @ z[N]))
-    dp = deviation_bound(agent, ing.P, N - Mk, Mk)
+    dp = _deviation_bound(agent, ing.lam_max_P, N - Mk, Mk)
     g0 += 2.0 * zp * dp + dp * dp
 
     spent = 0.0

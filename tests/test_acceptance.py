@@ -53,9 +53,8 @@ def trigger_ensemble(default_scenario, default_pipeline):
     starts = list(sc.x0) + [np.array([-8.0, 0.0]), np.array([-6.0, 2.0])]
     per_state = -(-N_TRIGGER_TRANSITIONS // len(starts))
     for x0 in starts:
-        agent, ing, tz = sc.agents[0], pipe.ingredients[0], pipe.tightened[0]
-        Px, Pu = sc.coupling.Psi_x[0], sc.coupling.Psi_u[0]
-        sol0 = solve_inner(condense(agent, ing, tz, Px, Pu, x0, sc.N), lam0)
+        agent, ing = sc.agents[0], pipe.ingredients[0]
+        sol0 = solve_inner(condense(pipe.templates[0], x0), lam0)
         assert sol0.status == "optimal"
         profile = g_profile(agent, sol0, ing, sc.N)
         Mk = select_Mk([profile]).Mk
@@ -70,7 +69,7 @@ def trigger_ensemble(default_scenario, default_pipeline):
             for l in range(Mk):
                 u = sol0.u_star[l * agent.m:(l + 1) * agent.m]
                 x = agent.A @ x + agent.B @ u + rng.uniform(-0.3, 0.3, size=2)
-            sol1 = solve_inner(condense(agent, ing, tz, Px, Pu, x, sc.N), lam0)
+            sol1 = solve_inner(condense(pipe.templates[0], x), lam0)
             transitions.append({
                 "resolved": sol1.status == "optimal",
                 "dV": sol1.J_star - sol0.J_star,
@@ -128,9 +127,7 @@ def test_criterion_5_admm_vs_centralized(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
     t0 = time.perf_counter()
     b_share = pipe.schedule.b / sc.M
-    ocps = [condense(sc.agents[i], pipe.ingredients[i], pipe.tightened[i],
-                     sc.coupling.Psi_x[i], sc.coupling.Psi_u[i], sc.x0[i],
-                     sc.N, b_share=b_share) for i in range(sc.M)]
+    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
     sols, state, converged = run_admm(ocps, sc.solver)
     admm_cost = sum(s.J_star for s in sols)
     _, central_cost = solve_centralized(sc, pipe.ingredients, pipe.tightened,

@@ -4,7 +4,8 @@ import pytest
 from tube_dmpc.model import AgentModel, HPolytope, SolverParams
 from tube_dmpc.synthesis import synthesize
 from tube_dmpc.tightening import tighten_local_sets
-from tube_dmpc.local_solver import condense, solve_inner, solve_centralized, dual_value
+from tube_dmpc.local_solver import (condense, dual_value, ocp_template, solve_centralized,
+                                    solve_inner)
 from tube_dmpc.dual_admm import (consensus_adjoint, consensus_diff, consensus_gain,
                                  lambda_update, omega_update, run_admm)
 
@@ -97,9 +98,7 @@ def test_run_admm_inactive_coupling_matches_independent(default_scenario,
                                                         default_pipeline):
     sc, pipe = default_scenario, default_pipeline
     b_share = pipe.schedule.b / sc.M
-    ocps = [condense(sc.agents[i], pipe.ingredients[i], pipe.tightened[i],
-                     sc.coupling.Psi_x[i], sc.coupling.Psi_u[i], sc.x0[i],
-                     sc.N, b_share=b_share) for i in range(sc.M)]
+    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
     sols, state, converged = run_admm(ocps, sc.solver)
     assert converged
     for lam in state.lambdas:
@@ -120,7 +119,7 @@ def test_run_admm_active_coupling_against_centralized():
     tz = tighten_local_sets(agent, 2)
     Px, Pu = np.zeros((1, 1)), np.ones((1, 1))
     b = np.zeros(2)
-    ocps = [condense(agent, ing, tz, Px, Pu, [-3.0], 2, b_share=b / 2)
+    ocps = [condense(ocp_template(agent, ing, tz, Px, Pu, 2), [-3.0], b_share=b / 2)
             for _ in range(2)]
     params = SolverParams(rho=1.0, gamma=1.0, max_iter=2000,
                           tol_primal=1e-6, tol_dual=1e-6)
@@ -149,7 +148,7 @@ def test_run_admm_single_agent_projected_ascent_analytic():
     tz = tighten_local_sets(agent, 1)
     Px, Pu = np.zeros((1, 1)), np.ones((1, 1))
     b = np.array([-1.0])  # force u <= -1 while the free optimum pulls positive
-    ocp = condense(agent, ing, tz, Px, Pu, [-3.0], 1, b_share=b)
+    ocp = condense(ocp_template(agent, ing, tz, Px, Pu, 1), [-3.0], b_share=b)
     params = SolverParams(rho=1.0, gamma=1.0, max_iter=5000,
                           tol_primal=1e-8, tol_dual=1e-8)
     sols, state, converged = run_admm([ocp], params)
@@ -175,9 +174,7 @@ def test_run_admm_deterministic(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
     b_share = pipe.schedule.b / sc.M
     def once():
-        ocps = [condense(sc.agents[i], pipe.ingredients[i], pipe.tightened[i],
-                         sc.coupling.Psi_x[i], sc.coupling.Psi_u[i], sc.x0[i],
-                         sc.N, b_share=b_share) for i in range(sc.M)]
+        ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
         return run_admm(ocps, sc.solver)
     s1, st1, _ = once()
     s2, st2, _ = once()
@@ -194,7 +191,7 @@ def test_lambda_nonnegative_throughout():
     tz = tighten_local_sets(agent, 2)
     Px, Pu = np.zeros((1, 1)), np.ones((1, 1))
     b = np.zeros(2)
-    ocps = [condense(agent, ing, tz, Px, Pu, [-3.0], 2, b_share=b / 2)
+    ocps = [condense(ocp_template(agent, ing, tz, Px, Pu, 2), [-3.0], b_share=b / 2)
             for _ in range(2)]
     lambdas = np.zeros((2, 2))
     omega = np.zeros((1, 2))
@@ -209,9 +206,7 @@ def test_lambda_nonnegative_throughout():
 def test_run_admm_trace_csv(tmp_path, default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
     b_share = pipe.schedule.b / sc.M
-    ocps = [condense(sc.agents[i], pipe.ingredients[i], pipe.tightened[i],
-                     sc.coupling.Psi_x[i], sc.coupling.Psi_u[i], sc.x0[i],
-                     sc.N, b_share=b_share) for i in range(sc.M)]
+    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
     path = tmp_path / "admm_trace.csv"
     _, state, _ = run_admm(ocps, sc.solver, trace_path=path)
     lines = path.read_text().splitlines()
@@ -224,7 +219,7 @@ def test_user_tau_below_floor_rejected():
     ing = synthesize(agent)
     tz = tighten_local_sets(agent, 2)
     Px, Pu = np.zeros((1, 1)), np.ones((1, 1))
-    ocps = [condense(agent, ing, tz, Px, Pu, [-1.0], 2, b_share=np.zeros(2))
+    ocps = [condense(ocp_template(agent, ing, tz, Px, Pu, 2), [-1.0], b_share=np.zeros(2))
             for _ in range(2)]
     params = SolverParams(rho=1.0, tau=0.5)  # below rho * sigma_max(E'E) = 2
     with pytest.raises(ValueError, match="tau"):

@@ -8,7 +8,7 @@ from tube_dmpc.model import AgentModel, HPolytope, validate_scenario
 from tube_dmpc.simulator import prepare
 from tube_dmpc.synthesis import TerminalIngredients, synthesize
 from tube_dmpc.tightening import tighten_local_sets, ToleranceSchedule
-from tube_dmpc.local_solver import (condense, dual_value, project_ball,
+from tube_dmpc.local_solver import (condense, dual_value, ocp_template, project_ball,
                                     rollout_maps, solve_centralized, solve_inner)
 
 
@@ -30,8 +30,8 @@ def wide_ingredients(agent, eps_r=1e6):
 def plain_ocp(agent, ing, x0, N):
     tz = tighten_local_sets(agent, N)
     p = 1
-    return condense(agent, ing, tz, np.zeros((p, agent.n)), np.zeros((p, agent.m)),
-                    x0, N)
+    return condense(ocp_template(agent, ing, tz, np.zeros((p, agent.n)),
+                                 np.zeros((p, agent.m)), N), x0)
 
 
 def test_rollout_structure():
@@ -138,7 +138,7 @@ def test_dual_function_concave_on_segments():
     ing = synthesize(agent)
     tz = tighten_local_sets(agent, 3)
     Px, Pu = np.array([[0.5]]), np.array([[1.0]])
-    ocp = condense(agent, ing, tz, Px, Pu, [4.0], 3,
+    ocp = condense(ocp_template(agent, ing, tz, Px, Pu, 3), [4.0],
                    b_share=np.full(3, 0.2))
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -174,8 +174,7 @@ def test_centralized_single_agent_loose_coupling(default_scenario, default_pipel
                               b=np.full(sc.coupling.p * sc.N, 1e6),
                               p=sc.coupling.p)
     sols, total = solve_centralized(sub, [ing], [tz], sched, [sc.x0[0]])
-    ocp = condense(agent, ing, tz, sc.coupling.Psi_x[0], sc.coupling.Psi_u[0],
-                   sc.x0[0], sc.N)
+    ocp = condense(default_pipeline.templates[0], sc.x0[0])
     ref = solve_inner(ocp, np.zeros(sc.coupling.p * sc.N))
     assert sols[0].status == "optimal"
     assert total == pytest.approx(ref.J_star, rel=1e-7)
@@ -222,19 +221,14 @@ def test_centralized_default_t0(default_scenario, default_pipeline):
     assert all(s.status == "optimal" for s in sols)
     assert total > 0
     coupling = sum(np.asarray(o) for o in
-                   (condense(default_scenario.agents[i], default_pipeline.ingredients[i],
-                             default_pipeline.tightened[i],
-                             default_scenario.coupling.Psi_x[i],
-                             default_scenario.coupling.Psi_u[i],
-                             default_scenario.x0[i], default_scenario.N)
+                   (condense(default_pipeline.templates[i], default_scenario.x0[i])
                     .coupling_values(sols[i].u_star) for i in range(4)))
     assert np.all(coupling <= default_pipeline.schedule.b + 1e-6)
 
 
 def test_condensed_hessian_pd_and_cost_nonnegative(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
-    ocp = condense(sc.agents[0], pipe.ingredients[0], pipe.tightened[0],
-                   sc.coupling.Psi_x[0], sc.coupling.Psi_u[0], sc.x0[0], sc.N)
+    ocp = condense(pipe.templates[0], sc.x0[0])
     np.testing.assert_allclose(ocp.H, ocp.H.T, atol=1e-12)
     assert np.linalg.eigvalsh(ocp.H).min() > 0
     sol = solve_inner(ocp, np.zeros(ocp.F.shape[0]))
@@ -264,8 +258,7 @@ def test_centralized_infeasible_reports_most_violated_row():
 
 def test_solve_inner_rejects_negative_lambda(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
-    ocp = condense(sc.agents[0], pipe.ingredients[0], pipe.tightened[0],
-                   sc.coupling.Psi_x[0], sc.coupling.Psi_u[0], sc.x0[0], sc.N)
+    ocp = condense(pipe.templates[0], sc.x0[0])
     with pytest.raises(ValueError, match="nonnegative"):
         solve_inner(ocp, -np.ones(ocp.F.shape[0]))
 
@@ -285,6 +278,17 @@ def test_zero_constraint_row_dropped_or_infeasible():
     assert bad.status == "infeasible"
 
 
+def test_subnormal_constraint_rows_dropped():
+    # B = 2.2e-311: the state rows G Gamma[l] and the ball block have subnormal
+    # norms whose reciprocals overflow; they are dropped or left unscaled
+    agent = make_agent([[0.0]], [[2.22507386e-311]])
+    ing = TerminalIngredients(K=np.zeros((1, 1)), P=np.eye(1), r=1.0, eps_r=1.0,
+                              contraction=0.5)
+    sol = solve_inner(plain_ocp(agent, ing, [0.0], 2), np.zeros(2))
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.u_star, np.zeros(2), atol=1e-9)
+
+
 def test_centralized_zero_psi_u_matches_admm(default_raw):
     # Psi_u = 0 makes block 0 of every stacked coupling row all zeros
     raw = copy.deepcopy(default_raw)
@@ -294,9 +298,8 @@ def test_centralized_zero_psi_u_matches_admm(default_raw):
     sols, central = solve_centralized(sc, pipe.ingredients, pipe.tightened,
                                       pipe.schedule, sc.x0)
     assert all(s.status == "optimal" for s in sols)
-    ocps = [condense(sc.agents[i], pipe.ingredients[i], pipe.tightened[i],
-                     sc.coupling.Psi_x[i], sc.coupling.Psi_u[i], sc.x0[i], sc.N,
-                     b_share=pipe.schedule.b / sc.M) for i in range(sc.M)]
+    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=pipe.schedule.b / sc.M)
+            for i in range(sc.M)]
     admm_sols, _, converged = run_admm(ocps, sc.solver)
     assert converged
     total = sum(s.J_star for s in admm_sols)

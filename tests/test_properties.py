@@ -1,12 +1,13 @@
-"""Randomized properties of the condensed rollout and the consensus operator."""
+"""Randomized properties of the condensed rollout, the consensus operator and polytopes."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from tube_dmpc.dual_admm import consensus_adjoint, consensus_diff, consensus_gain
-from tube_dmpc.local_solver import condense
-from tube_dmpc.model import AgentModel, HPolytope
+from tube_dmpc.local_solver import condense, ocp_template
+from tube_dmpc.model import AgentModel, HPolytope, ScenarioError
 from tube_dmpc.synthesis import TerminalIngredients
 from tube_dmpc.tightening import coupling_terms, tighten_local_sets
 
@@ -36,7 +37,7 @@ def test_condense_matches_direct_simulation(case):
                        U=HPolytope.box([1e6] * m), Q=np.eye(n), R=np.eye(m))
     ing = TerminalIngredients(K=np.zeros((m, n)), P=np.eye(n), r=1.0, eps_r=1.0,
                               contraction=0.5)
-    ocp = condense(agent, ing, tighten_local_sets(agent, N), Psi_x, Psi_u, x0, N)
+    ocp = condense(ocp_template(agent, ing, tighten_local_sets(agent, N), Psi_x, Psi_u, N), x0)
 
     z = [x0]
     for l in range(N):
@@ -70,3 +71,46 @@ def test_consensus_gain_is_path_laplacian_max_eigenvalue(M):
     adjacency = np.eye(M, k=1) + np.eye(M, k=-1)
     laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
     assert abs(consensus_gain(M) - np.linalg.eigvalsh(laplacian).max()) <= 1e-12
+
+
+def bounded_by_coordinate_lps(poly: HPolytope) -> bool:
+    """Reference: maximize +/- each coordinate over a set that contains the origin.
+
+    The origin is feasible, so an "infeasible" verdict (HiGHS gives one for
+    some unbounded LPs) can only mean an infeasible dual: unbounded.
+    """
+    for j in range(poly.dim):
+        for sign in (1.0, -1.0):
+            c = np.zeros(poly.dim)
+            c[j] = -sign  # linprog minimizes
+            res = linprog(c, A_ub=poly.G, b_ub=poly.h,
+                          bounds=[(None, None)] * poly.dim, method="highs")
+            if res.status in (2, 3):
+                return False
+            if not res.success:
+                raise ScenarioError(f"polytope boundedness LP failed: {res.message}")
+    return True
+
+
+@st.composite
+def polytopes_around_origin(draw):
+    dim, rows = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    G = draw(arrays(np.float64, (rows, dim), elements=st.integers(-2, 2).map(float)))
+    assume(np.all(np.any(G != 0.0, axis=1)))
+    h = draw(arrays(np.float64, rows, elements=st.integers(1, 3).map(float)))
+    return HPolytope(G, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes_around_origin())
+def test_is_bounded_matches_coordinate_lps(poly):
+    assert poly.is_bounded() == bounded_by_coordinate_lps(poly)
+
+
+def test_is_bounded_where_a_coordinate_lp_reports_infeasible():
+    # unbounded along (1, -1, 0); HiGHS calls the LP max x over this set infeasible
+    G = np.array([[0.0, 0.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 0.0],
+                  [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    poly = HPolytope(G, np.ones(5))
+    assert not poly.is_bounded()
+    assert np.all(G @ np.array([1.0, -1.0, 0.0]) <= 0.0)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import tube_dmpc.simulator as simulator
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import (DisturbanceSampler, InitialInfeasibilityError,
                                  collect_transitions, monte_carlo, prepare,
-                                 run_closed_loop, step_plant)
+                                 run_closed_loop, step_plant, write_summary_json)
 from tube_dmpc.trigger import TriggerDecision
 
 from conftest import load_raw
@@ -210,6 +211,30 @@ def test_agent_inside_terminal_set_routed_to_feedback(default_raw):
     assert log.local_violations(sc) == 0 and log.global_violations() == 0
 
 
+def test_coupled_violation_clears_recursive_feasible(default_scenario, default_pipeline,
+                                                     tmp_path, monkeypatch):
+    log = run_closed_loop(default_scenario, pipeline=default_pipeline)
+    assert log.recursive_feasible()
+    log.coupling[3] = np.full(log.p, 1.5)  # every inner status stays optimal
+    assert not log.recursive_feasible()
+    write_summary_json(log, default_scenario, tmp_path / "summary.json")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["global_violations"] == 1
+    assert summary["recursive_feasible"] is False
+
+    run = simulator.run_closed_loop
+
+    def breached(*args, **kwargs):
+        out = run(*args, **kwargs)
+        out.coupling[0] = np.full(out.p, 1.5)
+        return out
+
+    monkeypatch.setattr(simulator, "run_closed_loop", breached)
+    report = monte_carlo(default_scenario, 2, pipeline=default_pipeline)
+    assert report.recursive_feasible == [False, False]
+    assert report.as_dict()["recursive_feasible_all"] is False
+
+
 def test_admm_fallback_accepts_small_violation(default_scenario, default_pipeline,
                                                monkeypatch):
     real_run = simulator.run_admm
@@ -279,9 +304,7 @@ def test_heterogeneous_fleet_end_to_end():
     assert log.inputs[0][1].shape == (1,)
 
     b_share = pipe.schedule.b / sc.M
-    ocps = [condense(sc.agents[i], pipe.ingredients[i], pipe.tightened[i],
-                     sc.coupling.Psi_x[i], sc.coupling.Psi_u[i], sc.x0[i],
-                     sc.N, b_share=b_share) for i in range(sc.M)]
+    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
     sols, _, converged = run_admm(ocps, sc.solver)
     _, central = solve_centralized(sc, pipe.ingredients, pipe.tightened,
                                    pipe.schedule, sc.x0)

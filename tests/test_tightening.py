@@ -138,7 +138,6 @@ def test_coupling_terms_open_loop_matrix_power_oracle(default_scenario):
 def test_coupling_affine_consistency(default_scenario, default_pipeline):
     # the condensed coupling map f0 + F u against direct simulation
     agent = default_scenario.agents[1]
-    ing, tz = default_pipeline.ingredients[1], default_pipeline.tightened[1]
     Px, Pu = default_scenario.coupling.Psi_x[1], default_scenario.coupling.Psi_u[1]
     N = default_scenario.N
     rng = np.random.default_rng(11)
@@ -146,7 +145,7 @@ def test_coupling_affine_consistency(default_scenario, default_pipeline):
         x0 = rng.uniform(-5, 5, size=2)
         u = rng.uniform(-2, 2, size=N)
         direct = coupling_terms(agent, Px, Pu, x0, u)
-        ocp = condense(agent, ing, tz, Px, Pu, x0, N)
+        ocp = condense(default_pipeline.templates[1], x0)
         np.testing.assert_allclose(direct, ocp.coupling_values(u), atol=1e-12)
 
 

@@ -53,8 +53,7 @@ def test_cost_bound_zero_disturbance_is_negative(nominal_scenario):
     from tube_dmpc.simulator import prepare
     pipe = prepare(nominal_scenario)
     sc = nominal_scenario
-    ocp = condense(sc.agents[0], pipe.ingredients[0], pipe.tightened[0],
-                   sc.coupling.Psi_x[0], sc.coupling.Psi_u[0], sc.x0[0], sc.N)
+    ocp = condense(pipe.templates[0], sc.x0[0])
     sol = solve_inner(ocp, np.zeros(ocp.F.shape[0]))
     assert sol.status == "optimal"
     for Mk in range(1, sc.N + 1):
@@ -67,9 +66,7 @@ def test_cost_bound_origin_zero(nominal_scenario):
     from tube_dmpc.simulator import prepare
     pipe = prepare(nominal_scenario)
     sc = nominal_scenario
-    ocp = condense(sc.agents[0], pipe.ingredients[0], pipe.tightened[0],
-                   sc.coupling.Psi_x[0], sc.coupling.Psi_u[0],
-                   np.zeros(2), sc.N)
+    ocp = condense(pipe.templates[0], np.zeros(2))
     sol = solve_inner(ocp, np.zeros(ocp.F.shape[0]))
     g = cost_decrease_bound_g(sc.agents[0], 1, sol, pipe.ingredients[0])
     assert g == pytest.approx(0.0, abs=1e-8)
@@ -79,11 +76,10 @@ def test_cost_bound_upper_bounds_realized_difference(default_scenario,
                                                      default_pipeline):
     # re-solve oracle over sampled disturbances at the chosen interval
     sc, pipe = default_scenario, default_pipeline
-    agent, ing, tz = sc.agents[0], pipe.ingredients[0], pipe.tightened[0]
-    Px, Pu = sc.coupling.Psi_x[0], sc.coupling.Psi_u[0]
+    agent, ing = sc.agents[0], pipe.ingredients[0]
     x0 = np.array([-10.0, -4.0])
     lam0 = np.zeros(sc.coupling.p * sc.N)
-    ocp0 = condense(agent, ing, tz, Px, Pu, x0, sc.N)
+    ocp0 = condense(pipe.templates[0], x0)
     sol0 = solve_inner(ocp0, lam0)
     assert sol0.status == "optimal"
     rng = np.random.default_rng(17)
@@ -95,7 +91,7 @@ def test_cost_bound_upper_bounds_realized_difference(default_scenario,
             for l in range(Mk):
                 u = sol0.u_star[l * agent.m:(l + 1) * agent.m]
                 x = agent.A @ x + agent.B @ u + rng.uniform(-0.3, 0.3, size=2)
-            sol1 = solve_inner(condense(agent, ing, tz, Px, Pu, x, sc.N), lam0)
+            sol1 = solve_inner(condense(pipe.templates[0], x), lam0)
             assert sol1.status == "optimal"
             assert sol1.J_star - sol0.J_star <= g + 1e-5
 
@@ -110,8 +106,7 @@ def test_select_zero_disturbance_prefers_full_horizon(nominal_scenario):
     from tube_dmpc.simulator import prepare
     pipe = prepare(nominal_scenario)
     sc = nominal_scenario
-    ocp = condense(sc.agents[0], pipe.ingredients[0], pipe.tightened[0],
-                   sc.coupling.Psi_x[0], sc.coupling.Psi_u[0], sc.x0[0], sc.N)
+    ocp = condense(pipe.templates[0], sc.x0[0])
     sol = solve_inner(ocp, np.zeros(ocp.F.shape[0]))
     profile = g_profile(sc.agents[0], sol, pipe.ingredients[0], sc.N)
     assert np.all(np.diff(profile) < 0)  # strictly improving with longer M
