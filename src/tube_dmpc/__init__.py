@@ -6,11 +6,11 @@ from .synthesis import (CertificateReport, TerminalIngredients, certify,
                         lqr_gain, synthesize, terminal_radii, terminal_weight)
 from .tightening import (TightenedSets, ToleranceSchedule, coupling_terms,
                          tighten_local_sets, tolerance_schedule)
-from .local_solver import (CondensedOcp, OcpSolution, OcpTemplate, condense, dual_value,
+from .local_solver import (CondensedOcp, OcpSolution, OcpTemplate, condense,
                            ocp_template, solve_centralized, solve_inner)
 from .dual_admm import (AdmmError, AdmmState, consensus_adjoint, consensus_diff,
                         run_admm)
-from .trigger import TriggerDecision, cost_decrease_bound_g, deviation_bound, select_Mk
+from .trigger import TriggerDecision, deviation_bound, select_Mk
 from .simulator import (DisturbanceSampler, MonteCarloReport, Pipeline, SimLog,
                         monte_carlo, prepare, run_closed_loop, step_plant)
 
@@ -21,10 +21,10 @@ __all__ = [
     "synthesize", "terminal_radii", "terminal_weight",
     "TightenedSets", "ToleranceSchedule", "coupling_terms",
     "tighten_local_sets", "tolerance_schedule",
-    "CondensedOcp", "OcpSolution", "OcpTemplate", "condense", "dual_value",
-    "ocp_template", "solve_centralized", "solve_inner",
+    "CondensedOcp", "OcpSolution", "OcpTemplate", "condense", "ocp_template",
+    "solve_centralized", "solve_inner",
     "AdmmError", "AdmmState", "consensus_adjoint", "consensus_diff", "run_admm",
-    "TriggerDecision", "cost_decrease_bound_g", "deviation_bound", "select_Mk",
+    "TriggerDecision", "deviation_bound", "select_Mk",
     "DisturbanceSampler", "MonteCarloReport", "Pipeline", "SimLog",
     "monte_carlo", "prepare", "run_closed_loop", "step_plant",
 ]

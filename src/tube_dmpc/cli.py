@@ -46,6 +46,7 @@ from .simulator import (CertificationError, InitialInfeasibilityError,
                         run_closed_loop, write_summary_json, write_trace_csv,
                         write_triggers_csv)
 from .tightening import TighteningError
+from .trigger import stage_costs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -144,8 +145,7 @@ def _run_single(scenario, out, force):
     write_triggers_csv(sim, out / "triggers.csv")
     write_summary_json(sim, scenario, out / "summary.json", forced=forced)
     violations = sim.local_violations(scenario) + sim.global_violations()
-    feasible = all(st == "optimal" for rec in sim.triggers for st in rec.statuses)
-    return sim, violations, feasible
+    return sim, violations, sim.recursive_feasible()
 
 
 def cmd_run(args) -> int:
@@ -186,10 +186,10 @@ def cmd_compare(args) -> int:
         sc = replace(scenario, trigger_mode=mode)
         sim = run_closed_loop(sc, pipeline=pipeline, force=args.force)
         stage_cost = 0.0
-        for t in range(sim.T_run):
-            for i, agent in enumerate(sc.agents):
-                x, u = sim.states[t][i], sim.inputs[t][i]
-                stage_cost += float(x @ agent.Q @ x) + float(u @ agent.R @ u)
+        for i, agent in enumerate(sc.agents):
+            xs = np.array([x[i] for x in sim.states[:-1]])
+            us = np.array([u[i] for u in sim.inputs])
+            stage_cost += float(stage_costs(agent, xs, us).sum())
         margins = _constraint_margins(sc, sim)
         result[mode] = {
             "ocp_solve_instants": sim.solve_instants(),
@@ -209,15 +209,16 @@ def cmd_compare(args) -> int:
 
 
 def _constraint_margins(scenario, sim) -> dict:
-    worst_state = worst_input = worst_coupling = -np.inf
-    for t in range(sim.T_run):
-        for i, agent in enumerate(scenario.agents):
-            worst_state = max(worst_state,
-                              float(np.max(agent.X.G @ sim.states[t][i] - agent.X.h)))
-            worst_input = max(worst_input,
-                              float(np.max(agent.U.G @ sim.inputs[t][i] - agent.U.h)))
-        worst_coupling = max(worst_coupling, float(np.max(sim.coupling[t] - 1.0)))
-    return {"state": worst_state, "input": worst_input, "coupling": worst_coupling}
+    """Largest constraint excess over the run, the final state included."""
+    agents = tuple(enumerate(scenario.agents))
+    return {
+        "state": max((float(np.max(agent.X.G @ xs[i] - agent.X.h))
+                      for xs in sim.states for i, agent in agents), default=-np.inf),
+        "input": max((float(np.max(agent.U.G @ us[i] - agent.U.h))
+                      for us in sim.inputs for i, agent in agents), default=-np.inf),
+        "coupling": max((float(np.max(row - 1.0)) for row in sim.coupling),
+                        default=-np.inf),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:

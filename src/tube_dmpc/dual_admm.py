@@ -83,7 +83,7 @@ def default_tau(ocps, rho: float, M: int) -> float:
 
 
 def run_admm(ocps: list[CondensedOcp], params: SolverParams,
-             b_shares=None, trace_path=None) -> tuple[list[OcpSolution], AdmmState, bool]:
+             trace_path=None) -> tuple[list[OcpSolution], AdmmState, bool]:
     """Algorithm loop: lambda step, inner solves, omega step, until residuals pass.
 
     Convergence requires the consensus residual, the per-agent multiplier
@@ -92,10 +92,8 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
     total_cost) is appended per iteration.
     """
     M = len(ocps)
-    d = ocps[0].F.shape[0]
-    if b_shares is None:
-        b_shares = [ocp.b_share for ocp in ocps]
-    b_shares = np.array(b_shares, dtype=float)
+    d = ocps[0].template.F.shape[0]
+    b_shares = np.array([ocp.b_share for ocp in ocps])
     tau = params.tau if params.tau is not None else default_tau(ocps, params.rho, M)
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")

@@ -172,8 +172,10 @@ class OcpTemplate:
     stage weight at step l (P at l = N), `q_maps[l - 1]` = 2 Gamma[l]' W[l - 1],
     `rhs_G`/`rhs_h` are the tightened state sets Z[1..N-1], `rhs_U` the input
     rows over the horizon, `ball_map` = L' with P = L L', and `f0_map` the x0
-    part of the coupling map. `dual_curvature` is ||F H^-1 F'||_2 and `split`
-    the splitting solver's setup. Every array is read-only.
+    part of the coupling map. `feedback_coupling` maps x to the stacked coupling
+    values (Psi_x + Psi_u K)(A + BK)^l x, l < N, of the terminal-feedback plan.
+    `dual_curvature` is ||F H^-1 F'||_2 and `split` the splitting solver's
+    setup. Every array is read-only.
     """
 
     Phi: np.ndarray
@@ -191,6 +193,7 @@ class OcpTemplate:
     ball_radius: float
     F: np.ndarray
     f0_map: np.ndarray
+    feedback_coupling: np.ndarray
     dual_curvature: float
     split: SplitSetup = field(repr=False)
 
@@ -226,13 +229,16 @@ def ocp_template(agent: AgentModel, ing: TerminalIngredients, tightened: Tighten
     # coupling block l: Psi_x z(l) + Psi_u u(l), from the same rollout
     F = (Psi_x @ Gamma[:N]).reshape(N * p, N * m) + np.kron(np.eye(N), Psi_u)
     f0_map = (Psi_x @ Phi[:N]).reshape(N * p, n)
+    K = ing.K
+    Phi_K, _ = rollout_maps(agent.A + agent.B @ K, agent.B, N)
+    feedback_coupling = ((Psi_x + Psi_u @ K) @ Phi_K[:N]).reshape(N * p, n)
 
     template = OcpTemplate(
         Phi=Phi, Gamma=Gamma, H=H, Q=Q, W=W, q_maps=tuple(q_maps), rows_C=rows_C,
         rhs_G=tuple(np.array(tightened.Z[l].G) for l in range(1, N)),
         rhs_h=tuple(np.array(tightened.Z[l].h) for l in range(1, N)),
         rhs_U=np.tile(agent.U.h, N), ball_map=ball_map, ball_C=ball_C,
-        ball_radius=ing.eps_r, F=F, f0_map=f0_map,
+        ball_radius=ing.eps_r, F=F, f0_map=f0_map, feedback_coupling=feedback_coupling,
         dual_curvature=float(np.linalg.norm(F @ np.linalg.solve(H, F.T), 2)),
         split=split_setup(H, rows_C, [ball_C], [ing.eps_r]))
     _read_only(template)
@@ -258,34 +264,14 @@ class CondensedOcp:
     f0: np.ndarray
     b_share: np.ndarray
 
-    @property
-    def H(self) -> np.ndarray:
-        return self.template.H
-
-    @property
-    def rows_C(self) -> np.ndarray:
-        return self.template.rows_C
-
-    @property
-    def ball_C(self) -> np.ndarray:
-        return self.template.ball_C
-
-    @property
-    def ball_radius(self) -> float:
-        return self.template.ball_radius
-
-    @property
-    def F(self) -> np.ndarray:
-        return self.template.F
-
     def trajectory(self, u: np.ndarray) -> np.ndarray:
         return self.template.Phi @ self.x0 + self.template.Gamma @ u
 
     def cost(self, u: np.ndarray) -> float:
-        return float(0.5 * u @ self.H @ u + self.q @ u + self.c0)
+        return float(0.5 * u @ self.template.H @ u + self.q @ u + self.c0)
 
     def coupling_values(self, u: np.ndarray) -> np.ndarray:
-        return self.f0 + self.F @ u
+        return self.f0 + self.template.F @ u
 
 
 @dataclass
@@ -326,22 +312,12 @@ def condense(template: OcpTemplate, x0, b_share=None) -> CondensedOcp:
                         b_share=np.asarray(b_share, dtype=float))
 
 
-def project_ball(s: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the origin-centered ball (radial scaling).
-
-    split_iterate performs the same arithmetic inline on its ball blocks.
-    """
-    nrm = np.linalg.norm(s)
-    if nrm <= radius:
-        return s.copy()
-    return s * (radius / nrm)
-
-
 def _solution_from(ocp: CondensedOcp, u, warm, iters, rp, rd, flag) -> OcpSolution:
+    t = ocp.template
     viol = 0.0
-    if ocp.rows_C.shape[0]:
-        viol = float(np.max(ocp.rows_C @ u - ocp.rows_rhs))
-    ball_viol = float(np.linalg.norm(ocp.ball_C @ u + ocp.ball_off) - ocp.ball_radius)
+    if t.rows_C.shape[0]:
+        viol = float(np.max(t.rows_C @ u - ocp.rows_rhs))
+    ball_viol = float(np.linalg.norm(t.ball_C @ u + ocp.ball_off) - t.ball_radius)
     feasible = viol <= FEAS_TOL and ball_viol <= FEAS_TOL
     if flag == "converged" and feasible:
         status = "optimal"
@@ -358,20 +334,16 @@ def solve_inner(ocp: CondensedOcp, lam, warm_start=None,
                 tol: float = 1e-8, max_iter: int = 20000) -> OcpSolution:
     """Minimize J(u) + lam'(f(u) - b_share) over the constraint bundle."""
     lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape[0] != ocp.F.shape[0]:
-        raise ValueError(f"lambda has dim {lam.shape[0]}, expected {ocp.F.shape[0]}")
+    F = ocp.template.F
+    if lam.shape[0] != F.shape[0]:
+        raise ValueError(f"lambda has dim {lam.shape[0]}, expected {F.shape[0]}")
     if np.any(lam < 0):
         raise ValueError("lambda must be componentwise nonnegative")
-    g = ocp.q + ocp.F.T @ lam
+    g = ocp.q + F.T @ lam
     u, warm, iters, rp, rd, flag = split_iterate(
         ocp.template.split, g, ocp.rows_rhs, [ocp.ball_off], tol, max_iter,
         warm=warm_start)
     return _solution_from(ocp, u, warm, iters, rp, rd, flag)
-
-
-def dual_value(ocp: CondensedOcp, lam, sol: OcpSolution) -> float:
-    """Value of the concave dual function at lam given the inner minimizer."""
-    return sol.J_star + float(lam @ (ocp.coupling_values(sol.u_star) - ocp.b_share))
 
 
 def solve_centralized(scenario: Scenario, ingredients, tightened_list,
@@ -386,7 +358,7 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
                                   scenario.coupling.Psi_u[i], scenario.N), x0_all[i])
             for i, (agent, ing, tz) in enumerate(zip(scenario.agents, ingredients,
                                                      tightened_list))]
-    dims = [ocp.H.shape[0] for ocp in ocps]
+    dims = [ocp.template.H.shape[0] for ocp in ocps]
     total_dim = sum(dims)
     starts = np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
@@ -397,17 +369,18 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     coupling_C = np.zeros((schedule.b.shape[0], total_dim))
     coupling_rhs = schedule.b.copy()
     for i, ocp in enumerate(ocps):
+        t = ocp.template
         sl = slice(starts[i], starts[i + 1])
-        H[sl, sl] = ocp.H
+        H[sl, sl] = t.H
         g[sl] = ocp.q
-        block = np.zeros((ocp.rows_C.shape[0], total_dim))
-        block[:, sl] = ocp.rows_C
+        block = np.zeros((t.rows_C.shape[0], total_dim))
+        block[:, sl] = t.rows_C
         rows.append(block)
         rhs.append(ocp.rows_rhs)
-        ball_C = np.zeros((ocp.ball_C.shape[0], total_dim))
-        ball_C[:, sl] = ocp.ball_C
+        ball_C = np.zeros((t.ball_C.shape[0], total_dim))
+        ball_C[:, sl] = t.ball_C
         ball_Cs.append(ball_C)
-        coupling_C[:, sl] = ocp.F
+        coupling_C[:, sl] = t.F
         coupling_rhs -= ocp.f0
     rows.append(coupling_C)
     rhs.append(coupling_rhs)
@@ -415,7 +388,7 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     del rows  # one stacked copy of the (large) halfspace block is enough
     rows_rhs = np.concatenate(rhs)
 
-    setup = split_setup(H, rows_C, ball_Cs, [ocp.ball_radius for ocp in ocps])
+    setup = split_setup(H, rows_C, ball_Cs, [ocp.template.ball_radius for ocp in ocps])
     u, warm, iters, rp, rd, flag = split_iterate(
         setup, g, rows_rhs, [ocp.ball_off for ocp in ocps], tol, max_iter)
     if flag == "infeasible":

@@ -11,9 +11,9 @@ import numpy as np
 from .model import AgentModel, Scenario, membership
 from .synthesis import certify, synthesize
 from .tightening import tolerance_schedule, tighten_local_sets
-from .local_solver import condense, ocp_template, rollout_maps
+from .local_solver import condense, ocp_template
 from .dual_admm import AdmmError, run_admm
-from .trigger import g_profile, select_Mk
+from .trigger import g_profile, select_Mk, stage_costs
 
 VIOLATION_TOL = 1e-6
 
@@ -127,7 +127,6 @@ class TriggerRecord:
     g_applied_total: float
     g0_applied_total: float
     sumQ_states: float
-    planned_inputs: dict  # agent index -> (Mk_applied, m) array actually applied
 
 
 @dataclass
@@ -176,19 +175,6 @@ def _coupling_row(scenario, xs, us) -> np.ndarray:
     for i in range(scenario.M):
         row += scenario.coupling.Psi_x[i] @ xs[i] + scenario.coupling.Psi_u[i] @ us[i]
     return row
-
-
-def _dual_mode_contribution(scenario, pipeline, dual_idx, xs, N) -> np.ndarray:
-    """Stacked coupling values of terminal-mode agents' nominal feedback plans."""
-    contrib = np.zeros(scenario.coupling.p * N)
-    for i in dual_idx:
-        agent = scenario.agents[i]
-        K = pipeline.ingredients[i].K
-        Phi, _ = rollout_maps(agent.A + agent.B @ K, agent.B, N)
-        z = Phi[:N] @ xs[i]  # row l: closed-loop nominal state at step l
-        contrib += (z @ scenario.coupling.Psi_x[i].T
-                    + (z @ K.T) @ scenario.coupling.Psi_u[i].T).ravel()
-    return contrib
 
 
 def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
@@ -241,9 +227,10 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
                 propagate(us, ["terminal"] * M)
             break
 
-        contrib = _dual_mode_contribution(scenario, pipeline, dual_idx, xs, N)
-        b_eff = sched.b - contrib
-        b_share = b_eff / len(ocp_idx)
+        # the terminal-mode agents' nominal feedback plans take their part of b first
+        contrib = sum((pipeline.templates[i].feedback_coupling @ xs[i] for i in dual_idx),
+                      np.zeros(sched.b.shape[0]))
+        b_share = (sched.b - contrib) / len(ocp_idx)
 
         ocps = [condense(pipeline.templates[i], xs[i], b_share=b_share) for i in ocp_idx]
         try:
@@ -281,20 +268,10 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
         Mk_applied = min(Mk, T_run - t)
 
         g_tot = float(sum(prof[Mk - 1] for prof in profiles))
-        g0_tot = g_tot
-        sumQ = 0.0
-        for i, sol in zip(ocp_idx, solutions):
-            agent = scenario.agents[i]
-            m = agent.m
-            for l in range(Mk):
-                ul = sol.u_star[l * m:(l + 1) * m]
-                g0_tot += float(sol.z_star[l] @ agent.Q @ sol.z_star[l]) \
-                    + float(ul @ agent.R @ ul)
-            sumQ += float(xs[i] @ agent.Q @ xs[i])
-
-        planned = {i: sol.u_star[:Mk_applied * scenario.agents[i].m]
-                   .reshape(Mk_applied, scenario.agents[i].m).copy()
-                   for i, sol in zip(ocp_idx, solutions)}
+        spent = sum(float(stage_costs(scenario.agents[i], sol.z_star[:Mk],
+                                      sol.u_star.reshape(N, -1)[:Mk]).sum())
+                    for i, sol in zip(ocp_idx, solutions))
+        sumQ = sum(float(xs[i] @ scenario.agents[i].Q @ xs[i]) for i in ocp_idx)
         log.triggers.append(TriggerRecord(
             t_k=t, Mk=Mk, Mk_applied=Mk_applied,
             ocp_agents=tuple(ocp_idx),
@@ -303,8 +280,7 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
             total_cost=float(sum(sol.J_star for sol in solutions)),
             admm_iterations=admm_state.iteration,
             converged=converged, fallback=fallback,
-            g_applied_total=g_tot, g0_applied_total=g0_tot, sumQ_states=sumQ,
-            planned_inputs=planned))
+            g_applied_total=g_tot, g0_applied_total=g_tot + spent, sumQ_states=sumQ))
 
         sol_by_agent = dict(zip(ocp_idx, solutions))
         for s in range(Mk_applied):

@@ -15,17 +15,18 @@ class SynthesisError(RuntimeError):
     """Raised when an offline synthesis iteration fails to converge."""
 
 
-def error_gain(norm_A: float, steps: int) -> float:
-    """Accumulated open-loop error gain sum_{j=0}^{steps-1} ||A||^j.
+def error_gain(norm_A: float, steps):
+    """Accumulated open-loop error gain sum_{j=0}^{steps-1} ||A||^j (0 for steps <= 0).
 
     Equals (1 - ||A||^steps)/(1 - ||A||) away from ||A|| = 1 and `steps` at it;
-    written in the manifestly nonnegative form for ||A|| > 1.
+    written in the manifestly nonnegative form for ||A|| > 1. Elementwise over
+    an integer array of steps.
     """
-    if steps <= 0:
-        return 0.0
     if abs(norm_A - 1.0) <= NORM_ONE_TOL:
-        return float(steps)
-    return float((norm_A ** steps - 1.0) / (norm_A - 1.0))
+        gain = 1.0 * steps
+    else:
+        gain = (norm_A ** steps - 1.0) / (norm_A - 1.0)
+    return np.where(np.greater(steps, 0), gain, 0.0)
 
 
 @dataclass(frozen=True)

@@ -180,3 +180,15 @@ def test_run_admm_failure_exit_four(tmp_path, monkeypatch):
 
     monkeypatch.setattr(simulator, "run_admm", broken)
     assert main(["run", "--scenario", SCENARIO, "--out", str(tmp_path)]) == 4
+
+
+def test_compare_margins_include_final_state(default_scenario, default_pipeline):
+    from tube_dmpc.cli import _constraint_margins
+    from tube_dmpc.simulator import run_closed_loop
+
+    sc = default_scenario
+    log = run_closed_loop(sc, pipeline=default_pipeline)
+    assert _constraint_margins(sc, log)["state"] <= 1e-6
+    log.states[sc.T_run][0] = np.array([21.0, 0.0])  # X is the box |x1| <= 20, |x2| <= 5
+    assert log.local_violations(sc) == 1
+    assert _constraint_margins(sc, log)["state"] == pytest.approx(1.0)

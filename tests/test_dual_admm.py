@@ -4,8 +4,7 @@ import pytest
 from tube_dmpc.model import AgentModel, HPolytope, SolverParams
 from tube_dmpc.synthesis import synthesize
 from tube_dmpc.tightening import tighten_local_sets
-from tube_dmpc.local_solver import (condense, dual_value, ocp_template, solve_centralized,
-                                    solve_inner)
+from tube_dmpc.local_solver import condense, ocp_template, solve_centralized, solve_inner
 from tube_dmpc.dual_admm import (consensus_adjoint, consensus_diff, consensus_gain,
                                  lambda_update, omega_update, run_admm)
 
@@ -104,7 +103,7 @@ def test_run_admm_inactive_coupling_matches_independent(default_scenario,
     for lam in state.lambdas:
         np.testing.assert_allclose(lam, np.zeros_like(lam), atol=1e-9)
     for ocp, sol in zip(ocps, sols):
-        ref = solve_inner(ocp, np.zeros(ocp.F.shape[0]))
+        ref = solve_inner(ocp, np.zeros(ocp.template.F.shape[0]))
         assert sol.J_star == pytest.approx(ref.J_star, abs=1e-5)
         np.testing.assert_allclose(sol.u_star, ref.u_star, atol=1e-5)
 
@@ -157,7 +156,8 @@ def test_run_admm_single_agent_projected_ascent_analytic():
 
     # oracle: maximize the dual function over a 1-D grid with refinement
     def dual_at(lam):
-        return dual_value(ocp, np.array([lam]), solve_inner(ocp, np.array([lam])))
+        sol = solve_inner(ocp, np.array([lam]))
+        return sol.J_star + lam * (ocp.coupling_values(sol.u_star)[0] - b[0])
 
     grid = np.linspace(0.0, 10.0, 201)
     vals = [dual_at(g) for g in grid]

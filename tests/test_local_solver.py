@@ -8,8 +8,24 @@ from tube_dmpc.model import AgentModel, HPolytope, validate_scenario
 from tube_dmpc.simulator import prepare
 from tube_dmpc.synthesis import TerminalIngredients, synthesize
 from tube_dmpc.tightening import tighten_local_sets, ToleranceSchedule
-from tube_dmpc.local_solver import (condense, dual_value, ocp_template, project_ball,
-                                    rollout_maps, solve_centralized, solve_inner)
+from tube_dmpc.local_solver import (condense, ocp_template, rollout_maps, solve_centralized,
+                                    solve_inner)
+
+
+def project_ball(s, radius):
+    """Euclidean projection onto the origin-centered ball (radial scaling).
+
+    split_iterate performs the same arithmetic inline on its ball blocks.
+    """
+    nrm = np.linalg.norm(s)
+    if nrm <= radius:
+        return s.copy()
+    return s * (radius / nrm)
+
+
+def dual_value(ocp, lam, sol):
+    """Value of the concave dual function at lam given the inner minimizer."""
+    return sol.J_star + float(lam @ (ocp.coupling_values(sol.u_star) - ocp.b_share))
 
 
 def make_agent(A, B, state=1e6, inp=1e6, w_bar=0.0):
@@ -54,7 +70,7 @@ def test_condense_n1_hand_expansion():
     p = ing.P[0, 0]
     ocp = plain_ocp(agent, ing, [2.0], 1)
     # J(u) = 0.5 H u^2 + q u + c0
-    assert ocp.H[0, 0] == pytest.approx(2 * (1.0 + p * b * b))
+    assert ocp.template.H[0, 0] == pytest.approx(2 * (1.0 + p * b * b))
     assert ocp.q[0] == pytest.approx(2 * p * b * a * 2.0)
     assert ocp.c0 == pytest.approx(2.0 ** 2 + p * (a * 2.0) ** 2)
 
@@ -75,7 +91,7 @@ def test_unconstrained_matches_normal_equations():
     ocp = plain_ocp(agent, ing, [1.0, -2.0], 4)
     sol = solve_inner(ocp, np.zeros(4))
     assert sol.status == "optimal"
-    u_ref = -np.linalg.solve(ocp.H, ocp.q)
+    u_ref = -np.linalg.solve(ocp.template.H, ocp.q)
     np.testing.assert_allclose(sol.u_star, u_ref, atol=1e-6)
 
 
@@ -129,7 +145,7 @@ def test_kkt_stationarity_inactive_constraints():
     lam = np.array([0.3, 0.1, 0.4])
     sol = solve_inner(ocp, lam)
     assert sol.status == "optimal"
-    grad = ocp.H @ sol.u_star + ocp.q + ocp.F.T @ lam
+    grad = ocp.template.H @ sol.u_star + ocp.q + ocp.template.F.T @ lam
     assert np.linalg.norm(grad) <= 1e-5
 
 
@@ -229,13 +245,14 @@ def test_centralized_default_t0(default_scenario, default_pipeline):
 def test_condensed_hessian_pd_and_cost_nonnegative(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
     ocp = condense(pipe.templates[0], sc.x0[0])
-    np.testing.assert_allclose(ocp.H, ocp.H.T, atol=1e-12)
-    assert np.linalg.eigvalsh(ocp.H).min() > 0
-    sol = solve_inner(ocp, np.zeros(ocp.F.shape[0]))
+    H = ocp.template.H
+    np.testing.assert_allclose(H, H.T, atol=1e-12)
+    assert np.linalg.eigvalsh(H).min() > 0
+    sol = solve_inner(ocp, np.zeros(ocp.template.F.shape[0]))
     assert sol.J_star >= 0.0
     rng = np.random.default_rng(4)
     for _ in range(20):
-        assert ocp.cost(rng.normal(size=ocp.H.shape[0])) >= 0.0
+        assert ocp.cost(rng.normal(size=H.shape[0])) >= 0.0
 
 
 def test_centralized_infeasible_reports_most_violated_row():
@@ -260,7 +277,7 @@ def test_solve_inner_rejects_negative_lambda(default_scenario, default_pipeline)
     sc, pipe = default_scenario, default_pipeline
     ocp = condense(pipe.templates[0], sc.x0[0])
     with pytest.raises(ValueError, match="nonnegative"):
-        solve_inner(ocp, -np.ones(ocp.F.shape[0]))
+        solve_inner(ocp, -np.ones(ocp.template.F.shape[0]))
 
 
 def test_zero_constraint_row_dropped_or_infeasible():
@@ -269,10 +286,10 @@ def test_zero_constraint_row_dropped_or_infeasible():
     agent = make_agent([[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]], state=10.0, inp=2.0)
     ing = synthesize(agent)
     ocp = plain_ocp(agent, ing, [2.0, 1.0], 3)
-    assert np.any(np.linalg.norm(ocp.rows_C, axis=1) == 0.0)
+    assert np.any(np.linalg.norm(ocp.template.rows_C, axis=1) == 0.0)
     sol = solve_inner(ocp, np.zeros(3))
     assert sol.status == "optimal"
-    assert np.all(ocp.rows_C @ sol.u_star <= ocp.rows_rhs + 1e-6)
+    assert np.all(ocp.template.rows_C @ sol.u_star <= ocp.rows_rhs + 1e-6)
 
     bad = solve_inner(plain_ocp(agent, ing, [9.0, 3.0], 3), np.zeros(3))  # x1(1) = 12
     assert bad.status == "infeasible"

@@ -85,13 +85,25 @@ def test_default_run_invariants(default_scenario, default_pipeline):
     assert all(st == "optimal" for rec in log.triggers for st in rec.statuses)
 
 
-def test_applied_inputs_equal_stored_segments(default_scenario, default_pipeline):
+def test_applied_inputs_equal_stored_segments(default_scenario, default_pipeline,
+                                              monkeypatch):
+    original = simulator.run_admm
+    solved = []  # the OCP solutions of every instant, in order
+
+    def capturing(ocps, params):
+        result = original(ocps, params)
+        solved.append(result[0])
+        return result
+
+    monkeypatch.setattr(simulator, "run_admm", capturing)
     log = run_closed_loop(default_scenario, pipeline=default_pipeline)
-    for rec in log.triggers:
-        for i in rec.ocp_agents:
+    assert len(solved) == len(log.triggers)
+    for rec, solutions in zip(log.triggers, solved):
+        for i, sol in zip(rec.ocp_agents, solutions):
+            m = default_scenario.agents[i].m
             for s in range(rec.Mk_applied):
                 np.testing.assert_array_equal(log.inputs[rec.t_k + s][i],
-                                              rec.planned_inputs[i][s])
+                                              sol.u_star[s * m:(s + 1) * m])
 
 
 def test_periodic_solves_every_step(default_scenario, default_pipeline):
@@ -111,8 +123,7 @@ def test_periodic_matches_forced_unit_interval(default_scenario, default_pipelin
                             pipeline=default_pipeline)
 
     def forced_unit(profiles):
-        return TriggerDecision(g_values=tuple(profiles),
-                               Mk_per_agent=tuple(1 for _ in profiles),
+        return TriggerDecision(Mk_per_agent=tuple(1 for _ in profiles),
                                Mk=1, fallback=tuple(False for _ in profiles))
 
     monkeypatch.setattr(simulator, "select_Mk", forced_unit)

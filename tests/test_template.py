@@ -74,14 +74,15 @@ def test_condense_equals_assembly_from_scratch(default_scenario, default_pipelin
     ref = assemble(sc.agents[i], pipe.ingredients[i], pipe.tightened[i],
                    sc.coupling.Psi_x[i], sc.coupling.Psi_u[i], x0, sc.N)
     for name, value in ref.items():
-        np.testing.assert_array_equal(getattr(ocp, name), value, err_msg=name)
+        owner = ocp.template if name in ("H", "rows_C", "ball_C", "F") else ocp
+        np.testing.assert_array_equal(getattr(owner, name), value, err_msg=name)
 
 
 def test_default_tau_from_template_curvature(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
     ocps = [condense(pipe.templates[i], sc.x0[i]) for i in range(sc.M)]
-    direct = [float(np.linalg.norm(ocp.F @ np.linalg.solve(ocp.H, ocp.F.T), 2))
-              for ocp in ocps]
+    direct = [float(np.linalg.norm(t.F @ np.linalg.solve(t.H, t.F.T), 2))
+              for t in (ocp.template for ocp in ocps)]
     assert [ocp.template.dual_curvature for ocp in ocps] == direct
     assert (default_tau(ocps, 1.5, sc.M)
             == 1.5 * consensus_gain(sc.M) + max(max(direct), 1e-8))
@@ -119,3 +120,18 @@ def test_closed_loop_after_prepare_factors_nothing(default_scenario, default_pip
         log = run_closed_loop(replace(default_scenario, trigger_mode=mode),
                               pipeline=default_pipeline)
         assert log.solve_instants() > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.floats(-12.0, 12.0), st.floats(-4.5, 4.5))
+def test_feedback_coupling_matches_closed_loop_rollout(default_scenario, default_pipeline,
+                                                       i, x1, x2):
+    # coupling values of the terminal-feedback plan u(l) = K z(l), z(l) = (A + BK)^l x
+    sc, pipe = default_scenario, default_pipeline
+    agent, K = sc.agents[i], pipe.ingredients[i].K
+    x = np.array([x1, x2])
+    Phi, _ = rollout_maps(agent.A + agent.B @ K, agent.B, sc.N)
+    z = Phi[:sc.N] @ x
+    direct = (z @ sc.coupling.Psi_x[i].T + (z @ K.T) @ sc.coupling.Psi_u[i].T).ravel()
+    np.testing.assert_allclose(pipe.templates[i].feedback_coupling @ x, direct,
+                               rtol=1e-12, atol=1e-12 * max(1.0, np.abs(direct).max()))
