@@ -102,23 +102,36 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
 
     state = AdmmState(lambdas=np.zeros((M, d)), omega=np.zeros((M - 1, d)),
                       coupling_excess=np.full(d, np.inf))
-    warm = [None] * M
+    members = {}  # agents that share a split setup, in agent order
+    for i, ocp in enumerate(ocps):
+        members.setdefault(ocp.template.split, []).append(i)
+    groups = [(idx, [ocps[i] for i in idx]) for idx in members.values()]
+    results = [None] * len(groups)  # each group's latest InnerResult
 
-    def inner(i, lam):
-        sol = solve_inner(ocps[i], lam, warm_start=warm[i],
-                          tol=params.inner_tol, max_iter=params.inner_max_iter)
-        if sol.status == "infeasible":
+    def inner(lambdas) -> np.ndarray:
+        """One lockstep solve per group; returns the coupling values, one row per agent."""
+        f_values = np.empty((M, d))
+        infeasible = []
+        for g, (idx, group) in enumerate(groups):
+            warm = results[g].warm if results[g] is not None else None
+            results[g] = solve_inner(group, lambdas[idx], warm,
+                                     tol=params.inner_tol, max_iter=params.inner_max_iter)
+            state.total_inner_iterations += results[g].iterations
+            f_values[idx] = results[g].coupling_values()
+            infeasible += [idx[j] for j in results[g].infeasible()]
+        if infeasible:
+            i = min(infeasible)
             raise AdmmError(f"inner problem infeasible for agent {i}", agent_index=i)
-        warm[i] = sol.warm
-        state.total_inner_iterations += sol.iterations
-        return sol
+        return f_values
 
-    def coupling_values():
-        return np.array([ocp.coupling_values(sol.u_star)
-                         for ocp, sol in zip(ocps, state.solutions)])
+    def solutions() -> list:
+        sols = [None] * M
+        for (idx, _), result in zip(groups, results):
+            for i, sol in zip(idx, result.solutions):
+                sols[i] = sol
+        return sols
 
-    state.solutions = [inner(i, state.lambdas[i]) for i in range(M)]
-    f_values = coupling_values()
+    f_values = inner(state.lambdas)
     b_total = b_shares.sum(axis=0)
 
     trace = open(trace_path, "w") if trace_path is not None else None
@@ -130,8 +143,7 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
         for k in range(1, params.max_iter + 1):
             new_lambdas = lambda_update(state.lambdas, f_values, b_shares,
                                         state.omega, params.rho, tau)
-            state.solutions = [inner(i, new_lambdas[i]) for i in range(M)]
-            f_values = coupling_values()
+            f_values = inner(new_lambdas)
             state.omega = omega_update(state.omega, new_lambdas, params.rho, params.gamma)
 
             state.primal_residual = float(np.linalg.norm(consensus_diff(new_lambdas)))
@@ -141,7 +153,7 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
             state.lambdas = new_lambdas
             state.iteration = k
             if trace is not None:
-                total_cost = sum(sol.J_star for sol in state.solutions)
+                total_cost = sum(sol.J_star for sol in solutions())
                 trace.write(f"{k},{state.primal_residual:.17g},"
                             f"{state.dual_residual:.17g},{total_cost:.17g}\n")
 
@@ -154,4 +166,5 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
         if trace is not None:
             trace.close()
 
+    state.solutions = solutions()
     return state.solutions, state, converged

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -51,9 +53,10 @@ class SplitSetup:
 
     Rows of the halfspace block are scaled to unit norm; rows normed below
     SCALE_FLOOR (all-zero rows included) are dropped through `zero`. Each
-    ball block is scaled by 1/||C_ball||_2 and `balls` holds (slice, scale,
-    scaled radius) per block. `factor` is the upper Cholesky factor of
-    H + sigma C'C in LAPACK layout.
+    ball block is scaled by 1/||C_ball||_2. `balls` holds one entry per run of
+    consecutive ball blocks of equal size, so that one array expression
+    projects them all: (rows, scales, scaled radii). `factor` is
+    the upper Cholesky factor of H + sigma C'C in LAPACK layout.
     """
 
     zero: np.ndarray | None  # mask of the dropped halfspace rows, None when none is
@@ -77,14 +80,17 @@ def split_setup(H, rows_C, ball_Cs, ball_radii) -> SplitSetup:
     scale = 1.0 / norms
     blocks = [rows_C * scale[:, None]]
 
-    balls = []
-    offset = nrows
-    for C, radius in zip(ball_Cs, ball_radii):
-        beta = np.linalg.norm(C, 2)
-        beta = 1.0 / beta if beta >= SCALE_FLOOR else 1.0
-        blocks.append(C * beta)
-        balls.append((slice(offset, offset + C.shape[0]), beta, radius * beta))
-        offset += C.shape[0]
+    balls, offset = [], nrows  # one entry per run of consecutive equal-size ball blocks
+    for size, run in groupby(zip(ball_Cs, ball_radii), key=lambda pair: pair[0].shape[0]):
+        Cs, radii = zip(*run)
+        beta = np.array([1.0 / b if b >= SCALE_FLOOR else 1.0
+                         for b in (np.linalg.norm(C, 2) for C in Cs)])
+        blocks += [C * b for C, b in zip(Cs, beta)]
+        rows = slice(offset, offset + size * len(Cs))
+        balls.append((rows, beta, np.array(radii) * beta))
+        offset = rows.stop
+        for arr in balls[-1][1:]:
+            arr.setflags(write=False)
     C = np.vstack(blocks)
     del blocks  # the oracle's stacked blocks are large: free them before the SVDs
 
@@ -98,69 +104,100 @@ def split_setup(H, rows_C, ball_Cs, ball_radii) -> SplitSetup:
     return setup
 
 
-def split_iterate(setup: SplitSetup, g, rows_rhs, ball_offsets, tol, max_iter, warm=None):
-    """ADMM splitting for min 0.5u'Hu + g'u s.t. rows and ball blocks.
+def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, warm=None):
+    """ADMM splitting for min 0.5u'Hu + g'u s.t. rows and ball blocks, one problem per column.
 
-    H and the constraint matrices are fixed by `setup`; the call supplies the
-    linear term, the halfspace right-hand sides and one offset per ball.
-    Returns (u, warm_state, iters, r_primal, r_dual, flag) with flag in
+    H and the constraint matrices are fixed by `setup`; column j of G (k, B),
+    of rows_rhs (r, B) and of each ball's offset block (nb, B) is problem j's
+    linear term, halfspace right-hand sides and ball offset. One batched
+    iteration advances every problem still in the working set; a problem
+    leaves it at its own convergence, stall or iteration-cap test, so each
+    column follows the iterates it would follow alone. `warm` is the
+    splitting state (S, Y), each (total, B). Returns (U, (S, Y), iterations,
+    r_primal, r_dual, flags), one column or entry per problem, with flags in
     {converged, iteration-cap, infeasible}. A row dropped by the setup (all
     coefficients zero, or too small to rescale) is ignored when its rhs is
     >= 0 and makes the problem infeasible when its rhs is < 0.
     """
-    if setup.zero is not None:
-        zero_rhs = rows_rhs[setup.zero]
-        if np.any(zero_rhs < 0):
-            return (np.zeros(g.shape[0]), None, 0, float(-zero_rhs.min()), 0.0,
-                    "infeasible")
-        rows_rhs = rows_rhs[~setup.zero]
-    rhs_s = rows_rhs * setup.row_scale
-    nrows = rhs_s.shape[0]
-    balls = [(sl, off * beta, rad_s)
-             for (sl, beta, rad_s), off in zip(setup.balls, ball_offsets)]
-
     C, sigma, sigmaCT, factor = setup.C, setup.sigma, setup.sigmaCT, setup.factor
     CT = C.T
-    total = C.shape[0]
-    if warm is not None and warm[0].shape[0] == total:
-        s, y = warm[0].copy(), warm[1].copy()
-    else:
-        s, y = np.zeros(total), np.zeros(total)
+    (k, B), total = G.shape, C.shape[0]
+    if warm is None:
+        warm = (np.zeros((total, B)), np.zeros((total, B)))
+    S_out, Y_out = warm[0].copy(), warm[1].copy()
+    U_out = np.zeros((k, B))
+    iterations = np.zeros(B, dtype=int)
+    r_prim_out, r_dual_out = np.zeros(B), np.zeros(B)
+    flags = np.full(B, "iteration-cap", dtype=object)
 
-    r_prim = r_dual = np.inf
-    stall = 0
-    flag = "iteration-cap"
-    it = 0
-    for it in range(1, max_iter + 1):
-        u, info = dpotrs(factor, sigmaCT @ (s - y) - g, overwrite_b=True)
+    cols = np.arange(B)  # the working set
+    if setup.zero is not None:
+        zero_rhs = rows_rhs[setup.zero]
+        dead = (zero_rhs < 0).any(axis=0)
+        r_prim_out[dead] = -zero_rhs[:, dead].min(axis=0)
+        flags[dead] = "infeasible"
+        cols = cols[~dead]
+        rows_rhs = rows_rhs[~setup.zero]
+    nrows = rows_rhs.shape[0]
+    # halfspace bounds, +inf on the ball rows so that one minimum clips every row
+    upper = np.full((total, cols.size), np.inf)
+    upper[:nrows] = rows_rhs[:, cols] * setup.row_scale[:, None]
+    # per run of equal-size balls: rows, scaled offsets (blocks, nb, columns), scaled
+    # radii and the floor of the projection's denominator (the radius, or 1 at radius 0)
+    balls, first = [], 0
+    for sl, beta, rad_s in setup.balls:
+        off = np.stack(ball_offsets[first:first + beta.size])[:, :, cols] * beta[:, None, None]
+        rad_s = rad_s[:, None, None]
+        balls.append((sl, off, rad_s, np.where(rad_s > 0, rad_s, 1.0)))
+        first += beta.size
+    G = G[:, cols]
+    S, Y = S_out[:, cols], Y_out[:, cols]
+    last_ok = np.zeros(cols.size, dtype=int)  # last iteration with r_prim <= STALL_LEVEL
+
+    for it in range(1, max_iter + 1 if cols.size else 1):  # none if every problem failed
+        U, info = dpotrs(factor, sigmaCT @ (S - Y) - G, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of potrs")
-        Cu = C @ u
-        Cu_rel = RELAXATION * Cu + (1.0 - RELAXATION) * s
-        v = Cu_rel + y
-        s_new = v.copy()
-        s_new[:nrows] = np.minimum(v[:nrows], rhs_s)
-        for sl, off_s, rad_s in balls:  # project onto the ball ||. + off_s|| <= rad_s
-            w = v[sl] + off_s
-            nrm = np.sqrt(w.dot(w))
-            if nrm > rad_s:
-                w *= rad_s / nrm
-            s_new[sl] = w - off_s
-        y = y + Cu_rel - s_new
-        r_prim = float(np.abs(Cu - s_new).max())
-        r_dual = float(sigma * np.abs(CT @ (s_new - s)).max())
-        s = s_new
-        if r_prim < tol and r_dual < tol:
-            flag = "converged"
+        CU = C @ U
+        CU_rel = RELAXATION * CU + (1.0 - RELAXATION) * S
+        V = CU_rel + Y
+        S_new = np.minimum(V, upper)
+        for sl, off_s, rad_s, floor in balls:  # project each block onto ||. + off_s|| <= rad_s
+            W = V[sl].reshape(off_s.shape) + off_s
+            W *= rad_s / np.maximum(np.sqrt(np.vecdot(W, W, axis=1, keepdims=True)), floor)
+            np.subtract(W, off_s, out=S_new[sl].reshape(off_s.shape))
+        Y = V - S_new
+        P = CU - S_new
+        r_prim = np.maximum.reduce(np.abs(P, out=P))
+        r_list = r_prim.tolist()  # Python min/max beat ufunc reductions over a few columns
+        r_min = min(r_list)
+        if max(r_list) <= STALL_LEVEL:
+            last_ok.fill(it)
+        elif r_min <= STALL_LEVEL:
+            np.copyto(last_ok, it, where=r_prim <= STALL_LEVEL)
+        S_old, S = S, S_new
+        if not (r_min < tol or it == max_iter
+                or (it >= STALL_WINDOW and it - np.minimum.reduce(last_ok) >= STALL_WINDOW)):
+            continue  # no column can leave: skip the dual residual
+
+        r_dual = sigma * np.maximum.reduce(np.abs(CT @ (S - S_old)))
+        converged = (r_prim < tol) & (r_dual < tol)
+        stalled = it - last_ok >= STALL_WINDOW
+        done = converged | stalled | (it == max_iter)
+        if not done.any():
+            continue
+        j = cols[done]
+        U_out[:, j], S_out[:, j], Y_out[:, j] = U[:, done], S[:, done], Y[:, done]
+        iterations[j], r_prim_out[j], r_dual_out[j] = it, r_prim[done], r_dual[done]
+        flags[j] = np.where(converged[done], "converged",
+                            np.where(stalled[done], "infeasible", "iteration-cap"))
+        keep = ~done
+        if not keep.any():
             break
-        if r_prim > STALL_LEVEL:
-            stall += 1
-            if stall >= STALL_WINDOW:
-                flag = "infeasible"
-                break
-        else:
-            stall = 0
-    return u, (s, y), it, r_prim, r_dual, flag
+        cols, G, upper, S, Y = cols[keep], G[:, keep], upper[:, keep], S[:, keep], Y[:, keep]
+        last_ok = last_ok[keep]
+        balls = [(sl, off_s[:, :, keep], *radii) for sl, off_s, *radii in balls]
+    return U_out, (S_out, Y_out), iterations, r_prim_out, r_dual_out, flags.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +236,11 @@ class OcpTemplate:
 
 
 def ocp_template(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSets,
-                 Psi_x, Psi_u, N: int) -> OcpTemplate:
-    """Assemble everything of the condensed OCP that does not depend on x0."""
+                 Psi_x, Psi_u, N: int, split: SplitSetup | None = None) -> OcpTemplate:
+    """Assemble everything of the condensed OCP that does not depend on x0.
+
+    `split` is the setup of an agent with equal solver data, if one was built.
+    """
     n, m, p = agent.n, agent.m, Psi_x.shape[0]
     Phi, Gamma = rollout_maps(agent.A, agent.B, N)
     Q = np.array(agent.Q)
@@ -240,7 +280,7 @@ def ocp_template(agent: AgentModel, ing: TerminalIngredients, tightened: Tighten
         rhs_U=np.tile(agent.U.h, N), ball_map=ball_map, ball_C=ball_C,
         ball_radius=ing.eps_r, F=F, f0_map=f0_map, feedback_coupling=feedback_coupling,
         dual_curvature=float(np.linalg.norm(F @ np.linalg.solve(H, F.T), 2)),
-        split=split_setup(H, rows_C, [ball_C], [ing.eps_r]))
+        split=split if split is not None else split_setup(H, rows_C, [ball_C], [ing.eps_r]))
     _read_only(template)
     return template
 
@@ -285,7 +325,6 @@ class OcpSolution:
     residual_primal: float
     residual_dual: float
     iterations: int
-    warm: tuple | None = field(default=None, repr=False)
 
 
 def condense(template: OcpTemplate, x0, b_share=None) -> CondensedOcp:
@@ -312,13 +351,17 @@ def condense(template: OcpTemplate, x0, b_share=None) -> CondensedOcp:
                         b_share=np.asarray(b_share, dtype=float))
 
 
-def _solution_from(ocp: CondensedOcp, u, warm, iters, rp, rd, flag) -> OcpSolution:
+def _feasible(ocp: CondensedOcp, u) -> bool:
     t = ocp.template
     viol = 0.0
     if t.rows_C.shape[0]:
         viol = float(np.max(t.rows_C @ u - ocp.rows_rhs))
     ball_viol = float(np.linalg.norm(t.ball_C @ u + ocp.ball_off) - t.ball_radius)
-    feasible = viol <= FEAS_TOL and ball_viol <= FEAS_TOL
+    return viol <= FEAS_TOL and ball_viol <= FEAS_TOL
+
+
+def _solution_from(ocp: CondensedOcp, u, iters, rp, rd, flag) -> OcpSolution:
+    feasible = _feasible(ocp, u)
     if flag == "converged" and feasible:
         status = "optimal"
     elif flag == "infeasible" and not feasible:
@@ -327,23 +370,96 @@ def _solution_from(ocp: CondensedOcp, u, warm, iters, rp, rd, flag) -> OcpSoluti
         status = "iteration-cap"
     return OcpSolution(u_star=u, z_star=ocp.trajectory(u), J_star=ocp.cost(u),
                        status=status, residual_primal=rp, residual_dual=rd,
-                       iterations=iters, warm=warm)
+                       iterations=iters)
 
 
-def solve_inner(ocp: CondensedOcp, lam, warm_start=None,
-                tol: float = 1e-8, max_iter: int = 20000) -> OcpSolution:
-    """Minimize J(u) + lam'(f(u) - b_share) over the constraint bundle."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    F = ocp.template.F
-    if lam.shape[0] != F.shape[0]:
-        raise ValueError(f"lambda has dim {lam.shape[0]}, expected {F.shape[0]}")
-    if np.any(lam < 0):
+@dataclass(frozen=True, eq=False)
+class InnerResult:
+    """Lockstep inner solve of a group of agents that share one SplitSetup.
+
+    Row j of `u` and entry j of the per-agent arrays belong to ocps[j]; `F`
+    stacks their coupling maps. `warm` is the group's splitting state and
+    `iterations` the inner iterations summed over the group. The per-agent
+    OcpSolutions are assembled on first access to `solutions`.
+    """
+
+    ocps: tuple
+    F: np.ndarray
+    u: np.ndarray
+    warm: tuple
+    agent_iterations: np.ndarray
+    r_primal: np.ndarray
+    r_dual: np.ndarray
+    flags: list
+
+    @property
+    def iterations(self) -> int:
+        return int(self.agent_iterations.sum())
+
+    @cached_property
+    def solutions(self) -> list:
+        return [_solution_from(ocp, self.u[j], int(self.agent_iterations[j]),
+                               float(self.r_primal[j]), float(self.r_dual[j]), self.flags[j])
+                for j, ocp in enumerate(self.ocps)]
+
+    def coupling_values(self) -> np.ndarray:
+        """f0 + F u of every agent of the group, one row per agent."""
+        f0 = np.array([ocp.f0 for ocp in self.ocps])
+        return f0 + (self.F @ self.u[:, :, None])[:, :, 0]
+
+    def infeasible(self) -> list:
+        """Positions in the group flagged infeasible whose final iterate is infeasible too."""
+        return [j for j, flag in enumerate(self.flags)
+                if flag == "infeasible" and not _feasible(self.ocps[j], self.u[j])]
+
+
+def solve_inner(ocps, lams, warm=None, tol: float = 1e-8,
+                max_iter: int = 20000) -> InnerResult:
+    """Minimize J_i(u) + lam_i'(f_i(u) - b_share_i) for every agent i of a group.
+
+    The agents share one SplitSetup (`template.split`); row i of `lams` is
+    agent i's multiplier and `warm` the state a previous call returned for
+    the same group. One batched splitting iteration advances them all.
+    """
+    ocps = tuple(ocps)
+    F = np.stack([ocp.template.F for ocp in ocps])
+    lams = np.asarray(lams, dtype=float).reshape(len(ocps), -1)
+    if lams.shape[1] != F.shape[1]:
+        raise ValueError(f"lambda has dim {lams.shape[1]}, expected {F.shape[1]}")
+    if np.any(lams < 0):
         raise ValueError("lambda must be componentwise nonnegative")
-    g = ocp.q + F.T @ lam
-    u, warm, iters, rp, rd, flag = split_iterate(
-        ocp.template.split, g, ocp.rows_rhs, [ocp.ball_off], tol, max_iter,
-        warm=warm_start)
-    return _solution_from(ocp, u, warm, iters, rp, rd, flag)
+    G = np.array([ocp.q for ocp in ocps]) + (F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]
+    U, warm, iters, rp, rd, flags = split_iterate(
+        ocps[0].template.split, G.T, np.array([ocp.rows_rhs for ocp in ocps]).T,
+        [np.array([ocp.ball_off for ocp in ocps]).T], tol, max_iter, warm=warm)
+    return InnerResult(ocps=ocps, F=F, u=np.ascontiguousarray(U.T), warm=warm,
+                       agent_iterations=iters, r_primal=rp, r_dual=rd, flags=flags)
+
+
+def _solver_key(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSets) -> tuple:
+    """Bytes of everything a template's split setup is built from (the coupling excluded)."""
+    sets = tightened.Z[1:]
+    arrays = ((agent.A, agent.B, agent.Q, agent.R, agent.U.G, agent.U.h, ing.P)
+              + tuple(Z.G for Z in sets) + tuple(Z.h for Z in sets))
+    return tuple((a.shape, a.tobytes()) for a in arrays) + (ing.eps_r,)
+
+
+def ocp_templates(agents, ingredients, tightened, Psi_x, Psi_u, N: int) -> tuple:
+    """One template per agent, built once per distinct input data.
+
+    Agents whose data are byte-equal share one template. Agents that differ
+    only in what their coupling map reads (Psi_x, Psi_u and the feedback K)
+    share one SplitSetup, which lets the dual iteration solve them in lockstep.
+    """
+    built, splits, templates = {}, {}, []
+    for agent, ing, tz, Px, Pu in zip(agents, ingredients, tightened, Psi_x, Psi_u):
+        split_key = _solver_key(agent, ing, tz)
+        key = (split_key, ing.K.tobytes(), Px.shape, Px.tobytes(), Pu.shape, Pu.tobytes())
+        if key not in built:
+            built[key] = ocp_template(agent, ing, tz, Px, Pu, N, split=splits.get(split_key))
+            splits.setdefault(split_key, built[key].split)
+        templates.append(built[key])
+    return tuple(templates)
 
 
 def solve_centralized(scenario: Scenario, ingredients, tightened_list,
@@ -354,10 +470,9 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     Ground-truth oracle for the distributed path; returns (per-agent
     solutions, total cost).
     """
-    ocps = [condense(ocp_template(agent, ing, tz, scenario.coupling.Psi_x[i],
-                                  scenario.coupling.Psi_u[i], scenario.N), x0_all[i])
-            for i, (agent, ing, tz) in enumerate(zip(scenario.agents, ingredients,
-                                                     tightened_list))]
+    templates = ocp_templates(scenario.agents, ingredients, tightened_list,
+                              scenario.coupling.Psi_x, scenario.coupling.Psi_u, scenario.N)
+    ocps = [condense(t, x0) for t, x0 in zip(templates, x0_all)]
     dims = [ocp.template.H.shape[0] for ocp in ocps]
     total_dim = sum(dims)
     starts = np.concatenate([[0], np.cumsum(dims)]).astype(int)
@@ -389,8 +504,10 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     rows_rhs = np.concatenate(rhs)
 
     setup = split_setup(H, rows_C, ball_Cs, [ocp.template.ball_radius for ocp in ocps])
-    u, warm, iters, rp, rd, flag = split_iterate(
-        setup, g, rows_rhs, [ocp.ball_off for ocp in ocps], tol, max_iter)
+    U, _, iters, rp, rd, flags = split_iterate(
+        setup, g[:, None], rows_rhs[:, None], [ocp.ball_off[:, None] for ocp in ocps],
+        tol, max_iter)
+    u, iters, rp, rd, flag = U[:, 0], int(iters[0]), float(rp[0]), float(rd[0]), flags[0]
     if flag == "infeasible":
         viol = rows_C @ u - rows_rhs
         worst = int(np.argmax(viol))
@@ -402,7 +519,7 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     total = 0.0
     for i, ocp in enumerate(ocps):
         ui = u[starts[i]:starts[i + 1]]
-        sol = _solution_from(ocp, ui, None, iters, rp, rd, flag)
+        sol = _solution_from(ocp, ui, iters, rp, rd, flag)
         solutions.append(sol)
         total += sol.J_star
     return solutions, float(total)

@@ -11,7 +11,7 @@ import numpy as np
 from .model import AgentModel, Scenario, membership
 from .synthesis import certify, synthesize
 from .tightening import tolerance_schedule, tighten_local_sets
-from .local_solver import condense, ocp_template
+from .local_solver import condense, ocp_templates
 from .dual_admm import AdmmError, run_admm
 from .trigger import g_profile, select_Mk, stage_costs
 
@@ -38,7 +38,8 @@ class SimulationAborted(RuntimeError):
 class Pipeline:
     """Offline products shared across runs of one scenario.
 
-    templates[i] is agent i's OCP template; agents with identical data share one.
+    templates[i] is agent i's OCP template; agents with identical data share one,
+    and agents that differ only in their coupling rows share its SplitSetup.
     """
 
     ingredients: tuple
@@ -48,31 +49,15 @@ class Pipeline:
     templates: tuple
 
 
-def _template_key(agent: AgentModel, Psi_x, Psi_u) -> tuple:
-    """Bytes of the agent data its OCP template (synthesis included) is built from."""
-    arrays = (agent.A, agent.B, agent.Q, agent.R, agent.X.G, agent.X.h,
-              agent.U.G, agent.U.h, Psi_x, Psi_u)
-    box = agent.box_half_widths
-    return (tuple((a.shape, a.tobytes()) for a in arrays), agent.w_bar,
-            None if box is None else box.tobytes())
-
-
 def prepare(scenario: Scenario) -> Pipeline:
     ingredients = tuple(synthesize(agent) for agent in scenario.agents)
     schedule = tolerance_schedule(scenario, ingredients)
     tightened = tuple(tighten_local_sets(agent, scenario.N) for agent in scenario.agents)
     certificate = certify(scenario, ingredients, schedule.eps)
-    Psi_x, Psi_u = scenario.coupling.Psi_x, scenario.coupling.Psi_u
-    built = {}
-    templates = []
-    for i, agent in enumerate(scenario.agents):
-        key = _template_key(agent, Psi_x[i], Psi_u[i])
-        if key not in built:
-            built[key] = ocp_template(agent, ingredients[i], tightened[i],
-                                      Psi_x[i], Psi_u[i], scenario.N)
-        templates.append(built[key])
+    templates = ocp_templates(scenario.agents, ingredients, tightened,
+                              scenario.coupling.Psi_x, scenario.coupling.Psi_u, scenario.N)
     return Pipeline(ingredients=ingredients, schedule=schedule, tightened=tightened,
-                    certificate=certificate, templates=tuple(templates))
+                    certificate=certificate, templates=templates)
 
 
 @dataclass

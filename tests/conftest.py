@@ -4,10 +4,16 @@ from pathlib import Path
 import pytest
 import yaml
 
+from tube_dmpc.local_solver import solve_inner
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def solve_one(ocp, lam):
+    """One agent's inner solve, as a group of one."""
+    return solve_inner([ocp], [lam]).solutions[0]
 
 
 def load_raw(name):

@@ -12,13 +12,13 @@ import yaml
 
 from tube_dmpc.cli import main
 from tube_dmpc.dual_admm import run_admm
-from tube_dmpc.local_solver import condense, solve_centralized, solve_inner
+from tube_dmpc.local_solver import condense, solve_centralized
 from tube_dmpc.simulator import monte_carlo, prepare, run_closed_loop
 from tube_dmpc.synthesis import lqr_gain, terminal_weight
 from tube_dmpc.tightening import schedule_values, tighten_local_sets
 from tube_dmpc.trigger import g_profile, select_Mk
 
-from conftest import SCENARIO_DIR, load_raw
+from conftest import SCENARIO_DIR, load_raw, solve_one
 
 N_MC_RUNS = 100
 N_DEVIATION_SEQUENCES = 100000
@@ -54,7 +54,7 @@ def trigger_ensemble(default_scenario, default_pipeline):
     per_state = -(-N_TRIGGER_TRANSITIONS // len(starts))
     for x0 in starts:
         agent, ing = sc.agents[0], pipe.ingredients[0]
-        sol0 = solve_inner(condense(pipe.templates[0], x0), lam0)
+        sol0 = solve_one(condense(pipe.templates[0], x0), lam0)
         assert sol0.status == "optimal"
         profile = g_profile(agent, sol0, ing, sc.N)
         Mk = select_Mk([profile]).Mk
@@ -69,7 +69,7 @@ def trigger_ensemble(default_scenario, default_pipeline):
             for l in range(Mk):
                 u = sol0.u_star[l * agent.m:(l + 1) * agent.m]
                 x = agent.A @ x + agent.B @ u + rng.uniform(-0.3, 0.3, size=2)
-            sol1 = solve_inner(condense(pipe.templates[0], x), lam0)
+            sol1 = solve_one(condense(pipe.templates[0], x), lam0)
             transitions.append({
                 "resolved": sol1.status == "optimal",
                 "dV": sol1.J_star - sol0.J_star,

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tube_dmpc.model import AgentModel, HPolytope, SolverParams
 from tube_dmpc.synthesis import synthesize
 from tube_dmpc.tightening import tighten_local_sets
-from tube_dmpc.local_solver import condense, ocp_template, solve_centralized, solve_inner
-from tube_dmpc.dual_admm import (consensus_adjoint, consensus_diff, consensus_gain,
-                                 lambda_update, omega_update, run_admm)
+from tube_dmpc.local_solver import condense, ocp_template, solve_centralized
+from tube_dmpc.dual_admm import (AdmmError, consensus_adjoint, consensus_diff,
+                                 consensus_gain, lambda_update, omega_update, run_admm)
+
+from conftest import solve_one
 
 
 def scalar_agent(a=0.5, inp=5.0):
@@ -103,9 +107,55 @@ def test_run_admm_inactive_coupling_matches_independent(default_scenario,
     for lam in state.lambdas:
         np.testing.assert_allclose(lam, np.zeros_like(lam), atol=1e-9)
     for ocp, sol in zip(ocps, sols):
-        ref = solve_inner(ocp, np.zeros(ocp.template.F.shape[0]))
+        ref = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
         assert sol.J_star == pytest.approx(ref.J_star, abs=1e-5)
         np.testing.assert_allclose(sol.u_star, ref.u_star, atol=1e-5)
+
+
+def test_run_admm_mixed_groups_match_independent_solves(default_scenario, default_pipeline):
+    # the default agents share one split setup; an agent with a larger R has its own,
+    # and the two groups interleave in agent order
+    sc, pipe = default_scenario, default_pipeline
+    agent = dataclasses.replace(sc.agents[0], R=2.0 * sc.agents[0].R)
+    own = ocp_template(agent, synthesize(agent), tighten_local_sets(agent, sc.N),
+                       sc.coupling.Psi_x[0], sc.coupling.Psi_u[0], sc.N)
+    templates = [pipe.templates[0], own, pipe.templates[1], own, pipe.templates[3]]
+    x0s = [sc.x0[0], sc.x0[1], sc.x0[2], sc.x0[3], sc.x0[1]]
+    b_share = np.full(pipe.schedule.b.shape, 1e3)  # coupling inactive
+    ocps = [condense(t, x0, b_share=b_share) for t, x0 in zip(templates, x0s)]
+    assert len({ocp.template.split for ocp in ocps}) == 2
+    sols, state, converged = run_admm(ocps, sc.solver)
+    assert converged
+    np.testing.assert_array_equal(state.lambdas, 0.0)
+    for ocp, sol in zip(ocps, sols):
+        ref = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
+        assert sol.status == ref.status == "optimal"
+        assert sol.J_star == pytest.approx(ref.J_star, abs=1e-5)
+        np.testing.assert_allclose(sol.u_star, ref.u_star, atol=1e-5)
+
+
+def test_admm_error_names_lowest_infeasible_agent():
+    # double integrator: the x1 row of Z[1] does not move with u, so x0 = (9, 3)
+    # (x1(1) = 12 > 10) is infeasible for every input. Agents 0 and 2 share one
+    # split setup and are solved first; agent 1 has its own (a wider input box)
+    def integrator(inp):
+        return AgentModel(A=np.array([[1.0, 1.0], [0.0, 1.0]]), B=np.array([[0.0], [1.0]]),
+                          w_bar=0.0, X=HPolytope.box([10.0, 10.0]), U=HPolytope.box([inp]),
+                          Q=np.eye(2), R=np.eye(1))
+
+    def template(agent, N=3):
+        return ocp_template(agent, synthesize(agent), tighten_local_sets(agent, N),
+                            np.zeros((1, 2)), np.zeros((1, 1)), N)
+
+    shared, other = template(integrator(2.0)), template(integrator(3.0))
+    b_share = np.full(3, 1e3)
+    ocps = [condense(shared, [2.0, 1.0], b_share=b_share),
+            condense(other, [9.0, 3.0], b_share=b_share),
+            condense(shared, [9.0, 3.0], b_share=b_share)]
+    assert shared.split is not other.split
+    with pytest.raises(AdmmError, match="agent 1") as err:
+        run_admm(ocps, SolverParams())
+    assert err.value.agent_index == 1
 
 
 def test_run_admm_active_coupling_against_centralized():
@@ -156,7 +206,7 @@ def test_run_admm_single_agent_projected_ascent_analytic():
 
     # oracle: maximize the dual function over a 1-D grid with refinement
     def dual_at(lam):
-        sol = solve_inner(ocp, np.array([lam]))
+        sol = solve_one(ocp, np.array([lam]))
         return sol.J_star + lam * (ocp.coupling_values(sol.u_star)[0] - b[0])
 
     grid = np.linspace(0.0, 10.0, 201)

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tube_dmpc.dual_admm import run_admm
 from tube_dmpc.model import AgentModel, HPolytope, validate_scenario
@@ -9,7 +11,9 @@ from tube_dmpc.simulator import prepare
 from tube_dmpc.synthesis import TerminalIngredients, synthesize
 from tube_dmpc.tightening import tighten_local_sets, ToleranceSchedule
 from tube_dmpc.local_solver import (condense, ocp_template, rollout_maps, solve_centralized,
-                                    solve_inner)
+                                    split_iterate, split_setup)
+
+from conftest import solve_one
 
 
 def project_ball(s, radius):
@@ -79,7 +83,7 @@ def test_origin_fixed_point():
     agent = make_agent([[0.5]], [[1.0]], state=10.0, inp=10.0)
     ing = synthesize(agent)
     ocp = plain_ocp(agent, ing, [0.0], 3)
-    sol = solve_inner(ocp, np.zeros(3))
+    sol = solve_one(ocp, np.zeros(3))
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.u_star, np.zeros(3), atol=1e-7)
     assert sol.J_star == pytest.approx(0.0, abs=1e-10)
@@ -89,7 +93,7 @@ def test_unconstrained_matches_normal_equations():
     agent = make_agent([[1.1, 0.12], [0.35, 0.0075]], [[1.5], [0.5]])
     ing = wide_ingredients(agent)
     ocp = plain_ocp(agent, ing, [1.0, -2.0], 4)
-    sol = solve_inner(ocp, np.zeros(4))
+    sol = solve_one(ocp, np.zeros(4))
     assert sol.status == "optimal"
     u_ref = -np.linalg.solve(ocp.template.H, ocp.q)
     np.testing.assert_allclose(sol.u_star, u_ref, atol=1e-6)
@@ -100,7 +104,7 @@ def test_saturated_inputs_match_grid_search():
     agent = make_agent([[1.0]], [[1.0]], state=1e6, inp=1.0)
     ing = wide_ingredients(agent)
     ocp = plain_ocp(agent, ing, [10.0], 2)
-    sol = solve_inner(ocp, np.zeros(2))
+    sol = solve_one(ocp, np.zeros(2))
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.u_star, [-1.0, -1.0], atol=1e-6)
 
@@ -121,7 +125,7 @@ def test_terminal_ball_constrains_solution():
     ing = TerminalIngredients(K=base.K, P=np.eye(1), r=base.r, eps_r=0.1,
                               contraction=base.contraction)
     ocp = plain_ocp(agent, ing, [5.0], 2)
-    sol = solve_inner(ocp, np.zeros(2))
+    sol = solve_one(ocp, np.zeros(2))
     assert sol.status == "optimal"
     assert abs(sol.z_star[-1, 0]) <= 0.1 + 1e-6
 
@@ -143,7 +147,7 @@ def test_kkt_stationarity_inactive_constraints():
     ing = wide_ingredients(agent)
     ocp = plain_ocp(agent, ing, [0.5, -0.5], 3)
     lam = np.array([0.3, 0.1, 0.4])
-    sol = solve_inner(ocp, lam)
+    sol = solve_one(ocp, lam)
     assert sol.status == "optimal"
     grad = ocp.template.H @ sol.u_star + ocp.q + ocp.template.F.T @ lam
     assert np.linalg.norm(grad) <= 1e-5
@@ -161,7 +165,7 @@ def test_dual_function_concave_on_segments():
         la = rng.uniform(0, 2, size=3)
         lb = rng.uniform(0, 2, size=3)
         mid = 0.5 * (la + lb)
-        g = {key: dual_value(ocp, lam, solve_inner(ocp, lam))
+        g = {key: dual_value(ocp, lam, solve_one(ocp, lam))
              for key, lam in (("a", la), ("b", lb), ("m", mid))}
         assert g["m"] >= 0.5 * (g["a"] + g["b"]) - 1e-7
 
@@ -170,8 +174,8 @@ def test_deterministic_iterates():
     agent = make_agent([[1.05]], [[1.0]], state=5.0, inp=0.5)
     ing = synthesize(agent)
     ocp = plain_ocp(agent, ing, [1.5], 4)
-    a = solve_inner(ocp, np.zeros(4))
-    b = solve_inner(ocp, np.zeros(4))
+    a = solve_one(ocp, np.zeros(4))
+    b = solve_one(ocp, np.zeros(4))
     np.testing.assert_array_equal(a.u_star, b.u_star)
     assert a.iterations == b.iterations
     assert a.J_star == b.J_star
@@ -191,7 +195,7 @@ def test_centralized_single_agent_loose_coupling(default_scenario, default_pipel
                               p=sc.coupling.p)
     sols, total = solve_centralized(sub, [ing], [tz], sched, [sc.x0[0]])
     ocp = condense(default_pipeline.templates[0], sc.x0[0])
-    ref = solve_inner(ocp, np.zeros(sc.coupling.p * sc.N))
+    ref = solve_one(ocp, np.zeros(sc.coupling.p * sc.N))
     assert sols[0].status == "optimal"
     assert total == pytest.approx(ref.J_star, rel=1e-7)
     np.testing.assert_allclose(sols[0].u_star, ref.u_star, atol=1e-5)
@@ -248,7 +252,7 @@ def test_condensed_hessian_pd_and_cost_nonnegative(default_scenario, default_pip
     H = ocp.template.H
     np.testing.assert_allclose(H, H.T, atol=1e-12)
     assert np.linalg.eigvalsh(H).min() > 0
-    sol = solve_inner(ocp, np.zeros(ocp.template.F.shape[0]))
+    sol = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
     assert sol.J_star >= 0.0
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -277,7 +281,7 @@ def test_solve_inner_rejects_negative_lambda(default_scenario, default_pipeline)
     sc, pipe = default_scenario, default_pipeline
     ocp = condense(pipe.templates[0], sc.x0[0])
     with pytest.raises(ValueError, match="nonnegative"):
-        solve_inner(ocp, -np.ones(ocp.template.F.shape[0]))
+        solve_one(ocp, -np.ones(ocp.template.F.shape[0]))
 
 
 def test_zero_constraint_row_dropped_or_infeasible():
@@ -287,11 +291,11 @@ def test_zero_constraint_row_dropped_or_infeasible():
     ing = synthesize(agent)
     ocp = plain_ocp(agent, ing, [2.0, 1.0], 3)
     assert np.any(np.linalg.norm(ocp.template.rows_C, axis=1) == 0.0)
-    sol = solve_inner(ocp, np.zeros(3))
+    sol = solve_one(ocp, np.zeros(3))
     assert sol.status == "optimal"
     assert np.all(ocp.template.rows_C @ sol.u_star <= ocp.rows_rhs + 1e-6)
 
-    bad = solve_inner(plain_ocp(agent, ing, [9.0, 3.0], 3), np.zeros(3))  # x1(1) = 12
+    bad = solve_one(plain_ocp(agent, ing, [9.0, 3.0], 3), np.zeros(3))  # x1(1) = 12
     assert bad.status == "infeasible"
 
 
@@ -301,7 +305,7 @@ def test_subnormal_constraint_rows_dropped():
     agent = make_agent([[0.0]], [[2.22507386e-311]])
     ing = TerminalIngredients(K=np.zeros((1, 1)), P=np.eye(1), r=1.0, eps_r=1.0,
                               contraction=0.5)
-    sol = solve_inner(plain_ocp(agent, ing, [0.0], 2), np.zeros(2))
+    sol = solve_one(plain_ocp(agent, ing, [0.0], 2), np.zeros(2))
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.u_star, np.zeros(2), atol=1e-9)
 
@@ -321,3 +325,62 @@ def test_centralized_zero_psi_u_matches_admm(default_raw):
     assert converged
     total = sum(s.J_star for s in admm_sols)
     assert abs(total - central) / central <= 5e-3
+
+
+@st.composite
+def split_batches(draw):
+    """One split setup (SPD H, an all-zero row, a row pair a'u <= c1, -a'u <= c2,
+    random rows, one ball) and B columns of linear terms, rhs and ball offsets.
+
+    Column 0 has rhs < 0 on the zero row (infeasible before any iteration),
+    column 1 has c1 = c2 = -1 (no u satisfies both: it runs to the cap),
+    column 3 is feasible at u = 0 and column 2 repeats column 3's data.
+    """
+    k, r, nb, B = (draw(st.integers(1, 5)), draw(st.integers(0, 6)),
+                   draw(st.integers(1, 3)), draw(st.integers(4, 8)))
+    entries = st.floats(-1.5, 1.5)
+    L = draw(arrays(np.float64, (k, k), elements=entries))
+    a = draw(arrays(np.float64, k, elements=entries))
+    assume(np.linalg.norm(a) > 0.1)
+    rows = np.vstack([np.zeros((1, k)), a, -a,
+                      draw(arrays(np.float64, (r, k), elements=entries))])
+    ball_C = draw(arrays(np.float64, (nb, k), elements=entries))
+    G = draw(arrays(np.float64, (k, B), elements=st.floats(-5.0, 5.0)))
+    rhs = draw(arrays(np.float64, (rows.shape[0], B), elements=st.floats(0.0, 3.0)))
+    offsets = draw(arrays(np.float64, (nb, B), elements=entries))
+    rhs[0, 0] = -1.0
+    rhs[1:3, 1] = -1.0
+    offsets[:, 3] = 0.0
+    assume(np.linalg.norm(G[:, 3]) > 0.1)  # u = 0 would be the optimum at once
+    G[:, 2], rhs[:, 2], offsets[:, 2] = G[:, 3], rhs[:, 3], offsets[:, 3]
+    return (L @ L.T + 0.5 * np.eye(k), rows, ball_C, draw(st.floats(0.1, 5.0)),
+            G, rhs, offsets, draw(st.integers(100, 300)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(split_batches())
+def test_batched_columns_equal_solo_solves(case):
+    # every column of one batched call stops where a call with that column alone stops
+    H, rows, ball_C, radius, G, rhs, offsets, max_iter = case
+    setup = split_setup(H, rows, [ball_C], [radius])
+    B, total = G.shape[1], setup.C.shape[0]
+
+    def solo(j, warm=None):
+        return split_iterate(setup, G[:, [j]], rhs[:, [j]], [offsets[:, [j]]], 1e-8, max_iter,
+                             warm=warm)
+
+    cold = solo(3)
+    assume(cold[5] == ["converged"] and cold[2][0] > 1)
+    # column 2 restarts from column 3's final state, so it stops after far fewer iterations
+    S0, Y0 = np.zeros((total, B)), np.zeros((total, B))
+    S0[:, 2], Y0[:, 2] = cold[1][0][:, 0], cold[1][1][:, 0]
+    U, warm, iters, r_prim, r_dual, flags = split_iterate(
+        setup, G, rhs, [offsets], 1e-8, max_iter, warm=(S0, Y0))
+    for j in range(B):
+        u, _, it, _, _, flag = solo(j, warm=(S0[:, [j]], Y0[:, [j]]))
+        assert (flags[j], iters[j]) == (flag[0], it[0]), j
+        np.testing.assert_allclose(U[:, j], u[:, 0], rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(u).max()))
+    assert (flags[0], iters[0]) == ("infeasible", 0)
+    assert (flags[1], iters[1]) == ("iteration-cap", max_iter)
+    assert flags[3] == "converged" and iters[2] < iters[3]

@@ -98,6 +98,15 @@ def test_identical_agents_share_one_template(default_raw):
     pipe = prepare(validate_scenario(raw))
     assert all(pipe.templates[i] is pipe.templates[i % 4] for i in range(8))
     assert len({id(t) for t in pipe.templates}) == 4  # psi_u differs among the four
+    # the four differ only in their coupling rows: one split setup, four maps F
+    assert all(t.split is pipe.templates[0].split for t in pipe.templates)
+    Fs = [pipe.templates[i].F for i in range(4)]
+    assert not any(np.array_equal(Fs[i], Fs[j]) for i in range(4) for j in range(i))
+
+    raw["agents"][5]["R"] = [[0.2]]
+    pipe = prepare(validate_scenario(raw))
+    assert pipe.templates[5].split is not pipe.templates[1].split
+    assert all(pipe.templates[i].split is pipe.templates[0].split for i in range(8) if i != 5)
 
 
 def test_closed_loop_after_prepare_factors_nothing(default_scenario, default_pipeline,

@@ -5,13 +5,16 @@ under bench/ is imported, written or cached. A rename that breaks
 `bench/run.py --trace 1` fails here, inside the default test run.
 """
 
+import copy
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import tube_dmpc
 from tube_dmpc import cli, dual_admm, local_solver, simulator  # noqa: F401  (rebind targets)
+from tube_dmpc.model import validate_scenario
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -45,3 +48,40 @@ def test_traced_run_spans_match_counters(spans, default_scenario, default_pipeli
     condense = code == spans.CODE["local_solver.condense"]
     assert int(condense.sum()) == sum(len(rec.ocp_agents) for rec in log.triggers)
     assert int(spans.instant_ids(data).max()) + 1 == log.solve_instants()
+
+
+def replicated_eight(default_raw):
+    """Eight copies of the default agents: one split setup, so one lockstep group of 8."""
+    raw = copy.deepcopy(default_raw)
+    raw["agents"] = [copy.deepcopy(raw["agents"][i % 4]) for i in range(8)]
+    for key in ("psi_x", "psi_u"):
+        raw["coupling"][key] = [raw["coupling"][key][i % 4] for i in range(8)]
+    raw["coupling"]["rhs"] = [20.0]
+    return validate_scenario(raw)
+
+
+@pytest.mark.parametrize("case", ["periodic", "replicated-8"])
+def test_traced_grouped_runs_match_counters(spans, default_scenario, default_pipeline,
+                                            default_raw, case):
+    # one solve_inner span per group and ADMM iteration, its payload summed over the group
+    if case == "periodic":
+        scenario, pipeline = replace(default_scenario, trigger_mode="periodic"), default_pipeline
+    else:
+        scenario = replicated_eight(default_raw)
+        pipeline = simulator.prepare(scenario)
+        assert len({t.split for t in pipeline.templates}) == 1
+    tracer = spans.Tracer(tube_dmpc)
+    tracer.install()
+    try:
+        tracer.run = 0
+        log = simulator.run_closed_loop(scenario, pipeline=pipeline)
+    finally:
+        tracer.uninstall()
+    data = tracer.arrays()
+    code = data["code"]
+    inner = code == spans.CODE["local_solver.solve_inner"]
+    assert int(data["payload"][inner].sum()) == log.counters["inner_iterations"] > 0
+    # all agents share one split setup: one span per ADMM iteration plus the first solve
+    assert int(inner.sum()) == sum(rec.admm_iterations + 1 for rec in log.triggers)
+    condense = code == spans.CODE["local_solver.condense"]
+    assert int(condense.sum()) == sum(len(rec.ocp_agents) for rec in log.triggers)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tube_dmpc.model import AgentModel, HPolytope
-from tube_dmpc.local_solver import condense, solve_inner
+from tube_dmpc.local_solver import condense
 from tube_dmpc.synthesis import NORM_ONE_TOL, TerminalIngredients, error_gain
 from tube_dmpc.trigger import deviation_bound, g_profile, select_Mk
+
+from conftest import solve_one
 
 
 # -- references: the per-M loop and the scan that g_profile and select_Mk replace --
@@ -102,7 +104,7 @@ def test_cost_bound_zero_disturbance_is_negative(nominal_scenario):
     pipe = prepare(nominal_scenario)
     sc = nominal_scenario
     ocp = condense(pipe.templates[0], sc.x0[0])
-    sol = solve_inner(ocp, np.zeros(ocp.template.F.shape[0]))
+    sol = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
     assert sol.status == "optimal"
     for Mk in range(1, sc.N + 1):
         g = g_profile(sc.agents[0], sol, pipe.ingredients[0], sc.N)[Mk - 1]
@@ -115,7 +117,7 @@ def test_cost_bound_origin_zero(nominal_scenario):
     pipe = prepare(nominal_scenario)
     sc = nominal_scenario
     ocp = condense(pipe.templates[0], np.zeros(2))
-    sol = solve_inner(ocp, np.zeros(ocp.template.F.shape[0]))
+    sol = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
     g = g_profile(sc.agents[0], sol, pipe.ingredients[0], sc.N)[0]
     assert g == pytest.approx(0.0, abs=1e-8)
 
@@ -128,7 +130,7 @@ def test_cost_bound_upper_bounds_realized_difference(default_scenario,
     x0 = np.array([-10.0, -4.0])
     lam0 = np.zeros(sc.coupling.p * sc.N)
     ocp0 = condense(pipe.templates[0], x0)
-    sol0 = solve_inner(ocp0, lam0)
+    sol0 = solve_one(ocp0, lam0)
     assert sol0.status == "optimal"
     rng = np.random.default_rng(17)
     profile = g_profile(agent, sol0, ing, sc.N)
@@ -140,7 +142,7 @@ def test_cost_bound_upper_bounds_realized_difference(default_scenario,
             for l in range(Mk):
                 u = sol0.u_star[l * agent.m:(l + 1) * agent.m]
                 x = agent.A @ x + agent.B @ u + rng.uniform(-0.3, 0.3, size=2)
-            sol1 = solve_inner(condense(pipe.templates[0], x), lam0)
+            sol1 = solve_one(condense(pipe.templates[0], x), lam0)
             assert sol1.status == "optimal"
             assert sol1.J_star - sol0.J_star <= g + 1e-5
 
@@ -156,7 +158,7 @@ def test_select_zero_disturbance_prefers_full_horizon(nominal_scenario):
     pipe = prepare(nominal_scenario)
     sc = nominal_scenario
     ocp = condense(pipe.templates[0], sc.x0[0])
-    sol = solve_inner(ocp, np.zeros(ocp.template.F.shape[0]))
+    sol = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
     profile = g_profile(sc.agents[0], sol, pipe.ingredients[0], sc.N)
     assert np.all(np.diff(profile) < 0)  # strictly improving with longer M
     decision = select_Mk([profile])
