@@ -59,7 +59,7 @@ log = logging.getLogger("tube_dmpc")
 
 def load_scenario(path, overrides=None) -> Scenario:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=yaml.CSafeLoader)
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
         solver_over = {k: v for k, v in (overrides.get("_solver") or {}).items()
@@ -186,10 +186,9 @@ def cmd_compare(args) -> int:
         sc = replace(scenario, trigger_mode=mode)
         sim = run_closed_loop(sc, pipeline=pipeline, force=args.force)
         stage_cost = 0.0
-        for i, agent in enumerate(sc.agents):
-            xs = np.array([x[i] for x in sim.states[:-1]])
-            us = np.array([u[i] for u in sim.inputs])
-            stage_cost += float(stage_costs(agent, xs, us).sum())
+        for i, (g, j) in enumerate(sim.slots):
+            stage_cost += float(stage_costs(sc.agents[i], sim.x[g][:-1, j],
+                                            sim.u[g][:, j]).sum())
         margins = _constraint_margins(sc, sim)
         result[mode] = {
             "ocp_solve_instants": sim.solve_instants(),
@@ -210,14 +209,14 @@ def cmd_compare(args) -> int:
 
 def _constraint_margins(scenario, sim) -> dict:
     """Largest constraint excess over the run, the final state included."""
-    agents = tuple(enumerate(scenario.agents))
+    def worst(poly, rows):
+        return float(np.max(poly.G @ rows[..., None] - poly.h[:, None], initial=-np.inf))
+
+    agents = [(scenario.agents[i], g, j) for i, (g, j) in enumerate(sim.slots)]
     return {
-        "state": max((float(np.max(agent.X.G @ xs[i] - agent.X.h))
-                      for xs in sim.states for i, agent in agents), default=-np.inf),
-        "input": max((float(np.max(agent.U.G @ us[i] - agent.U.h))
-                      for us in sim.inputs for i, agent in agents), default=-np.inf),
-        "coupling": max((float(np.max(row - 1.0)) for row in sim.coupling),
-                        default=-np.inf),
+        "state": max(worst(agent.X, sim.x[g][:, j]) for agent, g, j in agents),
+        "input": max(worst(agent.U, sim.u[g][:, j]) for agent, g, j in agents),
+        "coupling": float(np.max(sim.coupling - 1.0, initial=-np.inf)),
     }
 
 

@@ -111,8 +111,12 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, w
     of rows_rhs (r, B) and of each ball's offset block (nb, B) is problem j's
     linear term, halfspace right-hand sides and ball offset. One batched
     iteration advances every problem still in the working set; a problem
-    leaves it at its own convergence, stall or iteration-cap test, so each
-    column follows the iterates it would follow alone. `warm` is the
+    leaves it at its own convergence, stall or iteration-cap test, and no
+    column reads another's data. Batched and single-column BLAS calls round
+    differently, so a column follows the iterates it would follow alone up to
+    rounding. Where its iterates are so large that their rounding approaches
+    `tol` (iterates near 1e8 at tol 1e-8), that rounding decides its residual
+    tests, and it can stop at another iteration than alone. `warm` is the
     splitting state (S, Y), each (total, B). Returns (U, (S, Y), iterations,
     r_primal, r_dual, flags), one column or entry per problem, with flags in
     {converged, iteration-cap, infeasible}. A row dropped by the setup (all

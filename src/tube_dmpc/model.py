@@ -74,12 +74,17 @@ class HPolytope:
         return True
 
 
-def membership(poly: HPolytope, y, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff G y <= h + tol component-wise."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != poly.dim:
-        raise ScenarioError(f"membership: point has dim {y.shape[0]}, polytope dim {poly.dim}")
-    return bool(np.all(poly.G @ y <= poly.h + tol))
+def membership(poly: HPolytope, y, tol: float = MEMBERSHIP_TOL):
+    """True iff G y <= h + tol component-wise.
+
+    y is one point (a bool is returned) or a (k, dim) stack of points (one
+    bool per row is returned).
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != poly.dim:
+        raise ScenarioError(f"membership: points of shape {y.shape}, polytope dim {poly.dim}")
+    inside = np.all(poly.G @ y[..., None] <= (poly.h + tol)[:, None], axis=(-2, -1))
+    return bool(inside) if y.ndim == 1 else inside
 
 
 @dataclass(frozen=True)
@@ -221,7 +226,8 @@ def _symmetrize_pd(mat, what) -> np.ndarray:
     return sym
 
 
-def _parse_agent(node, index) -> AgentModel:
+def _parse_agent(node, index, bounded: dict) -> AgentModel:
+    """One agent node; `bounded` caches is_bounded per polytope (G, h) bytes."""
     tag = f"agent {index}"
     A = np.atleast_2d(np.asarray(node["A"], dtype=float))
     n = A.shape[0]
@@ -242,7 +248,10 @@ def _parse_agent(node, index) -> AgentModel:
     for what, poly in (("state_set", X), ("input_set", U)):
         if not poly.contains_origin_strictly():
             raise ScenarioError(f"{tag}: origin not interior to {what}")
-        if not poly.is_bounded():
+        key = (poly.G.shape, poly.G.tobytes(), poly.h.tobytes())
+        if key not in bounded:
+            bounded[key] = poly.is_bounded()
+        if not bounded[key]:
             raise ScenarioError(f"{tag}: unbounded {what}")
 
     dist = node.get("disturbance", {})
@@ -308,7 +317,8 @@ def validate_scenario(raw: dict) -> Scenario:
     if not agent_nodes:
         raise ScenarioError("scenario needs at least one agent")
 
-    agents = tuple(_parse_agent(node, i) for i, node in enumerate(agent_nodes))
+    bounded = {}
+    agents = tuple(_parse_agent(node, i, bounded) for i, node in enumerate(agent_nodes))
 
     N = int(raw.get("horizon", 0))
     if N < 1:

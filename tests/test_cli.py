@@ -107,6 +107,18 @@ def test_run_coupled_infeasible_exit_four(tmp_path, capsys):
     assert "row block 0" in capsys.readouterr().err
 
 
+def test_montecarlo_reports_aborted_runs(tmp_path):
+    # every run aborts at t = 0; the partial logs are still checked and reported
+    code = main(["montecarlo", "--scenario", COUPLED_INFEASIBLE, "--out", str(tmp_path),
+                 "--runs", "2", "--max-iter", "50"])
+    assert code == 1
+    report = json.loads((tmp_path / "montecarlo.json").read_text())
+    assert [run for run, _ in report["failures"]] == [0, 1]
+    assert all("did not converge at t = 0" in why for _, why in report["failures"])
+    assert report["recursive_feasible_runs"] == [False, False]
+    assert report["local_violations"] == 0 and report["global_violations"] == 0
+
+
 def test_montecarlo_small_campaign(tmp_path):
     code = main(["montecarlo", "--scenario", SCENARIO, "--out", str(tmp_path),
                  "--runs", "5"])
@@ -189,6 +201,6 @@ def test_compare_margins_include_final_state(default_scenario, default_pipeline)
     sc = default_scenario
     log = run_closed_loop(sc, pipeline=default_pipeline)
     assert _constraint_margins(sc, log)["state"] <= 1e-6
-    log.states[sc.T_run][0] = np.array([21.0, 0.0])  # X is the box |x1| <= 20, |x2| <= 5
+    log.states[sc.T_run][0][:] = [21.0, 0.0]  # X is the box |x1| <= 20, |x2| <= 5
     assert log.local_violations(sc) == 1
     assert _constraint_margins(sc, log)["state"] == pytest.approx(1.0)

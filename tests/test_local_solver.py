@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tube_dmpc.dual_admm import run_admm
@@ -357,16 +357,32 @@ def split_batches(draw):
             G, rhs, offsets, draw(st.integers(100, 300)))
 
 
+# ball scale 1e9 makes column 4's iterates about 1e8, where one ulp (1.49e-8) exceeds
+# tol = 1e-8: batched it converged at iteration 63, alone it ran to the cap
+ROUNDING_BOUND_CASE = (
+    0.5 * np.eye(4),
+    np.array([[0.0, 0, 0, 0], [0, 1, 0, 0], [0, -1, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0]]),
+    np.array([[1e-9, 0, 0, 0]]), 0.25, np.ones((4, 5)),
+    np.array([[-1.0, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 0, 0, 0],
+              [0, 0, 0, 0, 0]]),
+    np.array([[-0.375, -0.375, 0, 0, -0.375]]), 100)
+ROUNDING_ULPS = 2.0 ** 10  # iterates whose ulp is within this factor of tol are rounding-bound
+
+
 @settings(max_examples=30, deadline=None)
 @given(split_batches())
+@example(ROUNDING_BOUND_CASE)
 def test_batched_columns_equal_solo_solves(case):
-    # every column of one batched call stops where a call with that column alone stops
+    # every column of one batched call follows the call with that column alone: the
+    # same flag and iteration count, unless its iterates are so large that their
+    # rounding (which batched and single-column BLAS calls do differently) reaches tol
     H, rows, ball_C, radius, G, rhs, offsets, max_iter = case
+    tol = 1e-8
     setup = split_setup(H, rows, [ball_C], [radius])
     B, total = G.shape[1], setup.C.shape[0]
 
     def solo(j, warm=None):
-        return split_iterate(setup, G[:, [j]], rhs[:, [j]], [offsets[:, [j]]], 1e-8, max_iter,
+        return split_iterate(setup, G[:, [j]], rhs[:, [j]], [offsets[:, [j]]], tol, max_iter,
                              warm=warm)
 
     cold = solo(3)
@@ -375,10 +391,15 @@ def test_batched_columns_equal_solo_solves(case):
     S0, Y0 = np.zeros((total, B)), np.zeros((total, B))
     S0[:, 2], Y0[:, 2] = cold[1][0][:, 0], cold[1][1][:, 0]
     U, warm, iters, r_prim, r_dual, flags = split_iterate(
-        setup, G, rhs, [offsets], 1e-8, max_iter, warm=(S0, Y0))
+        setup, G, rhs, [offsets], tol, max_iter, warm=(S0, Y0))
     for j in range(B):
-        u, _, it, _, _, flag = solo(j, warm=(S0[:, [j]], Y0[:, [j]]))
-        assert (flags[j], iters[j]) == (flag[0], it[0]), j
+        u, (S, Y), it, _, _, flag = solo(j, warm=(S0[:, [j]], Y0[:, [j]]))
+        scale = max(1.0, np.abs(u).max(), np.abs(S).max(), np.abs(Y).max())
+        if np.spacing(scale) * ROUNDING_ULPS < tol:
+            assert (flags[j], iters[j]) == (flag[0], it[0]), j
+        else:
+            assert flags[j] == flag[0] or {flags[j], flag[0]} <= {"converged",
+                                                                 "iteration-cap"}, j
         np.testing.assert_allclose(U[:, j], u[:, 0], rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(u).max()))
     assert (flags[0], iters[0]) == ("infeasible", 0)

@@ -17,12 +17,15 @@ from conftest import load_raw
 
 def test_step_plant_zero():
     agent = validate_scenario(load_raw("four_agent.yaml")).agents[0]
-    np.testing.assert_array_equal(step_plant(agent, [0, 0], [0.0], [0, 0]), [0, 0])
+    np.testing.assert_array_equal(
+        step_plant(agent.A, agent.B, np.zeros(2), np.zeros(1), np.zeros(2)), [0, 0])
 
 
 def test_step_plant_first_column(default_scenario):
     agent = default_scenario.agents[0]
-    np.testing.assert_allclose(step_plant(agent, [1, 0], [0.0], [0, 0]), [1.1, 0.35])
+    np.testing.assert_allclose(
+        step_plant(agent.A, agent.B, np.array([1.0, 0.0]), np.zeros(1), np.zeros(2)),
+        [1.1, 0.35])
 
 
 def test_step_plant_superposition(default_scenario):
@@ -30,31 +33,29 @@ def test_step_plant_superposition(default_scenario):
     rng = np.random.default_rng(0)
     for _ in range(10):
         x, u, w = rng.normal(size=2), rng.normal(size=1), rng.normal(size=2)
-        np.testing.assert_allclose(step_plant(agent, x, u, w),
-                                   step_plant(agent, x, u, np.zeros(2)) + w)
+        np.testing.assert_allclose(step_plant(agent.A, agent.B, x, u, w),
+                                   step_plant(agent.A, agent.B, x, u, np.zeros(2)) + w)
 
 
 def test_sampler_stays_in_box(default_scenario):
     sampler = DisturbanceSampler(default_scenario.agents, seed=3)
-    for _ in range(200):
-        for i in range(default_scenario.M):
-            w = sampler.sample(i)
-            assert np.all(np.abs(w) <= 0.3)
+    for i in range(default_scenario.M):
+        w = sampler.sample(i, 200)
+        assert w.shape == (200, 2)
+        assert np.all(np.abs(w) <= 0.3)
 
 
 def test_sampler_extreme_hits_corners(default_scenario):
     sampler = DisturbanceSampler(default_scenario.agents, seed=3, mode="extreme")
-    for _ in range(50):
-        w = sampler.sample(0)
-        np.testing.assert_allclose(np.abs(w), [0.3, 0.3])
+    w = sampler.sample(0, 50)
+    np.testing.assert_allclose(np.abs(w), np.tile([0.3, 0.3], (50, 1)))
 
 
 def test_sampler_reproducible(default_scenario):
     a = DisturbanceSampler(default_scenario.agents, seed=5)
     b = DisturbanceSampler(default_scenario.agents, seed=5)
-    for _ in range(20):
-        for i in range(default_scenario.M):
-            np.testing.assert_array_equal(a.sample(i), b.sample(i))
+    for i in range(default_scenario.M):
+        np.testing.assert_array_equal(a.sample(i, 20), b.sample(i, 20))
 
 
 def test_pure_terminal_run_contracts(nominal_scenario):
@@ -277,6 +278,38 @@ def test_admm_failure_aborts_with_partial_log(default_scenario, default_pipeline
     with pytest.raises(simulator.SimulationAborted, match="did not converge") as exc:
         run_closed_loop(default_scenario, pipeline=default_pipeline)
     assert exc.value.log is not None  # partial log attached for diagnostics
+
+
+def test_aborted_log_covers_the_steps_made(default_scenario, default_pipeline,
+                                          monkeypatch, tmp_path):
+    # the second instant fails: the partial log holds exactly the steps before it
+    real_run = simulator.run_admm
+    sched = default_pipeline.schedule
+    calls = []
+
+    def second_fails(ocps, params, **kw):
+        sols, state, converged = real_run(ocps, params, **kw)
+        calls.append(len(calls))
+        if len(calls) == 2:
+            state.coupling_excess = 10.0 * np.repeat(sched.eps[:-1] / 2.0, sched.p)
+            converged = False
+        return sols, state, converged
+
+    monkeypatch.setattr(simulator, "run_admm", second_fails)
+    with pytest.raises(simulator.SimulationAborted) as exc:
+        run_closed_loop(default_scenario, pipeline=default_pipeline)
+    log = exc.value.log
+    steps = log.triggers[0].Mk_applied
+    assert 0 < steps == log.steps < log.T_run
+    assert len(log.states) == steps + 1 and len(log.inputs) == steps
+    assert log.coupling.shape == (steps, log.p) and log.modes.shape == (steps, log.M)
+    assert log.local_violations(default_scenario) == 0 and log.global_violations() == 0
+    simulator.write_trace_csv(log, default_scenario, tmp_path / "trace.csv")
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + steps * log.M
+    write_summary_json(log, default_scenario, tmp_path / "summary.json")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["max_coupling_value"] == float(log.coupling.max())
+    assert summary["final_states"] == [x.tolist() for x in log.states[steps]]
 
 
 def hetero_raw():
