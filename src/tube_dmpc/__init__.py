@@ -6,8 +6,8 @@ from .synthesis import (CertificateReport, TerminalIngredients, certify,
                         lqr_gain, synthesize, terminal_radii, terminal_weight)
 from .tightening import (TightenedSets, ToleranceSchedule, coupling_terms,
                          tighten_local_sets, tolerance_schedule)
-from .local_solver import (CondensedOcp, OcpSolution, OcpTemplate, condense,
-                           ocp_template, solve_centralized, solve_inner)
+from .local_solver import (AgentGroup, CondensedOcp, OcpSolution, agent_group, agent_groups,
+                           condense, group_members, solve_centralized, solve_inner)
 from .dual_admm import (AdmmError, AdmmState, consensus_adjoint, consensus_diff,
                         run_admm)
 from .trigger import TriggerDecision, deviation_bound, select_Mk
@@ -21,8 +21,8 @@ __all__ = [
     "synthesize", "terminal_radii", "terminal_weight",
     "TightenedSets", "ToleranceSchedule", "coupling_terms",
     "tighten_local_sets", "tolerance_schedule",
-    "CondensedOcp", "OcpSolution", "OcpTemplate", "condense", "ocp_template",
-    "solve_centralized", "solve_inner",
+    "AgentGroup", "CondensedOcp", "OcpSolution", "agent_group", "agent_groups", "condense",
+    "group_members", "solve_centralized", "solve_inner",
     "AdmmError", "AdmmState", "consensus_adjoint", "consensus_diff", "run_admm",
     "TriggerDecision", "deviation_bound", "select_Mk",
     "DisturbanceSampler", "MonteCarloReport", "Pipeline", "SimLog",

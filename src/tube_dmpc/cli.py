@@ -60,12 +60,12 @@ log = logging.getLogger("tube_dmpc")
 def load_scenario(path, overrides=None) -> Scenario:
     with open(path) as fh:
         raw = yaml.load(fh, Loader=yaml.CSafeLoader)
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+    if overrides and isinstance(raw, dict):
+        raw.update({k: v for k, v in overrides.items() if v is not None and k != "_solver"})
         solver_over = {k: v for k, v in (overrides.get("_solver") or {}).items()
                        if v is not None}
         if solver_over:
-            raw["solver"] = {**raw.get("solver", {}), **solver_over}
+            raw["solver"] = {**(raw.get("solver") or {}), **solver_over}
     return validate_scenario(raw)
 
 

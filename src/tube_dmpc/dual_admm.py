@@ -11,7 +11,7 @@ from .local_solver import CondensedOcp, OcpSolution, solve_inner
 
 
 class AdmmError(RuntimeError):
-    """Raised when an inner subproblem fails inside the dual iteration."""
+    """Raised when an inner subproblem fails inside the dual iteration (agent_index: the agent)."""
 
     def __init__(self, message, agent_index=None):
         super().__init__(message)
@@ -76,9 +76,9 @@ def omega_update(omega, lambdas, rho: float, gamma: float) -> np.ndarray:
 def default_tau(ocps, rho: float, M: int) -> float:
     """Stepsize weight: consensus-penalty curvature plus worst dual curvature.
 
-    Each agent's dual curvature ||F H^-1 F'||_2 is fixed by its OCP template.
+    Each agent's dual curvature ||F H^-1 F'||_2 is fixed by its agent group.
     """
-    curv = max(ocp.template.dual_curvature for ocp in ocps)
+    curv = max(float(ocp.group.dual_curvature[ocp.slots].max()) for ocp in ocps)
     return rho * consensus_gain(M) + max(curv, 1e-8)
 
 
@@ -86,50 +86,47 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
              trace_path=None) -> tuple[list[OcpSolution], AdmmState, bool]:
     """Algorithm loop: lambda step, inner solves, omega step, until residuals pass.
 
-    Convergence requires the consensus residual, the per-agent multiplier
-    change and the aggregate coupling violation to fall below tolerance.
-    When trace_path is given, one CSV row (iter, primal_res, dual_res,
-    total_cost) is appended per iteration.
+    `ocps` holds one CondensedOcp per agent group; the multiplier copies are
+    stacked in agent order, and each group is solved in lockstep. Returns one
+    OcpSolution per entry of `ocps`. Convergence requires the consensus
+    residual, the per-agent multiplier change and the aggregate coupling
+    violation to fall below tolerance. When trace_path is given, one CSV row
+    (iter, primal_res, dual_res, total_cost) is appended per iteration.
     """
-    M = len(ocps)
-    d = ocps[0].template.F.shape[0]
-    b_shares = np.array([ocp.b_share for ocp in ocps])
+    agents = np.sort(np.concatenate([ocp.agents for ocp in ocps]))
+    rows = [np.searchsorted(agents, ocp.agents) for ocp in ocps]  # each group's rows
+    M, d = agents.size, ocps[0].F.shape[1]
+    b_shares = np.empty((M, d))
+    for ocp, r in zip(ocps, rows):
+        b_shares[r] = ocp.b_share
     tau = params.tau if params.tau is not None else default_tau(ocps, params.rho, M)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     if tau < params.rho * consensus_gain(M):
         raise ValueError("tau below rho * sigma_max(E'E); proximal step would not majorize")
 
     state = AdmmState(lambdas=np.zeros((M, d)), omega=np.zeros((M - 1, d)),
                       coupling_excess=np.full(d, np.inf))
-    members = {}  # agents that share a split setup, in agent order
-    for i, ocp in enumerate(ocps):
-        members.setdefault(ocp.template.split, []).append(i)
-    groups = [(idx, [ocps[i] for i in idx]) for idx in members.values()]
-    results = [None] * len(groups)  # each group's latest InnerResult
+    results = [None] * len(ocps)  # each group's latest InnerResult
 
     def inner(lambdas) -> np.ndarray:
         """One lockstep solve per group; returns the coupling values, one row per agent."""
         f_values = np.empty((M, d))
         infeasible = []
-        for g, (idx, group) in enumerate(groups):
-            warm = results[g].warm if results[g] is not None else None
-            results[g] = solve_inner(group, lambdas[idx], warm,
+        for k, (ocp, r) in enumerate(zip(ocps, rows)):
+            warm = results[k].warm if results[k] is not None else None
+            results[k] = solve_inner(ocp, lambdas[r], warm,
                                      tol=params.inner_tol, max_iter=params.inner_max_iter)
-            state.total_inner_iterations += results[g].iterations
-            f_values[idx] = results[g].coupling_values()
-            infeasible += [idx[j] for j in results[g].infeasible()]
+            state.total_inner_iterations += results[k].iterations
+            f_values[r] = ocp.coupling_values(results[k].u)
+            # flagged infeasible with an infeasible final iterate
+            bad = (np.asarray(results[k].flags) == "infeasible") & ~ocp.feasible(results[k].u)
+            infeasible += ocp.agents[bad].tolist()
         if infeasible:
             i = min(infeasible)
             raise AdmmError(f"inner problem infeasible for agent {i}", agent_index=i)
         return f_values
 
     def solutions() -> list:
-        sols = [None] * M
-        for (idx, _), result in zip(groups, results):
-            for i, sol in zip(idx, result.solutions):
-                sols[i] = sol
-        return sols
+        return [result.solution for result in results]
 
     f_values = inner(state.lambdas)
     b_total = b_shares.sum(axis=0)
@@ -153,7 +150,7 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
             state.lambdas = new_lambdas
             state.iteration = k
             if trace is not None:
-                total_cost = sum(sol.J_star for sol in solutions())
+                total_cost = sum(float(sol.J_star.sum()) for sol in solutions())
                 trace.write(f"{k},{state.primal_residual:.17g},"
                             f"{state.dual_residual:.17g},{total_cost:.17g}\n")
 

@@ -39,7 +39,7 @@ def rollout_maps(A, B, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_only(obj):
-    """Clear the write flag of every array field of a template (tuples included)."""
+    """Clear the write flag of every array field of a setup or group (tuples included)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         for arr in value if isinstance(value, tuple) else (value,):
@@ -205,24 +205,28 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, w
 
 
 @dataclass(frozen=True, eq=False)
-class OcpTemplate:
-    """State-independent part of one agent's condensed OCP, built once per scenario.
+class AgentGroup:
+    """Agents with one model (A, B, Q, R, X, U, w_bar) and their offline data.
 
-    Only q, c0, the halfspace right-hand sides, the ball offset and f0 depend
-    on the state x0; `condense` reads them off these arrays. `W[l - 1]` is the
-    stage weight at step l (P at l = N), `q_maps[l - 1]` = 2 Gamma[l]' W[l - 1],
-    `rhs_G`/`rhs_h` are the tightened state sets Z[1..N-1], `rhs_U` the input
-    rows over the horizon, `ball_map` = L' with P = L L', and `f0_map` the x0
-    part of the coupling map. `feedback_coupling` maps x to the stacked coupling
-    values (Psi_x + Psi_u K)(A + BK)^l x, l < N, of the terminal-feedback plan.
-    `dual_curvature` is ||F H^-1 F'||_2 and `split` the splitting solver's
-    setup. Every array is read-only.
+    Member j is agent index[j] (agent order). The members share `agent`, the
+    terminal ingredients `ing` and the state-independent part of the condensed
+    OCP: `W[l - 1]` is the stage weight at step l (P at l = N), `q_maps[l - 1]`
+    = 2 Gamma[l]' W[l - 1], `rhs_G`/`rhs_h` are the tightened state sets
+    Z[1..N-1], `rhs_U` the input rows over the horizon, `ball_map` = L' with
+    P = L L', and `split` the splitting solver's setup. Their coupling data are
+    stacked along axis 0, one entry per member: the rows Psi_x and Psi_u, the
+    coupling map F with its x0 part `f0_map`, `feedback_coupling` (x to the
+    stacked coupling values (Psi_x + Psi_u K)(A + BK)^l x, l < N, of the
+    terminal-feedback plan) and `dual_curvature` ||F H^-1 F'||_2. Every array
+    is read-only.
     """
 
+    index: np.ndarray
+    agent: AgentModel
+    ing: TerminalIngredients
     Phi: np.ndarray
     Gamma: np.ndarray
     H: np.ndarray
-    Q: np.ndarray
     W: tuple
     q_maps: tuple
     rows_C: np.ndarray
@@ -231,24 +235,25 @@ class OcpTemplate:
     rhs_U: np.ndarray
     ball_map: np.ndarray
     ball_C: np.ndarray
-    ball_radius: float
+    Psi_x: np.ndarray
+    Psi_u: np.ndarray
     F: np.ndarray
     f0_map: np.ndarray
     feedback_coupling: np.ndarray
-    dual_curvature: float
+    dual_curvature: np.ndarray
     split: SplitSetup = field(repr=False)
 
 
-def ocp_template(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSets,
-                 Psi_x, Psi_u, N: int, split: SplitSetup | None = None) -> OcpTemplate:
-    """Assemble everything of the condensed OCP that does not depend on x0.
+def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSets,
+                Psi_x, Psi_u, N: int, index=None) -> AgentGroup:
+    """Assemble the offline data of the agents `index` that share `agent`'s model.
 
-    `split` is the setup of an agent with equal solver data, if one was built.
+    Psi_x[j] and Psi_u[j] are member j's coupling rows; `index` defaults to
+    0, 1, ..., one per pair of rows.
     """
-    n, m, p = agent.n, agent.m, Psi_x.shape[0]
+    n, m = agent.n, agent.m
     Phi, Gamma = rollout_maps(agent.A, agent.B, N)
-    Q = np.array(agent.Q)
-    W = (Q,) * (N - 1) + (np.array(ing.P),)
+    W = (np.array(agent.Q),) * (N - 1) + (np.array(ing.P),)
 
     H = np.zeros((N * m, N * m))
     q_maps = []
@@ -270,125 +275,164 @@ def ocp_template(agent: AgentModel, ing: TerminalIngredients, tightened: Tighten
     ball_map = L.T
     ball_C = ball_map @ Gamma[N]
 
-    # coupling block l: Psi_x z(l) + Psi_u u(l), from the same rollout
-    F = (Psi_x @ Gamma[:N]).reshape(N * p, N * m) + np.kron(np.eye(N), Psi_u)
-    f0_map = (Psi_x @ Phi[:N]).reshape(N * p, n)
-    K = ing.K
-    Phi_K, _ = rollout_maps(agent.A + agent.B @ K, agent.B, N)
-    feedback_coupling = ((Psi_x + Psi_u @ K) @ Phi_K[:N]).reshape(N * p, n)
-
-    template = OcpTemplate(
-        Phi=Phi, Gamma=Gamma, H=H, Q=Q, W=W, q_maps=tuple(q_maps), rows_C=rows_C,
+    # coupling block l of member j: Psi_x[j] z(l) + Psi_u[j] u(l), from the same rollout
+    Psi_x, Psi_u = np.stack(Psi_x), np.stack(Psi_u)
+    size, p = Psi_x.shape[:2]
+    F = (Psi_x[:, None] @ Gamma[:N]).reshape(size, N * p, N * m) + np.kron(np.eye(N), Psi_u)
+    Phi_K, _ = rollout_maps(agent.A + agent.B @ ing.K, agent.B, N)
+    group = AgentGroup(
+        index=np.arange(size) if index is None else np.array(index), agent=agent, ing=ing,
+        Phi=Phi, Gamma=Gamma, H=H, W=W, q_maps=tuple(q_maps), rows_C=rows_C,
         rhs_G=tuple(np.array(tightened.Z[l].G) for l in range(1, N)),
         rhs_h=tuple(np.array(tightened.Z[l].h) for l in range(1, N)),
         rhs_U=np.tile(agent.U.h, N), ball_map=ball_map, ball_C=ball_C,
-        ball_radius=ing.eps_r, F=F, f0_map=f0_map, feedback_coupling=feedback_coupling,
-        dual_curvature=float(np.linalg.norm(F @ np.linalg.solve(H, F.T), 2)),
-        split=split if split is not None else split_setup(H, rows_C, [ball_C], [ing.eps_r]))
-    _read_only(template)
-    return template
+        Psi_x=Psi_x, Psi_u=Psi_u, F=F,
+        f0_map=(Psi_x[:, None] @ Phi[:N]).reshape(size, N * p, n),
+        feedback_coupling=((Psi_x + Psi_u @ ing.K)[:, None] @ Phi_K[:N]).reshape(size, N * p, n),
+        dual_curvature=np.linalg.norm(F @ np.linalg.solve(H, F.transpose(0, 2, 1)), 2,
+                                      axis=(1, 2)),
+        split=split_setup(H, rows_C, [ball_C], [ing.eps_r]))
+    _read_only(group)
+    return group
 
 
-@dataclass(frozen=True)
+def group_members(agents) -> list:
+    """Agent indices per distinct model (A, B, Q, R, X, U, w_bar), in order of first appearance.
+
+    This is where agents are grouped: the agents of one entry share their
+    terminal ingredients, tightened sets, OCP data and split setup.
+    """
+    members = {}
+    for i, a in enumerate(agents):
+        arrays = (a.A, a.B, a.Q, a.R, a.X.G, a.X.h, a.U.G, a.U.h)
+        key = tuple((x.shape, x.tobytes()) for x in arrays) + (a.w_bar,)
+        members.setdefault(key, []).append(i)
+    return [np.array(idx) for idx in members.values()]
+
+
+def agent_groups(scenario: Scenario, ingredients, tightened, members=None) -> tuple:
+    """One AgentGroup per entry of `members` (by default group_members of the agents).
+
+    `ingredients` and `tightened` hold one entry per agent.
+    """
+    if members is None:
+        members = group_members(scenario.agents)
+    Psi_x, Psi_u = scenario.coupling.Psi_x, scenario.coupling.Psi_u
+    return tuple(agent_group(scenario.agents[idx[0]], ingredients[idx[0]], tightened[idx[0]],
+                             [Psi_x[i] for i in idx], [Psi_u[i] for i in idx], scenario.N, idx)
+                 for idx in members)
+
+
+@dataclass(frozen=True, eq=False)
 class CondensedOcp:
-    """State-eliminated OCP: J(u) = 0.5 u'Hu + q'u + c0 over stacked inputs.
+    """State-eliminated OCPs of some members of one group, one row per member.
 
-    Constraint bundle: halfspace rows (rows_C u <= rows_rhs), the terminal
-    ellipsoid ||ball_C u + ball_off|| <= ball_radius, and the affine coupling
-    map f(u) = f0 + F u with per-agent share b_share of the tightened RHS.
-    The state-independent matrices live in `template`.
+    Row j is member slots[j], agent agents[j]: J_j(u) = 0.5 u'Hu + q[j]'u +
+    c0[j] over its stacked inputs, subject to the halfspace rows rows_C u <=
+    rows_rhs[j] and the terminal ellipsoid ||ball_C u + ball_off[j]|| <= eps_r,
+    with the affine coupling map f_j(u) = f0[j] + F[j] u and share b_share of
+    the tightened RHS. The state-independent matrices live in `group`.
     """
 
-    template: OcpTemplate
+    group: AgentGroup
+    slots: np.ndarray
     x0: np.ndarray
     q: np.ndarray
-    c0: float
+    c0: np.ndarray
     rows_rhs: np.ndarray
     ball_off: np.ndarray
     f0: np.ndarray
+    F: np.ndarray
     b_share: np.ndarray
 
-    def trajectory(self, u: np.ndarray) -> np.ndarray:
-        return self.template.Phi @ self.x0 + self.template.Gamma @ u
+    @property
+    def agents(self) -> np.ndarray:
+        return self.group.index[self.slots]
 
-    def cost(self, u: np.ndarray) -> float:
-        return float(0.5 * u @ self.template.H @ u + self.q @ u + self.c0)
+    def trajectory(self, U) -> np.ndarray:
+        """Nominal states z(0..N) under the input rows U, shape (rows, N + 1, n)."""
+        g = self.group
+        return (g.Phi @ self.x0[:, None, :, None] + g.Gamma @ U[:, None, :, None])[..., 0]
 
-    def coupling_values(self, u: np.ndarray) -> np.ndarray:
-        return self.f0 + self.template.F @ u
+    def cost(self, U) -> np.ndarray:
+        return (((0.5 * U)[:, None, :] @ self.group.H @ U[:, :, None])[:, 0, 0]
+                + (self.q[:, None, :] @ U[:, :, None])[:, 0, 0] + self.c0)
+
+    def coupling_values(self, U) -> np.ndarray:
+        return self.f0 + (self.F @ U[:, :, None])[:, :, 0]
+
+    def feasible(self, U) -> np.ndarray:
+        g = self.group
+        viol = np.max((g.rows_C @ U[:, :, None])[..., 0] - self.rows_rhs, axis=1,
+                      initial=-np.inf)
+        ball = (np.linalg.norm((g.ball_C @ U[:, :, None])[..., 0] + self.ball_off, axis=1)
+                - g.ing.eps_r)
+        return (viol <= FEAS_TOL) & (ball <= FEAS_TOL)
 
 
 @dataclass
 class OcpSolution:
-    """Solver output for one agent at one state."""
+    """Solver output for the rows of one CondensedOcp (row j: its agent agents[j])."""
 
     u_star: np.ndarray
     z_star: np.ndarray
-    J_star: float
-    status: str  # optimal | infeasible | iteration-cap
-    residual_primal: float
-    residual_dual: float
-    iterations: int
+    J_star: np.ndarray
+    status: tuple  # per row: optimal | infeasible | iteration-cap
+    residual_primal: np.ndarray
+    residual_dual: np.ndarray
+    iterations: np.ndarray
 
 
-def condense(template: OcpTemplate, x0, b_share=None) -> CondensedOcp:
-    """The condensed OCP of `template` at state x0 (only the x0-dependent terms)."""
-    t = template
-    x0 = np.asarray(x0, dtype=float).ravel()
-    N = len(t.W)
-    free = [Phi_l @ x0 for Phi_l in t.Phi]  # input-free rollout z(l) = A^l x0
+def condense(group: AgentGroup, x0, slots=None, b_share=None) -> CondensedOcp:
+    """The condensed OCPs of the members `slots` (default: all) at the state rows x0.
 
-    q = np.zeros(t.H.shape[0])
-    c0 = float(x0 @ t.Q @ x0)
+    Only the x0-dependent terms are computed, one stacked product per plan step.
+    """
+    g = group
+    slots = np.arange(g.index.size) if slots is None else np.asarray(slots)
+    X = np.asarray(x0, dtype=float).reshape(slots.size, -1)
+    col = X[:, :, None]
+    free = [Phi_l @ col for Phi_l in g.Phi]  # input-free rollout z(l) = A^l x0, as columns
+    N = len(g.W)
+
+    q = np.zeros((slots.size, g.H.shape[0]))
+    c0 = (X[:, None, :] @ g.agent.Q @ col)[:, 0, 0]
     for l in range(1, N + 1):
-        q += t.q_maps[l - 1] @ free[l]
-        c0 += float(x0 @ t.Phi[l].T @ t.W[l - 1] @ t.Phi[l] @ x0)
+        q += (g.q_maps[l - 1] @ free[l])[..., 0]
+        c0 += (X[:, None, :] @ g.Phi[l].T @ g.W[l - 1] @ g.Phi[l] @ col)[:, 0, 0]
 
-    rows_rhs = np.concatenate([h - G @ free[l]
-                               for l, G, h in zip(range(1, N), t.rhs_G, t.rhs_h)]
-                              + [t.rhs_U])
-    f0 = t.f0_map @ x0
+    rows_rhs = np.concatenate([h - (G @ free[l])[..., 0]
+                               for l, G, h in zip(range(1, N), g.rhs_G, g.rhs_h)]
+                              + [np.broadcast_to(g.rhs_U, (slots.size, g.rhs_U.size))], axis=1)
+    F = g.F[slots]
     if b_share is None:
-        b_share = np.zeros(f0.shape[0])
-    return CondensedOcp(template=t, x0=x0, q=q, c0=c0, rows_rhs=rows_rhs,
-                        ball_off=t.ball_map @ free[N], f0=f0,
+        b_share = np.zeros(F.shape[1])
+    return CondensedOcp(group=g, slots=slots, x0=X, q=q, c0=c0, rows_rhs=rows_rhs,
+                        ball_off=(g.ball_map @ free[N])[..., 0],
+                        f0=(g.f0_map[slots] @ col)[..., 0], F=F,
                         b_share=np.asarray(b_share, dtype=float))
 
 
-def _feasible(ocp: CondensedOcp, u) -> bool:
-    t = ocp.template
-    viol = 0.0
-    if t.rows_C.shape[0]:
-        viol = float(np.max(t.rows_C @ u - ocp.rows_rhs))
-    ball_viol = float(np.linalg.norm(t.ball_C @ u + ocp.ball_off) - t.ball_radius)
-    return viol <= FEAS_TOL and ball_viol <= FEAS_TOL
-
-
-def _solution_from(ocp: CondensedOcp, u, iters, rp, rd, flag) -> OcpSolution:
-    feasible = _feasible(ocp, u)
-    if flag == "converged" and feasible:
-        status = "optimal"
-    elif flag == "infeasible" and not feasible:
-        status = "infeasible"
-    else:
-        status = "iteration-cap"
-    return OcpSolution(u_star=u, z_star=ocp.trajectory(u), J_star=ocp.cost(u),
-                       status=status, residual_primal=rp, residual_dual=rd,
+def _solution_from(ocp: CondensedOcp, U, iters, rp, rd, flags) -> OcpSolution:
+    feasible = ocp.feasible(U)
+    flags = np.asarray(flags)
+    status = np.where((flags == "converged") & feasible, "optimal",
+                      np.where((flags == "infeasible") & ~feasible, "infeasible", "iteration-cap"))
+    return OcpSolution(u_star=U, z_star=ocp.trajectory(U), J_star=ocp.cost(U),
+                       status=tuple(status.tolist()), residual_primal=rp, residual_dual=rd,
                        iterations=iters)
 
 
 @dataclass(frozen=True, eq=False)
 class InnerResult:
-    """Lockstep inner solve of a group of agents that share one SplitSetup.
+    """Lockstep inner solve of the rows of one CondensedOcp.
 
-    Row j of `u` and entry j of the per-agent arrays belong to ocps[j]; `F`
-    stacks their coupling maps. `warm` is the group's splitting state and
-    `iterations` the inner iterations summed over the group. The per-agent
-    OcpSolutions are assembled on first access to `solutions`.
+    Row j of `u` and entry j of the per-row arrays belong to row j of `ocp`.
+    `warm` is the splitting state and `iterations` the inner iterations summed
+    over the rows. The OcpSolution is assembled on first access to `solution`.
     """
 
-    ocps: tuple
-    F: np.ndarray
+    ocp: CondensedOcp
     u: np.ndarray
     warm: tuple
     agent_iterations: np.ndarray
@@ -401,69 +445,28 @@ class InnerResult:
         return int(self.agent_iterations.sum())
 
     @cached_property
-    def solutions(self) -> list:
-        return [_solution_from(ocp, self.u[j], int(self.agent_iterations[j]),
-                               float(self.r_primal[j]), float(self.r_dual[j]), self.flags[j])
-                for j, ocp in enumerate(self.ocps)]
-
-    def coupling_values(self) -> np.ndarray:
-        """f0 + F u of every agent of the group, one row per agent."""
-        f0 = np.array([ocp.f0 for ocp in self.ocps])
-        return f0 + (self.F @ self.u[:, :, None])[:, :, 0]
-
-    def infeasible(self) -> list:
-        """Positions in the group flagged infeasible whose final iterate is infeasible too."""
-        return [j for j, flag in enumerate(self.flags)
-                if flag == "infeasible" and not _feasible(self.ocps[j], self.u[j])]
+    def solution(self) -> OcpSolution:
+        return _solution_from(self.ocp, self.u, self.agent_iterations, self.r_primal,
+                              self.r_dual, self.flags)
 
 
-def solve_inner(ocps, lams, warm=None, tol: float = 1e-8,
+def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
                 max_iter: int = 20000) -> InnerResult:
-    """Minimize J_i(u) + lam_i'(f_i(u) - b_share_i) for every agent i of a group.
+    """Minimize J_j(u) + lam_j'(f_j(u) - b_share) for every row j of `ocp`.
 
-    The agents share one SplitSetup (`template.split`); row i of `lams` is
-    agent i's multiplier and `warm` the state a previous call returned for
-    the same group. One batched splitting iteration advances them all.
+    Row j of `lams` is row j's multiplier and `warm` the state a previous call
+    returned for the same rows. One batched splitting iteration advances them all.
     """
-    ocps = tuple(ocps)
-    F = np.stack([ocp.template.F for ocp in ocps])
-    lams = np.asarray(lams, dtype=float).reshape(len(ocps), -1)
-    if lams.shape[1] != F.shape[1]:
-        raise ValueError(f"lambda has dim {lams.shape[1]}, expected {F.shape[1]}")
+    lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
+    if lams.shape[1] != ocp.F.shape[1]:
+        raise ValueError(f"lambda has dim {lams.shape[1]}, expected {ocp.F.shape[1]}")
     if np.any(lams < 0):
         raise ValueError("lambda must be componentwise nonnegative")
-    G = np.array([ocp.q for ocp in ocps]) + (F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]
+    G = ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]
     U, warm, iters, rp, rd, flags = split_iterate(
-        ocps[0].template.split, G.T, np.array([ocp.rows_rhs for ocp in ocps]).T,
-        [np.array([ocp.ball_off for ocp in ocps]).T], tol, max_iter, warm=warm)
-    return InnerResult(ocps=ocps, F=F, u=np.ascontiguousarray(U.T), warm=warm,
-                       agent_iterations=iters, r_primal=rp, r_dual=rd, flags=flags)
-
-
-def _solver_key(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSets) -> tuple:
-    """Bytes of everything a template's split setup is built from (the coupling excluded)."""
-    sets = tightened.Z[1:]
-    arrays = ((agent.A, agent.B, agent.Q, agent.R, agent.U.G, agent.U.h, ing.P)
-              + tuple(Z.G for Z in sets) + tuple(Z.h for Z in sets))
-    return tuple((a.shape, a.tobytes()) for a in arrays) + (ing.eps_r,)
-
-
-def ocp_templates(agents, ingredients, tightened, Psi_x, Psi_u, N: int) -> tuple:
-    """One template per agent, built once per distinct input data.
-
-    Agents whose data are byte-equal share one template. Agents that differ
-    only in what their coupling map reads (Psi_x, Psi_u and the feedback K)
-    share one SplitSetup, which lets the dual iteration solve them in lockstep.
-    """
-    built, splits, templates = {}, {}, []
-    for agent, ing, tz, Px, Pu in zip(agents, ingredients, tightened, Psi_x, Psi_u):
-        split_key = _solver_key(agent, ing, tz)
-        key = (split_key, ing.K.tobytes(), Px.shape, Px.tobytes(), Pu.shape, Pu.tobytes())
-        if key not in built:
-            built[key] = ocp_template(agent, ing, tz, Px, Pu, N, split=splits.get(split_key))
-            splits.setdefault(split_key, built[key].split)
-        templates.append(built[key])
-    return tuple(templates)
+        ocp.group.split, G.T, ocp.rows_rhs.T, [ocp.ball_off.T], tol, max_iter, warm=warm)
+    return InnerResult(ocp=ocp, u=np.ascontiguousarray(U.T), warm=warm, agent_iterations=iters,
+                       r_primal=rp, r_dual=rd, flags=flags)
 
 
 def solve_centralized(scenario: Scenario, ingredients, tightened_list,
@@ -471,13 +474,14 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
                       tol: float = 1e-8, max_iter: int = 20000):
     """Stacked solve with the coupling rows as hard constraints.
 
-    Ground-truth oracle for the distributed path; returns (per-agent
-    solutions, total cost).
+    Ground-truth oracle for the distributed path, built from the same agent
+    groups; the stacked inputs run over the groups and, within each, its
+    members. Returns (one OcpSolution per group, total cost).
     """
-    templates = ocp_templates(scenario.agents, ingredients, tightened_list,
-                              scenario.coupling.Psi_x, scenario.coupling.Psi_u, scenario.N)
-    ocps = [condense(t, x0) for t, x0 in zip(templates, x0_all)]
-    dims = [ocp.template.H.shape[0] for ocp in ocps]
+    groups = agent_groups(scenario, ingredients, tightened_list)
+    ocps = [condense(grp, [x0_all[i] for i in grp.index.tolist()]) for grp in groups]
+    rows_of = [(ocp, j) for ocp in ocps for j in range(ocp.slots.size)]
+    dims = [ocp.group.H.shape[0] for ocp, _ in rows_of]
     total_dim = sum(dims)
     starts = np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
@@ -487,31 +491,31 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     ball_Cs = []
     coupling_C = np.zeros((schedule.b.shape[0], total_dim))
     coupling_rhs = schedule.b.copy()
-    for i, ocp in enumerate(ocps):
-        t = ocp.template
+    for i, (ocp, j) in enumerate(rows_of):
+        grp = ocp.group
         sl = slice(starts[i], starts[i + 1])
-        H[sl, sl] = t.H
-        g[sl] = ocp.q
-        block = np.zeros((t.rows_C.shape[0], total_dim))
-        block[:, sl] = t.rows_C
+        H[sl, sl] = grp.H
+        g[sl] = ocp.q[j]
+        block = np.zeros((grp.rows_C.shape[0], total_dim))
+        block[:, sl] = grp.rows_C
         rows.append(block)
-        rhs.append(ocp.rows_rhs)
-        ball_C = np.zeros((t.ball_C.shape[0], total_dim))
-        ball_C[:, sl] = t.ball_C
+        rhs.append(ocp.rows_rhs[j])
+        ball_C = np.zeros((grp.ball_C.shape[0], total_dim))
+        ball_C[:, sl] = grp.ball_C
         ball_Cs.append(ball_C)
-        coupling_C[:, sl] = t.F
-        coupling_rhs -= ocp.f0
+        coupling_C[:, sl] = ocp.F[j]
+        coupling_rhs -= ocp.f0[j]
     rows.append(coupling_C)
     rhs.append(coupling_rhs)
     rows_C = np.vstack(rows)
     del rows  # one stacked copy of the (large) halfspace block is enough
     rows_rhs = np.concatenate(rhs)
 
-    setup = split_setup(H, rows_C, ball_Cs, [ocp.template.ball_radius for ocp in ocps])
+    setup = split_setup(H, rows_C, ball_Cs, [ocp.group.ing.eps_r for ocp, _ in rows_of])
     U, _, iters, rp, rd, flags = split_iterate(
-        setup, g[:, None], rows_rhs[:, None], [ocp.ball_off[:, None] for ocp in ocps],
+        setup, g[:, None], rows_rhs[:, None], [ocp.ball_off[j][:, None] for ocp, j in rows_of],
         tol, max_iter)
-    u, iters, rp, rd, flag = U[:, 0], int(iters[0]), float(rp[0]), float(rd[0]), flags[0]
+    u, flag = U[:, 0], flags[0]
     if flag == "infeasible":
         viol = rows_C @ u - rows_rhs
         worst = int(np.argmax(viol))
@@ -519,11 +523,11 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
             f"stacked problem infeasible; most violated row {worst} "
             f"by {viol[worst]:.3e}")
 
-    solutions = []
-    total = 0.0
-    for i, ocp in enumerate(ocps):
-        ui = u[starts[i]:starts[i + 1]]
-        sol = _solution_from(ocp, ui, iters, rp, rd, flag)
-        solutions.append(sol)
-        total += sol.J_star
-    return solutions, float(total)
+    solutions, first = [], 0
+    for ocp in ocps:
+        B, k = ocp.q.shape
+        solutions.append(_solution_from(ocp, u[first:first + B * k].reshape(B, k),
+                                        np.full(B, iters[0]), np.full(B, rp[0]),
+                                        np.full(B, rd[0]), [flag] * B))
+        first += B * k
+    return solutions, float(sum(J for sol in solutions for J in sol.J_star.tolist()))

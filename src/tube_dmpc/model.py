@@ -17,6 +17,22 @@ class ScenarioError(ValueError):
     """Raised when a scenario document fails validation."""
 
 
+def _get(node, key, what, convert=lambda v: np.asarray(v, dtype=float), default=None):
+    """convert(node[key]), or `default` when the key is absent (required without one).
+
+    A missing required key, or a value that `convert` refuses (a non-numeric
+    entry, say), is a ScenarioError naming `what` and the key.
+    """
+    if key not in node:
+        if default is None:
+            raise ScenarioError(f"{what}: missing '{key}'")
+        return default
+    try:
+        return convert(node[key])
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{what}: malformed '{key}' ({exc})") from None
+
+
 def _as_matrix(value, rows, cols, what):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 1 and rows == 1:
@@ -174,6 +190,14 @@ class SolverParams:
             raise ScenarioError(f"admm rho must be > 0, got {self.rho}")
         if not (0 < self.gamma <= 1):
             raise ScenarioError(f"admm gamma must be in (0, 1], got {self.gamma}")
+        if self.tau is not None and self.tau <= 0:
+            raise ScenarioError(f"admm tau must be > 0, got {self.tau}")
+        for name in ("tol_primal", "tol_dual", "inner_tol"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"solver {name} must be > 0, got {getattr(self, name)}")
+        for name in ("max_iter", "inner_max_iter"):
+            if getattr(self, name) < 1:
+                raise ScenarioError(f"solver {name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -204,17 +228,17 @@ class Scenario:
 
 def _parse_polytope(node, dim, what) -> HPolytope:
     if "box" in node:
-        hw = np.asarray(node["box"], dtype=float).ravel()
+        hw = _get(node, "box", what).ravel()
         if hw.size != dim:
             raise ScenarioError(f"{what}: box has {hw.size} entries, expected {dim}")
         if np.any(hw <= 0):
             raise ScenarioError(f"{what}: box half-widths must be positive")
         return HPolytope.box(hw)
     if "G" in node and "h" in node:
-        G = np.atleast_2d(np.asarray(node["G"], dtype=float))
+        G = np.atleast_2d(_get(node, "G", what))
         if G.shape[1] != dim:
             raise ScenarioError(f"{what}: G has {G.shape[1]} columns, expected {dim}")
-        return HPolytope(G, np.asarray(node["h"], dtype=float))
+        return HPolytope(G, _get(node, "h", what))
     raise ScenarioError(f"{what}: give either 'box' or 'G'/'h'")
 
 
@@ -229,22 +253,22 @@ def _symmetrize_pd(mat, what) -> np.ndarray:
 def _parse_agent(node, index, bounded: dict) -> AgentModel:
     """One agent node; `bounded` caches is_bounded per polytope (G, h) bytes."""
     tag = f"agent {index}"
-    A = np.atleast_2d(np.asarray(node["A"], dtype=float))
+    A = np.atleast_2d(_get(node, "A", tag))
     n = A.shape[0]
     if A.shape != (n, n):
         raise ScenarioError(f"{tag}: A must be square, got {A.shape}")
-    B = np.asarray(node["B"], dtype=float)
+    B = _get(node, "B", tag)
     if B.ndim == 1:
         B = B.reshape(-1, 1)
     if B.shape[0] != n:
         raise ScenarioError(f"{tag}: B has {B.shape[0]} rows, expected {n}")
     m = B.shape[1]
 
-    Q = _symmetrize_pd(_as_matrix(node["Q"], n, n, f"{tag}: Q"), f"{tag}: Q")
-    R = _symmetrize_pd(_as_matrix(node["R"], m, m, f"{tag}: R"), f"{tag}: R")
+    Q = _symmetrize_pd(_as_matrix(_get(node, "Q", tag), n, n, f"{tag}: Q"), f"{tag}: Q")
+    R = _symmetrize_pd(_as_matrix(_get(node, "R", tag), m, m, f"{tag}: R"), f"{tag}: R")
 
-    X = _parse_polytope(node["state_set"], n, f"{tag}: state_set")
-    U = _parse_polytope(node["input_set"], m, f"{tag}: input_set")
+    X = _parse_polytope(_get(node, "state_set", tag, dict), n, f"{tag}: state_set")
+    U = _parse_polytope(_get(node, "input_set", tag, dict), m, f"{tag}: input_set")
     for what, poly in (("state_set", X), ("input_set", U)):
         if not poly.contains_origin_strictly():
             raise ScenarioError(f"{tag}: origin not interior to {what}")
@@ -254,17 +278,17 @@ def _parse_agent(node, index, bounded: dict) -> AgentModel:
         if not bounded[key]:
             raise ScenarioError(f"{tag}: unbounded {what}")
 
-    dist = node.get("disturbance", {})
+    dist = _get(node, "disturbance", tag, dict, {})
     box_hw = None
     if "box" in dist:
-        box_hw = np.asarray(dist["box"], dtype=float).ravel()
+        box_hw = _get(dist, "box", f"{tag}: disturbance").ravel()
         if box_hw.size != n:
             raise ScenarioError(f"{tag}: disturbance box has {box_hw.size} entries, expected {n}")
         if np.any(box_hw < 0):
             raise ScenarioError(f"{tag}: disturbance box half-widths must be >= 0")
         w_bar = float(np.linalg.norm(box_hw))  # ball radius covering the box corners
     elif "w_bar" in dist:
-        w_bar = float(dist["w_bar"])
+        w_bar = _get(dist, "w_bar", f"{tag}: disturbance", float)
         if w_bar < 0:
             raise ScenarioError(f"{tag}: w_bar must be >= 0")
     else:
@@ -279,9 +303,12 @@ def _parse_agent(node, index, bounded: dict) -> AgentModel:
 
 
 def _parse_coupling(node, agents) -> CouplingSpec:
-    psi_x_raw = node["psi_x"]
-    psi_u_raw = node["psi_u"]
-    rhs = np.asarray(node["rhs"], dtype=float).ravel()
+    def matrices(value):
+        return [np.asarray(mat, dtype=float) for mat in value]
+
+    psi_x_raw = _get(node, "psi_x", "coupling", matrices)
+    psi_u_raw = _get(node, "psi_u", "coupling", matrices)
+    rhs = _get(node, "rhs", "coupling").ravel()
     if len(psi_x_raw) != len(agents) or len(psi_u_raw) != len(agents):
         raise ScenarioError("coupling: psi_x/psi_u must list one matrix per agent")
 
@@ -293,7 +320,7 @@ def _parse_coupling(node, agents) -> CouplingSpec:
         Psi_x.append(Px)
         Psi_u.append(Pu)
 
-    if node.get("absolute", False):
+    if _get(node, "absolute", "coupling", bool, False):
         # |sum(...)| <= rhs becomes the +/- row pair before normalization
         Psi_x = [np.vstack([Px, -Px]) for Px in Psi_x]
         Psi_u = [np.vstack([Pu, -Pu]) for Pu in Psi_u]
@@ -310,44 +337,47 @@ def _parse_coupling(node, agents) -> CouplingSpec:
 
 def validate_scenario(raw: dict) -> Scenario:
     """Turn a parsed scenario document into a validated, normalized Scenario."""
-    try:
-        agent_nodes = raw["agents"]
-    except (KeyError, TypeError):
-        raise ScenarioError("scenario document must contain an 'agents' list")
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario document must be a mapping")
+    agent_nodes = _get(raw, "agents", "scenario", list)
     if not agent_nodes:
         raise ScenarioError("scenario needs at least one agent")
+    if not all(isinstance(node, dict) for node in agent_nodes):
+        raise ScenarioError("every entry of 'agents' must be a mapping")
 
     bounded = {}
     agents = tuple(_parse_agent(node, i, bounded) for i, node in enumerate(agent_nodes))
 
-    N = int(raw.get("horizon", 0))
+    N = _get(raw, "horizon", "scenario", int, 0)
     if N < 1:
         raise ScenarioError(f"horizon must be >= 1, got {N}")
-    T_run = int(raw.get("t_run", 0))
+    T_run = _get(raw, "t_run", "scenario", int, 0)
     if T_run < 1:
         raise ScenarioError(f"t_run must be >= 1, got {T_run}")
 
     x0 = []
     for i, (node, agent) in enumerate(zip(agent_nodes, agents)):
-        xi = np.asarray(node["x0"], dtype=float).ravel()
+        xi = _get(node, "x0", f"agent {i}").ravel()
         if xi.size != agent.n:
             raise ScenarioError(f"agent {i}: x0 has {xi.size} entries, expected {agent.n}")
         if not membership(agent.X, xi):
             raise ScenarioError(f"agent {i}: x0 outside state_set")
         x0.append(xi)
 
-    if "coupling" not in raw:
-        raise ScenarioError("scenario document must contain a 'coupling' section")
-    coupling = _parse_coupling(raw["coupling"], agents)
+    coupling = _parse_coupling(_get(raw, "coupling", "scenario", dict), agents)
 
     mode = raw.get("trigger_mode", "self-triggered")
     if mode not in ("self-triggered", "periodic"):
         raise ScenarioError(f"trigger_mode must be 'self-triggered' or 'periodic', got {mode!r}")
 
-    solver = SolverParams(**raw.get("solver", {}))
+    solver = _get(raw, "solver", "scenario", lambda node: SolverParams(**node), SolverParams())
+    from .dual_admm import consensus_gain  # the ADMM module imports this one
+    floor = solver.rho * consensus_gain(len(agents))
+    if solver.tau is not None and solver.tau < floor:
+        raise ScenarioError(f"solver tau {solver.tau} below rho * sigma_max(E'E) = {floor}")
 
     return Scenario(agents=agents, coupling=coupling, N=N, T_run=T_run,
-                    x0=tuple(x0), seed=int(raw.get("seed", 0)),
+                    x0=tuple(x0), seed=_get(raw, "seed", "scenario", int, 0),
                     trigger_mode=mode, solver=solver,
                     name=str(raw.get("name", "scenario")))
 

@@ -9,12 +9,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import AgentModel, Scenario, membership
+from .model import Scenario, membership
 from .synthesis import certify, synthesize
 from .tightening import tolerance_schedule, tighten_local_sets
-from .local_solver import condense, ocp_templates
+from .local_solver import agent_groups, condense, group_members
 from .dual_admm import AdmmError, run_admm
-from .trigger import g_profile, select_Mk, stage_costs
+from .trigger import g_profile, quad_form, select_Mk
 
 VIOLATION_TOL = 1e-6
 
@@ -36,88 +36,39 @@ class SimulationAborted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PlantGroup:
-    """Agents with equal (n, m): their plant data stacked along axis 0.
-
-    index[j] is the agent in slot j; A, B, K, P, eps_r, Psi_x and Psi_u hold
-    that agent's dynamics, terminal feedback and weight, terminal radius and
-    coupling rows.
-    """
-
-    index: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    K: np.ndarray
-    P: np.ndarray
-    eps_r: np.ndarray
-    Psi_x: np.ndarray
-    Psi_u: np.ndarray
-
-
-def plant_groups(agents, ingredients, coupling) -> tuple:
-    """One PlantGroup per distinct (n, m), in order of first appearance."""
-    members = {}
-    for i, agent in enumerate(agents):
-        members.setdefault((agent.n, agent.m), []).append(i)
-
-    def stacked(items, idx):
-        return np.stack([items[i] for i in idx])
-
-    return tuple(PlantGroup(index=np.array(idx),
-                            A=stacked([a.A for a in agents], idx),
-                            B=stacked([a.B for a in agents], idx),
-                            K=stacked([ing.K for ing in ingredients], idx),
-                            P=stacked([ing.P for ing in ingredients], idx),
-                            eps_r=np.array([ingredients[i].eps_r for i in idx]),
-                            Psi_x=stacked(coupling.Psi_x, idx),
-                            Psi_u=stacked(coupling.Psi_u, idx))
-                 for idx in members.values())
-
-
-@dataclass(frozen=True)
 class Pipeline:
     """Offline products shared across runs of one scenario.
 
-    templates[i] is agent i's OCP template; agents with identical data share one,
-    and agents that differ only in their coupling rows share its SplitSetup.
-    `plant` holds the plant groups the closed loop propagates.
+    `groups` holds one AgentGroup per distinct agent model: the plant, the
+    condensed OCPs, the dual iteration and the trigger read it. `ingredients`
+    and `tightened` hold one entry per agent (shared within a group).
     """
 
     ingredients: tuple
     schedule: object
     tightened: tuple
     certificate: object
-    templates: tuple
-    plant: tuple
-
-
-def _agent_key(agent: AgentModel) -> tuple:
-    """Bytes of everything synthesize and tighten_local_sets read from an agent."""
-    arrays = (agent.A, agent.B, agent.Q, agent.R, agent.X.G, agent.X.h, agent.U.G, agent.U.h)
-    return tuple((a.shape, a.tobytes()) for a in arrays) + (agent.w_bar,)
-
-
-def _per_distinct_agent(fn, agents) -> tuple:
-    """fn(agent) for every agent, evaluated once per byte-distinct agent."""
-    keys = [_agent_key(agent) for agent in agents]
-    done = {}
-    for key, agent in zip(keys, agents):
-        if key not in done:
-            done[key] = fn(agent)
-    return tuple(done[key] for key in keys)
+    groups: tuple
 
 
 def prepare(scenario: Scenario) -> Pipeline:
-    ingredients = _per_distinct_agent(synthesize, scenario.agents)
+    members = group_members(scenario.agents)
+    which = np.empty(scenario.M, dtype=int)  # the group of every agent
+    for k, idx in enumerate(members):
+        which[idx] = k
+
+    def per_agent(fn) -> tuple:
+        """fn of each group's model, evaluated once per group, one entry per agent."""
+        values = [fn(scenario.agents[idx[0]]) for idx in members]
+        return tuple(values[k] for k in which)
+
+    ingredients = per_agent(synthesize)
     schedule = tolerance_schedule(scenario, ingredients)
-    tightened = _per_distinct_agent(lambda agent: tighten_local_sets(agent, scenario.N),
-                                    scenario.agents)
+    tightened = per_agent(lambda agent: tighten_local_sets(agent, scenario.N))
     certificate = certify(scenario, ingredients, schedule.eps)
-    templates = ocp_templates(scenario.agents, ingredients, tightened,
-                              scenario.coupling.Psi_x, scenario.coupling.Psi_u, scenario.N)
     return Pipeline(ingredients=ingredients, schedule=schedule, tightened=tightened,
-                    certificate=certificate, templates=templates,
-                    plant=plant_groups(scenario.agents, ingredients, scenario.coupling))
+                    certificate=certificate,
+                    groups=agent_groups(scenario, ingredients, tightened, members))
 
 
 @dataclass
@@ -187,7 +138,7 @@ class TriggerRecord:
 class SimLog:
     """Everything the acceptance suites need from one closed-loop run.
 
-    The trajectory is kept per plant group g: x[g] (steps + 1, M_g, n),
+    The trajectory is kept per agent group g (pipeline.groups): x[g] (steps + 1, M_g, n),
     u[g] and w[g] (steps, M_g, m or n). `steps` is the number of steps the run
     actually made (below T_run when it aborted). states[t][i], inputs[t][i]
     and disturbances[t][i] are agent i's rows of these blocks (views).
@@ -211,9 +162,9 @@ class SimLog:
         T = scenario.T_run
         return cls(scenario_name=scenario.name, T_run=T, M=scenario.M, p=scenario.coupling.p,
                    groups=groups,
-                   x=[np.empty((T + 1,) + g.A.shape[:2]) for g in groups],
-                   u=[np.empty((T,) + g.K.shape[:2]) for g in groups],
-                   w=[np.empty((T,) + g.A.shape[:2]) for g in groups],
+                   x=[np.empty((T + 1, g.index.size, g.agent.n)) for g in groups],
+                   u=[np.empty((T, g.index.size, g.agent.m)) for g in groups],
+                   w=[np.empty((T, g.index.size, g.agent.n)) for g in groups],
                    modes=np.empty((T, scenario.M), dtype="<U8"))
 
     def close(self, steps: int) -> None:
@@ -280,9 +231,7 @@ def _in_terminal_sets(groups, x, t: int, M: int) -> np.ndarray:
     """||x_i(t)||_P <= eps_r per agent, with p_norm's arithmetic."""
     inside = np.empty(M, dtype=bool)
     for grp, X in zip(groups, x):
-        Z = X[t]
-        inside[grp.index] = np.sqrt((Z[:, None, :] @ grp.P @ Z[:, :, None])[:, 0, 0]) \
-            <= grp.eps_r
+        inside[grp.index] = np.sqrt(quad_form(X[t], grp.ing.P)) <= grp.ing.eps_r
     return inside
 
 
@@ -295,7 +244,7 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
         raise CertificationError("offline certificates fail; pass force=True to run anyway")
 
     T_run, M = scenario.T_run, scenario.M
-    groups = pipeline.plant
+    groups = pipeline.groups
     periodic = scenario.trigger_mode == "periodic"
 
     log = SimLog.allocate(scenario, groups)
@@ -327,8 +276,8 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
         for _ in range(span):
             for grp, X, U, W, fb in zip(groups, log.x, log.u, log.w, feedback):
                 if fb.any():
-                    U[t, fb] = (grp.K[fb] @ X[t, fb, :, None])[..., 0]
-                X[t + 1] = step_plant(grp.A, grp.B, X[t], U[t], W[t])
+                    U[t, fb] = (grp.ing.K @ X[t, fb, :, None])[..., 0]
+                X[t + 1] = step_plant(grp.agent.A, grp.agent.B, X[t], U[t], W[t])
             t += 1
 
     log.close(t)
@@ -338,29 +287,35 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
 def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx) -> int:
     """Solve the coupled problem of the OCP agents at t and record the instant.
 
-    Writes their plans into the input blocks; returns the steps they are applied.
+    Each agent group condenses, solves and is bounded as one stack; the
+    per-agent records are kept in agent order. Writes the plans into the input
+    blocks; returns the steps they are applied.
     """
     N, T_run = scenario.N, scenario.T_run
     sched = pipeline.schedule
     periodic = scenario.trigger_mode == "periodic"
-    xs = log.agent_rows(log.x, t)
 
     # the terminal-mode agents' nominal feedback plans take their part of b first
-    contrib = sum((pipeline.templates[i].feedback_coupling @ xs[i]
-                   for i in np.flatnonzero(terminal).tolist()),
-                  np.zeros(sched.b.shape[0]))
-    b_share = (sched.b - contrib) / len(ocp_idx)
+    feedback = np.zeros((scenario.M, sched.b.shape[0]))
+    for grp, X in zip(pipeline.groups, log.x):
+        fb = terminal[grp.index]
+        feedback[grp.index[fb]] = (grp.feedback_coupling[fb] @ X[t, fb, :, None])[..., 0]
+    b_share = (sched.b - feedback[terminal].sum(axis=0)) / len(ocp_idx)
 
-    ocps = [condense(pipeline.templates[i], xs[i], b_share=b_share) for i in ocp_idx]
+    blocks, ocps = [], []  # (log block, OCP group problem) per group with OCP agents
+    for g, (grp, X) in enumerate(zip(pipeline.groups, log.x)):
+        slots = np.flatnonzero(~terminal[grp.index])
+        if slots.size:
+            blocks.append(g)
+            ocps.append(condense(grp, X[t, slots], slots, b_share))
     try:
         solutions, admm_state, converged = run_admm(ocps, scenario.solver)
     except AdmmError as exc:
-        agent = ocp_idx[exc.agent_index] if exc.agent_index is not None else None
         if t == 0:
             raise InitialInfeasibilityError(
-                f"initial infeasibility: agent {agent}: {exc}") from exc
+                f"initial infeasibility: agent {exc.agent_index}: {exc}") from exc
         raise SimulationAborted(
-            f"feasibility lost at t = {t} (agent {agent}): {exc}", log=log) from exc
+            f"feasibility lost at t = {t} (agent {exc.agent_index}): {exc}", log=log) from exc
 
     fallback = False
     if not converged:
@@ -380,30 +335,35 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx) -> int:
     log.counters["admm_iterations"] += admm_state.iteration
     log.counters["inner_iterations"] += admm_state.total_inner_iterations
 
-    profiles = [g_profile(scenario.agents[i], sol, pipeline.ingredients[i], N)
-                for i, sol in zip(ocp_idx, solutions)]
+    order = np.argsort(np.concatenate([ocp.agents for ocp in ocps]))
+
+    def in_agent_order(parts) -> np.ndarray:
+        """Per-group arrays concatenated, rows rearranged into agent order."""
+        return np.concatenate(parts)[order]
+
+    profiles, spent = map(in_agent_order, zip(*(g_profile(ocp.group, sol)
+                                                for ocp, sol in zip(ocps, solutions))))
     decision = select_Mk(profiles)
     Mk = 1 if periodic else decision.Mk
     Mk_applied = min(Mk, T_run - t)
 
-    g_tot = float(sum(prof[Mk - 1] for prof in profiles))
-    spent = sum(float(stage_costs(scenario.agents[i], sol.z_star[:Mk],
-                                  sol.u_star.reshape(N, -1)[:Mk]).sum())
-                for i, sol in zip(ocp_idx, solutions))
-    sumQ = sum(float(xs[i] @ scenario.agents[i].Q @ xs[i]) for i in ocp_idx)
+    # the totals are Python sums in agent order: one rounding sequence for any grouping
+    g_tot = float(sum(profiles[:, Mk - 1].tolist()))
+    sumQ = in_agent_order([quad_form(ocp.x0, ocp.group.agent.Q) for ocp in ocps])
     log.triggers.append(TriggerRecord(
         t_k=t, Mk=Mk, Mk_applied=Mk_applied,
         ocp_agents=tuple(ocp_idx),
         Mk_per_agent=decision.Mk_per_agent,
-        statuses=tuple(sol.status for sol in solutions),
-        total_cost=float(sum(sol.J_star for sol in solutions)),
+        statuses=tuple(in_agent_order([sol.status for sol in solutions]).tolist()),
+        total_cost=float(sum(in_agent_order([sol.J_star for sol in solutions]).tolist())),
         admm_iterations=admm_state.iteration,
         converged=converged, fallback=fallback,
-        g_applied_total=g_tot, g0_applied_total=g_tot + spent, sumQ_states=sumQ))
+        g_applied_total=g_tot, g0_applied_total=g_tot + sum(spent[:, Mk - 1].tolist()),
+        sumQ_states=float(sum(sumQ.tolist()))))
 
-    for i, sol in zip(ocp_idx, solutions):
-        g, j = log.slots[i]
-        log.u[g][t:t + Mk_applied, j] = sol.u_star.reshape(N, -1)[:Mk_applied]
+    for g, ocp, sol in zip(blocks, ocps, solutions):
+        plans = sol.u_star.reshape(ocp.slots.size, N, -1)[:, :Mk_applied]
+        log.u[g][t:t + Mk_applied, ocp.slots] = plans.swapaxes(0, 1)
     return Mk_applied
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AgentModel
-from .synthesis import TerminalIngredients, error_gain
+from .synthesis import error_gain
 
 
 def deviation_bound(agent: AgentModel, phi, l, Mk):
@@ -27,34 +27,40 @@ def _deviation_bound(agent: AgentModel, lam, l, Mk):
     return np.sqrt(lam) * agent.w_bar * a ** l * error_gain(a, Mk)
 
 
-def _quad(x, W) -> np.ndarray:
-    """x[k]' W x[k] for every row k of x."""
-    return np.einsum("ki,ij,kj->k", x, W, x)
+def quad_form(x, W) -> np.ndarray:
+    """x[k]' W x[k] for every row k of x; a row's value does not depend on the other rows."""
+    return (x[:, None, :] @ W @ x[:, :, None])[:, 0, 0]
 
 
 def stage_costs(agent: AgentModel, z, u) -> np.ndarray:
     """Stage costs z[l]'Q z[l] + u[l]'R u[l], one per row of the states z and inputs u."""
-    return _quad(z, agent.Q) + _quad(u, agent.R)
+    return quad_form(z, agent.Q) + quad_form(u, agent.R)
 
 
-def g_profile(agent: AgentModel, sol, ing: TerminalIngredients, N: int) -> np.ndarray:
+def g_profile(group, sol) -> tuple[np.ndarray, np.ndarray]:
     """Bound g(M) on the optimal-cost change after an M-step open-loop run, M = 1..N.
 
-    Built from the shifted-tail candidate: each retained stage cost
-    ||z(k)||_Q^2, k = M..N-1, is perturbed by at most the deviation bound
-    d(k - M, M), the appended terminal-feedback tail telescopes into the
-    terminal weight (||z(N)||_P^2, offset N - M), and the realized stage costs
-    of the M skipped steps are subtracted.
+    One row per plan of `sol` (the OcpSolution of members of `group`). Built
+    from the shifted-tail candidate: each retained stage cost ||z(k)||_Q^2,
+    k = M..N-1, is perturbed by at most the deviation bound d(k - M, M), the
+    appended terminal-feedback tail telescopes into the terminal weight
+    (||z(N)||_P^2, offset N - M), and the realized stage costs of the M skipped
+    steps are subtracted. Returns (g, spent), both (plans, N): spent[:, M - 1]
+    is the sum of the first M stage costs.
     """
-    z = sol.z_star
+    agent, ing = group.agent, group.ing
+    Z, U = sol.z_star, sol.u_star
+    B, N = Z.shape[0], Z.shape[1] - 1
     M = np.arange(1, N + 1)[:, None]  # rows: candidate interval M
     k = np.arange(1, N + 1)  # columns: plan step k, the last one weighted by P
     last = k == N
-    norms = np.sqrt(np.where(last, z[N] @ ing.P @ z[N], _quad(z[1:], agent.Q)))
+    zQ = quad_form(Z.reshape(-1, agent.n), agent.Q).reshape(B, N + 1)  # l = 0..N
+    norms = np.sqrt(np.where(last, quad_form(Z[:, N], ing.P)[:, None], zQ[:, 1:]))
     lam_max = np.where(last, ing.lam_max_P, agent.lam_max_Q)
     d = np.where(k >= M, _deviation_bound(agent, lam_max, np.maximum(k - M, 0), M), 0.0)
-    spent = np.cumsum(stage_costs(agent, z[:N], sol.u_star.reshape(N, agent.m)))
-    return (2.0 * norms * d + d * d).sum(axis=1) - spent
+    spent = np.cumsum(zQ[:, :N] + quad_form(U.reshape(-1, agent.m), agent.R).reshape(B, N),
+                      axis=1)
+    return (2.0 * norms[:, None, :] * d + d * d).sum(axis=2) - spent, spent
 
 
 @dataclass(frozen=True)

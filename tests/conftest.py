@@ -1,19 +1,44 @@
 import copy
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
-from tube_dmpc.local_solver import solve_inner
+from tube_dmpc.local_solver import agent_group, condense, solve_inner
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def one_agent(agent, ing, tightened, Psi_x, Psi_u, N, index=0):
+    """The agent group of the single agent `index` with coupling rows Psi_x, Psi_u."""
+    return agent_group(agent, ing, tightened, [Psi_x], [Psi_u], N, index=[index])
+
+
+def row(sol, j=0):
+    """Row j of an OcpSolution as one agent's values."""
+    return SimpleNamespace(u_star=sol.u_star[j], z_star=sol.z_star[j],
+                           J_star=float(sol.J_star[j]), status=sol.status[j],
+                           iterations=int(sol.iterations[j]))
+
+
+def fleet_ocps(scenario, pipeline, x0=None, b_share=None):
+    """One condensed problem per agent group, every agent at x0[i] (default: scenario.x0)."""
+    x0 = scenario.x0 if x0 is None else x0
+    return [condense(grp, [x0[i] for i in grp.index.tolist()], b_share=b_share)
+            for grp in pipeline.groups]
+
+
+def plan(group, x0, lam, slot=0):
+    """Member `slot` of `group` solved alone at state x0 under lam: a one-row OcpSolution."""
+    return solve_inner(condense(group, [x0], [slot]), [lam]).solution
+
+
 def solve_one(ocp, lam):
-    """One agent's inner solve, as a group of one."""
-    return solve_inner([ocp], [lam]).solutions[0]
+    """Inner solve of a one-row problem (a group of one): its row's solution."""
+    return row(solve_inner(ocp, [lam]).solution)
 
 
 def load_raw(name):

@@ -12,13 +12,13 @@ import yaml
 
 from tube_dmpc.cli import main
 from tube_dmpc.dual_admm import run_admm
-from tube_dmpc.local_solver import condense, solve_centralized
+from tube_dmpc.local_solver import solve_centralized
 from tube_dmpc.simulator import monte_carlo, prepare, run_closed_loop
 from tube_dmpc.synthesis import lqr_gain, terminal_weight
 from tube_dmpc.tightening import schedule_values, tighten_local_sets
 from tube_dmpc.trigger import g_profile, select_Mk
 
-from conftest import SCENARIO_DIR, load_raw, solve_one
+from conftest import SCENARIO_DIR, fleet_ocps, load_raw, plan, row
 
 N_MC_RUNS = 100
 N_DEVIATION_SEQUENCES = 100000
@@ -53,10 +53,11 @@ def trigger_ensemble(default_scenario, default_pipeline):
     starts = list(sc.x0) + [np.array([-8.0, 0.0]), np.array([-6.0, 2.0])]
     per_state = -(-N_TRIGGER_TRANSITIONS // len(starts))
     for x0 in starts:
-        agent, ing = sc.agents[0], pipe.ingredients[0]
-        sol0 = solve_one(condense(pipe.templates[0], x0), lam0)
+        agent, group = sc.agents[0], pipe.groups[0]
+        plan0 = plan(group, x0, lam0)
+        sol0 = row(plan0)
         assert sol0.status == "optimal"
-        profile = g_profile(agent, sol0, ing, sc.N)
+        profile = g_profile(group, plan0)[0][0]
         Mk = select_Mk([profile]).Mk
         g = profile[Mk - 1]
         assert g < 0
@@ -69,7 +70,7 @@ def trigger_ensemble(default_scenario, default_pipeline):
             for l in range(Mk):
                 u = sol0.u_star[l * agent.m:(l + 1) * agent.m]
                 x = agent.A @ x + agent.B @ u + rng.uniform(-0.3, 0.3, size=2)
-            sol1 = solve_one(condense(pipe.templates[0], x), lam0)
+            sol1 = row(plan(group, x, lam0))
             transitions.append({
                 "resolved": sol1.status == "optimal",
                 "dV": sol1.J_star - sol0.J_star,
@@ -126,10 +127,9 @@ def test_criterion_4_recursive_feasibility(mc_default):
 def test_criterion_5_admm_vs_centralized(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
     t0 = time.perf_counter()
-    b_share = pipe.schedule.b / sc.M
-    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
-    sols, state, converged = run_admm(ocps, sc.solver)
-    admm_cost = sum(s.J_star for s in sols)
+    sols, state, converged = run_admm(fleet_ocps(sc, pipe, b_share=pipe.schedule.b / sc.M),
+                                      sc.solver)
+    admm_cost = sum(s.J_star.sum() for s in sols)
     _, central_cost = solve_centralized(sc, pipe.ingredients, pipe.tightened,
                                         pipe.schedule, sc.x0)
     elapsed = time.perf_counter() - t0

@@ -94,6 +94,32 @@ def test_run_x0_outside_state_set_exit_two(tmp_path):
     assert main(["run", "--scenario", path, "--out", str(tmp_path)]) == 2
 
 
+# malformed documents: (mutation of the default document, text the error line must name)
+MALFORMED = {
+    "missing-x0": (lambda raw: raw["agents"][0].pop("x0"), "'x0'"),
+    "missing-A": (lambda raw: raw["agents"][2].pop("A"), "'A'"),
+    "missing-rhs": (lambda raw: raw["coupling"].pop("rhs"), "'rhs'"),
+    "text-entry": (lambda raw: raw["agents"][1]["B"][0].__setitem__(0, "x"), "'B'"),
+    "text-horizon": (lambda raw: raw.update(horizon="five"), "'horizon'"),
+    "unknown-solver-key": (lambda raw: raw["solver"].update(foo=1), "'foo'"),
+    "negative-tau": (lambda raw: raw["solver"].update(tau=-1), "tau"),
+    "tau-below-floor": (lambda raw: raw["solver"].update(tau=0.5), "tau"),
+    "zero-max-iter": (lambda raw: raw["solver"].update(max_iter=0), "max_iter"),
+    "zero-inner-max-iter": (lambda raw: raw["solver"].update(inner_max_iter=0),
+                            "inner_max_iter"),
+    "negative-tol": (lambda raw: raw["solver"].update(tol_primal=-1), "tol_primal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, case):
+    mutate, field = MALFORMED[case]
+    path = write_variant(tmp_path, mutate)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err
+
+
 def test_run_initial_infeasibility_exit_three(tmp_path):
     assert main(["run", "--scenario", INFEASIBLE_X0, "--out", str(tmp_path)]) == 3
 

@@ -6,11 +6,11 @@ import pytest
 from tube_dmpc.model import AgentModel, HPolytope, SolverParams
 from tube_dmpc.synthesis import synthesize
 from tube_dmpc.tightening import tighten_local_sets
-from tube_dmpc.local_solver import condense, ocp_template, solve_centralized
+from tube_dmpc.local_solver import agent_group, condense, solve_centralized
 from tube_dmpc.dual_admm import (AdmmError, consensus_adjoint, consensus_diff,
                                  consensus_gain, lambda_update, omega_update, run_admm)
 
-from conftest import solve_one
+from conftest import fleet_ocps, one_agent, solve_one
 
 
 def scalar_agent(a=0.5, inp=5.0):
@@ -100,59 +100,63 @@ def test_gamma_zero_rejected():
 def test_run_admm_inactive_coupling_matches_independent(default_scenario,
                                                         default_pipeline):
     sc, pipe = default_scenario, default_pipeline
-    b_share = pipe.schedule.b / sc.M
-    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
+    ocps = fleet_ocps(sc, pipe, b_share=pipe.schedule.b / sc.M)
     sols, state, converged = run_admm(ocps, sc.solver)
     assert converged
     for lam in state.lambdas:
         np.testing.assert_allclose(lam, np.zeros_like(lam), atol=1e-9)
     for ocp, sol in zip(ocps, sols):
-        ref = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
-        assert sol.J_star == pytest.approx(ref.J_star, abs=1e-5)
-        np.testing.assert_allclose(sol.u_star, ref.u_star, atol=1e-5)
+        for j, i in enumerate(ocp.agents):
+            ref = solve_one(condense(ocp.group, [sc.x0[i]], [j], ocp.b_share),
+                            np.zeros(ocp.F.shape[1]))
+            assert sol.J_star[j] == pytest.approx(ref.J_star, abs=1e-5)
+            np.testing.assert_allclose(sol.u_star[j], ref.u_star, atol=1e-5)
 
 
 def test_run_admm_mixed_groups_match_independent_solves(default_scenario, default_pipeline):
-    # the default agents share one split setup; an agent with a larger R has its own,
-    # and the two groups interleave in agent order
+    # agents 0, 2 and 4 use the default model; agents 1 and 3 have a larger R, so
+    # a split setup of their own, and the two groups interleave in agent order
     sc, pipe = default_scenario, default_pipeline
     agent = dataclasses.replace(sc.agents[0], R=2.0 * sc.agents[0].R)
-    own = ocp_template(agent, synthesize(agent), tighten_local_sets(agent, sc.N),
-                       sc.coupling.Psi_x[0], sc.coupling.Psi_u[0], sc.N)
-    templates = [pipe.templates[0], own, pipe.templates[1], own, pipe.templates[3]]
-    x0s = [sc.x0[0], sc.x0[1], sc.x0[2], sc.x0[3], sc.x0[1]]
+    Px, Pu = sc.coupling.Psi_x, sc.coupling.Psi_u
+    base = agent_group(sc.agents[0], pipe.ingredients[0], pipe.tightened[0],
+                       [Px[0], Px[1], Px[3]], [Pu[0], Pu[1], Pu[3]], sc.N, index=[0, 2, 4])
+    own = agent_group(agent, synthesize(agent), tighten_local_sets(agent, sc.N),
+                      [Px[0]] * 2, [Pu[0]] * 2, sc.N, index=[1, 3])
     b_share = np.full(pipe.schedule.b.shape, 1e3)  # coupling inactive
-    ocps = [condense(t, x0, b_share=b_share) for t, x0 in zip(templates, x0s)]
-    assert len({ocp.template.split for ocp in ocps}) == 2
+    ocps = [condense(base, [sc.x0[0], sc.x0[2], sc.x0[1]], b_share=b_share),
+            condense(own, [sc.x0[1], sc.x0[3]], b_share=b_share)]
+    assert base.split is not own.split
     sols, state, converged = run_admm(ocps, sc.solver)
     assert converged
     np.testing.assert_array_equal(state.lambdas, 0.0)
     for ocp, sol in zip(ocps, sols):
-        ref = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
-        assert sol.status == ref.status == "optimal"
-        assert sol.J_star == pytest.approx(ref.J_star, abs=1e-5)
-        np.testing.assert_allclose(sol.u_star, ref.u_star, atol=1e-5)
+        for j in range(ocp.slots.size):
+            ref = solve_one(condense(ocp.group, ocp.x0[j], [j], b_share),
+                            np.zeros(ocp.F.shape[1]))
+            assert sol.status[j] == ref.status == "optimal"
+            assert sol.J_star[j] == pytest.approx(ref.J_star, abs=1e-5)
+            np.testing.assert_allclose(sol.u_star[j], ref.u_star, atol=1e-5)
 
 
 def test_admm_error_names_lowest_infeasible_agent():
     # double integrator: the x1 row of Z[1] does not move with u, so x0 = (9, 3)
-    # (x1(1) = 12 > 10) is infeasible for every input. Agents 0 and 2 share one
-    # split setup and are solved first; agent 1 has its own (a wider input box)
+    # (x1(1) = 12 > 10) is infeasible for every input. Agents 0 and 2 form one
+    # group and are solved first; agent 1 has its own (a wider input box)
     def integrator(inp):
         return AgentModel(A=np.array([[1.0, 1.0], [0.0, 1.0]]), B=np.array([[0.0], [1.0]]),
                           w_bar=0.0, X=HPolytope.box([10.0, 10.0]), U=HPolytope.box([inp]),
                           Q=np.eye(2), R=np.eye(1))
 
-    def template(agent, N=3):
-        return ocp_template(agent, synthesize(agent), tighten_local_sets(agent, N),
-                            np.zeros((1, 2)), np.zeros((1, 1)), N)
+    def group(agent, index, N=3):
+        return agent_group(agent, synthesize(agent), tighten_local_sets(agent, N),
+                           [np.zeros((1, 2))] * len(index), [np.zeros((1, 1))] * len(index),
+                           N, index=index)
 
-    shared, other = template(integrator(2.0)), template(integrator(3.0))
+    shared, other = group(integrator(2.0), [0, 2]), group(integrator(3.0), [1])
     b_share = np.full(3, 1e3)
-    ocps = [condense(shared, [2.0, 1.0], b_share=b_share),
-            condense(other, [9.0, 3.0], b_share=b_share),
-            condense(shared, [9.0, 3.0], b_share=b_share)]
-    assert shared.split is not other.split
+    ocps = [condense(shared, [[2.0, 1.0], [9.0, 3.0]], b_share=b_share),
+            condense(other, [9.0, 3.0], b_share=b_share)]
     with pytest.raises(AdmmError, match="agent 1") as err:
         run_admm(ocps, SolverParams())
     assert err.value.agent_index == 1
@@ -168,8 +172,8 @@ def test_run_admm_active_coupling_against_centralized():
     tz = tighten_local_sets(agent, 2)
     Px, Pu = np.zeros((1, 1)), np.ones((1, 1))
     b = np.zeros(2)
-    ocps = [condense(ocp_template(agent, ing, tz, Px, Pu, 2), [-3.0], b_share=b / 2)
-            for _ in range(2)]
+    ocps = [condense(agent_group(agent, ing, tz, [Px, Px], [Pu, Pu], 2), [[-3.0], [-3.0]],
+                     b_share=b / 2)]
     params = SolverParams(rho=1.0, gamma=1.0, max_iter=2000,
                           tol_primal=1e-6, tol_dual=1e-6)
     sols, state, converged = run_admm(ocps, params)
@@ -181,12 +185,12 @@ def test_run_admm_active_coupling_against_centralized():
     sched = ToleranceSchedule(eps=np.zeros(3), b=b, p=1)
     csols, ccost = solve_centralized(sc, [ing, ing], [tz, tz], sched,
                                      [np.array([-3.0])] * 2)
-    total = sum(s.J_star for s in sols)
+    total = sum(s.J_star.sum() for s in sols)
     assert abs(total - ccost) / ccost <= 5e-3
     # consensus and coupling residual at convergence
     spread = max(np.max(np.abs(a - bb)) for a in state.lambdas for bb in state.lambdas)
     assert spread <= 10 * params.tol_primal
-    f_total = sum(ocp.coupling_values(s.u_star) for ocp, s in zip(ocps, sols))
+    f_total = sum(ocp.coupling_values(s.u_star).sum(axis=0) for ocp, s in zip(ocps, sols))
     assert np.all(f_total <= b + 1e-4)
 
 
@@ -197,7 +201,7 @@ def test_run_admm_single_agent_projected_ascent_analytic():
     tz = tighten_local_sets(agent, 1)
     Px, Pu = np.zeros((1, 1)), np.ones((1, 1))
     b = np.array([-1.0])  # force u <= -1 while the free optimum pulls positive
-    ocp = condense(ocp_template(agent, ing, tz, Px, Pu, 1), [-3.0], b_share=b)
+    ocp = condense(one_agent(agent, ing, tz, Px, Pu, 1), [-3.0], b_share=b)
     params = SolverParams(rho=1.0, gamma=1.0, max_iter=5000,
                           tol_primal=1e-8, tol_dual=1e-8)
     sols, state, converged = run_admm([ocp], params)
@@ -207,7 +211,7 @@ def test_run_admm_single_agent_projected_ascent_analytic():
     # oracle: maximize the dual function over a 1-D grid with refinement
     def dual_at(lam):
         sol = solve_one(ocp, np.array([lam]))
-        return sol.J_star + lam * (ocp.coupling_values(sol.u_star)[0] - b[0])
+        return sol.J_star + lam * (ocp.coupling_values(sol.u_star[None])[0, 0] - b[0])
 
     grid = np.linspace(0.0, 10.0, 201)
     vals = [dual_at(g) for g in grid]
@@ -217,15 +221,13 @@ def test_run_admm_single_agent_projected_ascent_analytic():
     lam_oracle = fine[int(np.argmax(vals))]
     assert lam_star == pytest.approx(lam_oracle, abs=2e-3)
     # primal consistent with the bound at the optimum
-    assert ocp.coupling_values(sols[0].u_star)[0] == pytest.approx(b[0], abs=1e-6)
+    assert ocp.coupling_values(sols[0].u_star)[0, 0] == pytest.approx(b[0], abs=1e-6)
 
 
 def test_run_admm_deterministic(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
-    b_share = pipe.schedule.b / sc.M
     def once():
-        ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
-        return run_admm(ocps, sc.solver)
+        return run_admm(fleet_ocps(sc, pipe, b_share=pipe.schedule.b / sc.M), sc.solver)
     s1, st1, _ = once()
     s2, st2, _ = once()
     assert st1.iteration == st2.iteration
@@ -236,13 +238,7 @@ def test_run_admm_deterministic(default_scenario, default_pipeline):
 
 
 def test_lambda_nonnegative_throughout():
-    agent = scalar_agent()
-    ing = synthesize(agent)
-    tz = tighten_local_sets(agent, 2)
-    Px, Pu = np.zeros((1, 1)), np.ones((1, 1))
     b = np.zeros(2)
-    ocps = [condense(ocp_template(agent, ing, tz, Px, Pu, 2), [-3.0], b_share=b / 2)
-            for _ in range(2)]
     lambdas = np.zeros((2, 2))
     omega = np.zeros((1, 2))
     rng = np.random.default_rng(2)
@@ -255,10 +251,9 @@ def test_lambda_nonnegative_throughout():
 
 def test_run_admm_trace_csv(tmp_path, default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
-    b_share = pipe.schedule.b / sc.M
-    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
     path = tmp_path / "admm_trace.csv"
-    _, state, _ = run_admm(ocps, sc.solver, trace_path=path)
+    _, state, _ = run_admm(fleet_ocps(sc, pipe, b_share=pipe.schedule.b / sc.M), sc.solver,
+                           trace_path=path)
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,primal_res,dual_res,total_cost"
     assert len(lines) == 1 + state.iteration
@@ -269,8 +264,8 @@ def test_user_tau_below_floor_rejected():
     ing = synthesize(agent)
     tz = tighten_local_sets(agent, 2)
     Px, Pu = np.zeros((1, 1)), np.ones((1, 1))
-    ocps = [condense(ocp_template(agent, ing, tz, Px, Pu, 2), [-1.0], b_share=np.zeros(2))
-            for _ in range(2)]
+    ocps = [condense(agent_group(agent, ing, tz, [Px, Px], [Pu, Pu], 2), [[-1.0], [-1.0]],
+                     b_share=np.zeros(2))]
     params = SolverParams(rho=1.0, tau=0.5)  # below rho * sigma_max(E'E) = 2
     with pytest.raises(ValueError, match="tau"):
         run_admm(ocps, params)

@@ -5,7 +5,10 @@ tests/golden/<mode>/ holds trace.csv, triggers.csv and summary.json written by
     PYTHONPATH=src python -m tube_dmpc.cli run \
         --scenario scenarios/four_agent.yaml --mode <mode> --out tests/golden/<mode>
 
-for both trigger modes at the scenario's own seed. A refactor must reproduce
+for both trigger modes at the scenario's own seed, and tests/golden/mixed_six/<mode>/
+the same for scenarios/mixed_six.yaml, whose agents form three interleaved
+groups (agents {0, 3}, {1, 4} and {2, 5}) of which some solve while the others
+run terminal feedback. A refactor must reproduce
 them: numbers to 1e-9 relative (with a 1e-12 absolute floor for entries that
 cancel to about zero), integers, booleans and strings exactly. Re-record them
 only for a change that is meant to alter the closed loop.
@@ -87,12 +90,10 @@ def diff_csv(expected_path: Path, actual_path: Path):
     return out
 
 
-@pytest.mark.parametrize("mode", ["self-triggered", "periodic"])
-def test_default_seed_outputs_match_golden(tmp_path, mode):
-    code = main(["run", "--scenario", str(ROOT / "scenarios" / "four_agent.yaml"),
+def check_run(tmp_path, scenario, mode, golden):
+    code = main(["run", "--scenario", str(ROOT / "scenarios" / scenario),
                  "--mode", mode, "--out", str(tmp_path)])
     assert code == 0
-    golden = GOLDEN / mode
     for name in ("trace.csv", "triggers.csv"):
         problems = diff_csv(golden / name, tmp_path / name)
         assert not problems, f"{mode}/{name}: " + "; ".join(problems[:5])
@@ -100,6 +101,16 @@ def test_default_seed_outputs_match_golden(tmp_path, mode):
     actual = json.loads((tmp_path / "summary.json").read_text())
     problems = diff_json(expected, actual)
     assert not problems, f"{mode}/summary.json: " + "; ".join(problems[:5])
+
+
+@pytest.mark.parametrize("mode", ["self-triggered", "periodic"])
+def test_default_seed_outputs_match_golden(tmp_path, mode):
+    check_run(tmp_path, "four_agent.yaml", mode, GOLDEN / mode)
+
+
+@pytest.mark.parametrize("mode", ["self-triggered", "periodic"])
+def test_mixed_fleet_outputs_match_golden(tmp_path, mode):
+    check_run(tmp_path, "mixed_six.yaml", mode, GOLDEN / "mixed_six" / mode)
 
 
 def test_golden_comparison_catches_a_drift():

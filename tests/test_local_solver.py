@@ -10,10 +10,10 @@ from tube_dmpc.model import AgentModel, HPolytope, validate_scenario
 from tube_dmpc.simulator import prepare
 from tube_dmpc.synthesis import TerminalIngredients, synthesize
 from tube_dmpc.tightening import tighten_local_sets, ToleranceSchedule
-from tube_dmpc.local_solver import (condense, ocp_template, rollout_maps, solve_centralized,
-                                    split_iterate, split_setup)
+from tube_dmpc.local_solver import (condense, rollout_maps, solve_centralized, split_iterate,
+                                    split_setup)
 
-from conftest import solve_one
+from conftest import fleet_ocps, one_agent, row, solve_one
 
 
 def project_ball(s, radius):
@@ -29,7 +29,7 @@ def project_ball(s, radius):
 
 def dual_value(ocp, lam, sol):
     """Value of the concave dual function at lam given the inner minimizer."""
-    return sol.J_star + float(lam @ (ocp.coupling_values(sol.u_star) - ocp.b_share))
+    return sol.J_star + float(lam @ (ocp.coupling_values(sol.u_star[None])[0] - ocp.b_share))
 
 
 def make_agent(A, B, state=1e6, inp=1e6, w_bar=0.0):
@@ -50,8 +50,8 @@ def wide_ingredients(agent, eps_r=1e6):
 def plain_ocp(agent, ing, x0, N):
     tz = tighten_local_sets(agent, N)
     p = 1
-    return condense(ocp_template(agent, ing, tz, np.zeros((p, agent.n)),
-                                 np.zeros((p, agent.m)), N), x0)
+    return condense(one_agent(agent, ing, tz, np.zeros((p, agent.n)),
+                              np.zeros((p, agent.m)), N), x0)
 
 
 def test_rollout_structure():
@@ -74,9 +74,9 @@ def test_condense_n1_hand_expansion():
     p = ing.P[0, 0]
     ocp = plain_ocp(agent, ing, [2.0], 1)
     # J(u) = 0.5 H u^2 + q u + c0
-    assert ocp.template.H[0, 0] == pytest.approx(2 * (1.0 + p * b * b))
-    assert ocp.q[0] == pytest.approx(2 * p * b * a * 2.0)
-    assert ocp.c0 == pytest.approx(2.0 ** 2 + p * (a * 2.0) ** 2)
+    assert ocp.group.H[0, 0] == pytest.approx(2 * (1.0 + p * b * b))
+    assert ocp.q[0, 0] == pytest.approx(2 * p * b * a * 2.0)
+    assert ocp.c0[0] == pytest.approx(2.0 ** 2 + p * (a * 2.0) ** 2)
 
 
 def test_origin_fixed_point():
@@ -95,7 +95,7 @@ def test_unconstrained_matches_normal_equations():
     ocp = plain_ocp(agent, ing, [1.0, -2.0], 4)
     sol = solve_one(ocp, np.zeros(4))
     assert sol.status == "optimal"
-    u_ref = -np.linalg.solve(ocp.template.H, ocp.q)
+    u_ref = -np.linalg.solve(ocp.group.H, ocp.q[0])
     np.testing.assert_allclose(sol.u_star, u_ref, atol=1e-6)
 
 
@@ -149,7 +149,7 @@ def test_kkt_stationarity_inactive_constraints():
     lam = np.array([0.3, 0.1, 0.4])
     sol = solve_one(ocp, lam)
     assert sol.status == "optimal"
-    grad = ocp.template.H @ sol.u_star + ocp.q + ocp.template.F.T @ lam
+    grad = ocp.group.H @ sol.u_star + ocp.q[0] + ocp.F[0].T @ lam
     assert np.linalg.norm(grad) <= 1e-5
 
 
@@ -158,8 +158,7 @@ def test_dual_function_concave_on_segments():
     ing = synthesize(agent)
     tz = tighten_local_sets(agent, 3)
     Px, Pu = np.array([[0.5]]), np.array([[1.0]])
-    ocp = condense(ocp_template(agent, ing, tz, Px, Pu, 3), [4.0],
-                   b_share=np.full(3, 0.2))
+    ocp = condense(one_agent(agent, ing, tz, Px, Pu, 3), [4.0], b_share=np.full(3, 0.2))
     rng = np.random.default_rng(1)
     for _ in range(10):
         la = rng.uniform(0, 2, size=3)
@@ -194,11 +193,11 @@ def test_centralized_single_agent_loose_coupling(default_scenario, default_pipel
                               b=np.full(sc.coupling.p * sc.N, 1e6),
                               p=sc.coupling.p)
     sols, total = solve_centralized(sub, [ing], [tz], sched, [sc.x0[0]])
-    ocp = condense(default_pipeline.templates[0], sc.x0[0])
+    ocp = condense(default_pipeline.groups[0], [sc.x0[0]], [0])
     ref = solve_one(ocp, np.zeros(sc.coupling.p * sc.N))
-    assert sols[0].status == "optimal"
+    assert len(sols) == 1 and row(sols[0]).status == "optimal"
     assert total == pytest.approx(ref.J_star, rel=1e-7)
-    np.testing.assert_allclose(sols[0].u_star, ref.u_star, atol=1e-5)
+    np.testing.assert_allclose(row(sols[0]).u_star, ref.u_star, atol=1e-5)
 
 
 def test_centralized_symmetric_active_coupling():
@@ -216,8 +215,9 @@ def test_centralized_symmetric_active_coupling():
     sched = ToleranceSchedule(eps=np.zeros(3), b=np.zeros(2), p=1)
     sols, total = solve_centralized(sc, [ing, ing], [tz, tz], sched,
                                     [np.array([-3.0]), np.array([-3.0])])
-    np.testing.assert_allclose(sols[0].u_star, sols[1].u_star, atol=1e-5)
-    coupling = sols[0].u_star + sols[1].u_star
+    (sol,) = sols  # the two agents form one group
+    np.testing.assert_allclose(sol.u_star[0], sol.u_star[1], atol=1e-5)
+    coupling = sol.u_star[0] + sol.u_star[1]
     assert np.all(coupling <= 1e-6)
     assert coupling[0] == pytest.approx(0.0, abs=1e-5)  # first stage active
 
@@ -238,25 +238,23 @@ def test_centralized_default_t0(default_scenario, default_pipeline):
     sols, total = solve_centralized(default_scenario, default_pipeline.ingredients,
                                     default_pipeline.tightened,
                                     default_pipeline.schedule, default_scenario.x0)
-    assert all(s.status == "optimal" for s in sols)
+    assert all(st == "optimal" for s in sols for st in s.status)
     assert total > 0
-    coupling = sum(np.asarray(o) for o in
-                   (condense(default_pipeline.templates[i], default_scenario.x0[i])
-                    .coupling_values(sols[i].u_star) for i in range(4)))
+    ocps = fleet_ocps(default_scenario, default_pipeline)
+    coupling = sum(o.coupling_values(s.u_star).sum(axis=0) for o, s in zip(ocps, sols))
     assert np.all(coupling <= default_pipeline.schedule.b + 1e-6)
 
 
 def test_condensed_hessian_pd_and_cost_nonnegative(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
-    ocp = condense(pipe.templates[0], sc.x0[0])
-    H = ocp.template.H
+    ocp = condense(pipe.groups[0], [sc.x0[0]], [0])
+    H = ocp.group.H
     np.testing.assert_allclose(H, H.T, atol=1e-12)
     assert np.linalg.eigvalsh(H).min() > 0
-    sol = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
+    sol = solve_one(ocp, np.zeros(ocp.F.shape[1]))
     assert sol.J_star >= 0.0
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        assert ocp.cost(rng.normal(size=H.shape[0])) >= 0.0
+    assert np.all(ocp.cost(rng.normal(size=(20, H.shape[0]))) >= 0.0)
 
 
 def test_centralized_infeasible_reports_most_violated_row():
@@ -279,9 +277,9 @@ def test_centralized_infeasible_reports_most_violated_row():
 
 def test_solve_inner_rejects_negative_lambda(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
-    ocp = condense(pipe.templates[0], sc.x0[0])
+    ocp = condense(pipe.groups[0], [sc.x0[0]], [0])
     with pytest.raises(ValueError, match="nonnegative"):
-        solve_one(ocp, -np.ones(ocp.template.F.shape[0]))
+        solve_one(ocp, -np.ones(ocp.F.shape[1]))
 
 
 def test_zero_constraint_row_dropped_or_infeasible():
@@ -290,10 +288,10 @@ def test_zero_constraint_row_dropped_or_infeasible():
     agent = make_agent([[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]], state=10.0, inp=2.0)
     ing = synthesize(agent)
     ocp = plain_ocp(agent, ing, [2.0, 1.0], 3)
-    assert np.any(np.linalg.norm(ocp.template.rows_C, axis=1) == 0.0)
+    assert np.any(np.linalg.norm(ocp.group.rows_C, axis=1) == 0.0)
     sol = solve_one(ocp, np.zeros(3))
     assert sol.status == "optimal"
-    assert np.all(ocp.template.rows_C @ sol.u_star <= ocp.rows_rhs + 1e-6)
+    assert np.all(ocp.group.rows_C @ sol.u_star <= ocp.rows_rhs[0] + 1e-6)
 
     bad = solve_one(plain_ocp(agent, ing, [9.0, 3.0], 3), np.zeros(3))  # x1(1) = 12
     assert bad.status == "infeasible"
@@ -318,12 +316,11 @@ def test_centralized_zero_psi_u_matches_admm(default_raw):
     pipe = prepare(sc)
     sols, central = solve_centralized(sc, pipe.ingredients, pipe.tightened,
                                       pipe.schedule, sc.x0)
-    assert all(s.status == "optimal" for s in sols)
-    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=pipe.schedule.b / sc.M)
-            for i in range(sc.M)]
-    admm_sols, _, converged = run_admm(ocps, sc.solver)
+    assert all(st == "optimal" for s in sols for st in s.status)
+    admm_sols, _, converged = run_admm(fleet_ocps(sc, pipe, b_share=pipe.schedule.b / sc.M),
+                                       sc.solver)
     assert converged
-    total = sum(s.J_star for s in admm_sols)
+    total = sum(s.J_star.sum() for s in admm_sols)
     assert abs(total - central) / central <= 5e-3
 
 

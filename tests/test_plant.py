@@ -3,7 +3,8 @@
 The references are the per-agent forms the simulator's stacked expressions
 replace: one disturbance draw per agent and step, x+ = A x + B u + w per
 agent, K x and the P-norm test per agent, one membership test per point and
-the coupled row summed agent by agent.
+the coupled row summed agent by agent. Random fleets draw their agents from a
+few models in interleaved order, so that agent groups interleave.
 """
 
 import copy
@@ -17,9 +18,11 @@ from hypothesis.extra.numpy import arrays
 import tube_dmpc.simulator as simulator
 from tube_dmpc.model import AgentModel, CouplingSpec, HPolytope, Scenario, membership, \
     validate_scenario
-from tube_dmpc.simulator import (DisturbanceSampler, SimLog, VIOLATION_TOL, plant_groups,
-                                 prepare, run_closed_loop, step_plant)
+from tube_dmpc.local_solver import agent_groups
+from tube_dmpc.simulator import (DisturbanceSampler, SimLog, VIOLATION_TOL, prepare,
+                                 run_closed_loop, step_plant)
 from tube_dmpc.synthesis import TerminalIngredients
+from tube_dmpc.tightening import tighten_local_sets
 
 from test_simulator import hetero_raw
 
@@ -89,6 +92,19 @@ def ingredients_for(draw, agents):
     return out
 
 
+def grouped(draw, models, max_agents=6):
+    """Agents drawn from `models` in random (interleaved) order, with the ingredients
+    of their model, as the one-step scenario the agent groups are built from."""
+    labels = draw(st.lists(st.integers(0, len(models) - 1), min_size=1, max_size=max_agents))
+    agents = tuple(models[k] for k in labels)
+    ings = ingredients_for(draw, models)
+    scenario = Scenario(agents=agents, coupling=coupling_for(draw, agents), N=1, T_run=1,
+                        x0=tuple(np.zeros(a.n) for a in agents))
+    groups = agent_groups(scenario, [ings[k] for k in labels],
+                          [tighten_local_sets(a, 1) for a in agents])
+    return scenario, list(groups)
+
+
 def coupling_for(draw, agents):
     p = draw(st.integers(1, 3))
     return CouplingSpec(
@@ -113,41 +129,44 @@ def test_sample_block_equals_single_draws(agents, seed, mode, steps):
 
 
 @settings(max_examples=60, deadline=None)
-@given(fleets(), st.data())
-def test_stacked_plant_equals_per_agent(agents, data):
+@given(fleets(max_agents=3), st.data())
+def test_stacked_plant_equals_per_agent(models, data):
     draw = data.draw
+    scenario, groups = grouped(draw, models)
+    agents = scenario.agents
     states = [draw(arrays(np.float64, a.n, elements=st.floats(-3.0, 3.0))) for a in agents]
-    ings = ingredients_for(draw, agents)
-    # half the agents sit exactly on their terminal radius: an ulp decides the test
-    for i in range(0, len(agents), 2):
-        ings[i] = dataclasses.replace(ings[i], eps_r=ings[i].p_norm(states[i]))
-    groups = plant_groups(agents, ings, coupling_for(draw, agents))
     assert sorted(np.concatenate([g.index for g in groups]).tolist()) == list(range(len(agents)))
+    # in half the groups the first member sits exactly on the terminal radius: an ulp
+    # decides the test
+    for k in range(0, len(groups), 2):
+        ing = groups[k].ing
+        groups[k] = dataclasses.replace(groups[k], ing=dataclasses.replace(
+            ing, eps_r=ing.p_norm(states[groups[k].index[0]])))
     X = [np.stack([states[i] for i in g.index]) for g in groups]
 
     inside = simulator._in_terminal_sets(groups, [x[None] for x in X], 0, len(agents))
-    for i, ing in enumerate(ings):
-        assert inside[i] == (ing.p_norm(states[i]) <= ing.eps_r), i
+    for grp in groups:
+        for i in grp.index:
+            assert inside[i] == (grp.ing.p_norm(states[i]) <= grp.ing.eps_r), i
     for grp, x in zip(groups, X):
-        U = draw(arrays(np.float64, (grp.index.size, grp.B.shape[2]), elements=ENTRIES))
+        U = draw(arrays(np.float64, (grp.index.size, grp.agent.m), elements=ENTRIES))
         W = draw(arrays(np.float64, x.shape, elements=ENTRIES))
-        nxt = step_plant(grp.A, grp.B, x, U, W)
-        KX = (grp.K @ x[..., None])[..., 0]
+        nxt = step_plant(grp.agent.A, grp.agent.B, x, U, W)
+        KX = (grp.ing.K @ x[..., None])[..., 0]
         for j, i in enumerate(grp.index):
             np.testing.assert_array_equal(nxt[j], reference_step(agents[i], x[j], U[j], W[j]))
-            np.testing.assert_array_equal(KX[j], ings[i].K @ x[j])
+            np.testing.assert_array_equal(KX[j], grp.ing.K @ x[j])
 
 
 @settings(max_examples=60, deadline=None)
-@given(fleets(), st.integers(1, 8), st.data())
-def test_log_checks_equal_per_point_loops(agents, T, data):
+@given(fleets(max_agents=3), st.integers(1, 8), st.data())
+def test_log_checks_equal_per_point_loops(models, T, data):
     # random trajectories inside and outside the sets, cut after `steps` as an aborted run
     draw = data.draw
-    coupling = coupling_for(draw, agents)
-    groups = plant_groups(agents, ingredients_for(draw, agents), coupling)
-    scenario = Scenario(agents=agents, coupling=coupling, N=1, T_run=T,
-                        x0=tuple(np.zeros(a.n) for a in agents))
-    log = SimLog.allocate(scenario, groups)
+    scenario, groups = grouped(draw, models)
+    scenario = dataclasses.replace(scenario, T_run=T)
+    agents, coupling = scenario.agents, scenario.coupling
+    log = SimLog.allocate(scenario, tuple(groups))
     for block in log.x + log.u + log.w:
         block[:] = draw(arrays(np.float64, block.shape, elements=st.floats(-3.0, 3.0)))
     steps = draw(st.integers(0, T))
@@ -195,7 +214,7 @@ def test_run_trajectory_matches_per_agent_steps(case, default_raw, monkeypatch):
     sc = validate_scenario(raw)
     pipe = prepare(sc)
     log = run_closed_loop(sc, pipeline=pipe)
-    assert len(pipe.plant) == (2 if case == "hetero" else 1)
+    assert len(pipe.groups) == (2 if case == "hetero" else 1)
     single = DisturbanceSampler(sc.agents, sc.seed, mode)
     for t in range(sc.T_run):
         for i, agent in enumerate(sc.agents):

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from tube_dmpc.dual_admm import consensus_adjoint, consensus_diff, consensus_gain
-from tube_dmpc.local_solver import condense, ocp_template
+from tube_dmpc.local_solver import agent_group, condense
 from tube_dmpc.model import AgentModel, HPolytope, ScenarioError
 from tube_dmpc.synthesis import TerminalIngredients
 from tube_dmpc.tightening import coupling_terms, tighten_local_sets
@@ -37,7 +37,8 @@ def test_condense_matches_direct_simulation(case):
                        U=HPolytope.box([1e6] * m), Q=np.eye(n), R=np.eye(m))
     ing = TerminalIngredients(K=np.zeros((m, n)), P=np.eye(n), r=1.0, eps_r=1.0,
                               contraction=0.5)
-    ocp = condense(ocp_template(agent, ing, tighten_local_sets(agent, N), Psi_x, Psi_u, N), x0)
+    ocp = condense(agent_group(agent, ing, tighten_local_sets(agent, N), [Psi_x], [Psi_u], N),
+                   x0)
 
     z = [x0]
     for l in range(N):
@@ -45,8 +46,9 @@ def test_condense_matches_direct_simulation(case):
     z = np.array(z)
     f = coupling_terms(agent, Psi_x, Psi_u, x0, u)
     scale = max(1.0, np.abs(z).max(), np.abs(f).max())
-    np.testing.assert_allclose(ocp.trajectory(u), z, rtol=1e-9, atol=1e-12 * scale)
-    np.testing.assert_allclose(ocp.coupling_values(u), f, rtol=1e-9, atol=1e-12 * scale)
+    np.testing.assert_allclose(ocp.trajectory(u[None])[0], z, rtol=1e-9, atol=1e-12 * scale)
+    np.testing.assert_allclose(ocp.coupling_values(u[None])[0], f, rtol=1e-9,
+                               atol=1e-12 * scale)
 
 
 @st.composite

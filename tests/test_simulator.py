@@ -12,7 +12,7 @@ from tube_dmpc.simulator import (DisturbanceSampler, InitialInfeasibilityError,
                                  run_closed_loop, step_plant, write_summary_json)
 from tube_dmpc.trigger import TriggerDecision
 
-from conftest import load_raw
+from conftest import fleet_ocps, load_raw
 
 
 def test_step_plant_zero():
@@ -89,22 +89,24 @@ def test_default_run_invariants(default_scenario, default_pipeline):
 def test_applied_inputs_equal_stored_segments(default_scenario, default_pipeline,
                                               monkeypatch):
     original = simulator.run_admm
-    solved = []  # the OCP solutions of every instant, in order
+    solved = []  # the (group problem, solution) pairs of every instant, in order
 
     def capturing(ocps, params):
         result = original(ocps, params)
-        solved.append(result[0])
+        solved.append(list(zip(ocps, result[0])))
         return result
 
     monkeypatch.setattr(simulator, "run_admm", capturing)
     log = run_closed_loop(default_scenario, pipeline=default_pipeline)
     assert len(solved) == len(log.triggers)
-    for rec, solutions in zip(log.triggers, solved):
-        for i, sol in zip(rec.ocp_agents, solutions):
-            m = default_scenario.agents[i].m
-            for s in range(rec.Mk_applied):
-                np.testing.assert_array_equal(log.inputs[rec.t_k + s][i],
-                                              sol.u_star[s * m:(s + 1) * m])
+    for rec, pairs in zip(log.triggers, solved):
+        assert sorted(i for ocp, _ in pairs for i in ocp.agents.tolist()) == list(rec.ocp_agents)
+        for ocp, sol in pairs:
+            for j, i in enumerate(ocp.agents.tolist()):
+                m = default_scenario.agents[i].m
+                for s in range(rec.Mk_applied):
+                    np.testing.assert_array_equal(log.inputs[rec.t_k + s][i],
+                                                  sol.u_star[j, s * m:(s + 1) * m])
 
 
 def test_periodic_solves_every_step(default_scenario, default_pipeline):
@@ -334,27 +336,29 @@ def hetero_raw():
 
 
 def test_heterogeneous_fleet_end_to_end():
-    from tube_dmpc.local_solver import condense, solve_centralized
+    # the (n, m)-mixed fleet, then the interleaved mixed fleet (groups {0, 3}, {1, 4}, {2, 5})
+    from tube_dmpc.local_solver import solve_centralized
     from tube_dmpc.dual_admm import run_admm
 
-    sc = validate_scenario(hetero_raw())
-    pipe = prepare(sc)
-    assert pipe.certificate.overall_ok
-    log = run_closed_loop(sc, pipeline=pipe)
-    assert log.local_violations(sc) == 0 and log.global_violations() == 0
-    assert all(st == "optimal" for rec in log.triggers for st in rec.statuses)
-    # input dimensions preserved per agent in the log
-    assert log.inputs[0][0].shape == (2,)
-    assert log.inputs[0][1].shape == (1,)
+    for raw, members in ((hetero_raw(), [[0], [1]]),
+                         (load_raw("mixed_six.yaml"), [[0, 3], [1, 4], [2, 5]])):
+        sc = validate_scenario(raw)
+        pipe = prepare(sc)
+        assert pipe.certificate.overall_ok
+        assert [g.index.tolist() for g in pipe.groups] == members
+        log = run_closed_loop(sc, pipeline=pipe)
+        assert log.local_violations(sc) == 0 and log.global_violations() == 0
+        assert all(st == "optimal" for rec in log.triggers for st in rec.statuses)
+        # input dimensions preserved per agent in the log: (2,) and (1,) in the first fleet
+        assert [u.shape for u in log.inputs[0]] == [(agent.m,) for agent in sc.agents]
 
-    b_share = pipe.schedule.b / sc.M
-    ocps = [condense(pipe.templates[i], sc.x0[i], b_share=b_share) for i in range(sc.M)]
-    sols, _, converged = run_admm(ocps, sc.solver)
-    _, central = solve_centralized(sc, pipe.ingredients, pipe.tightened,
-                                   pipe.schedule, sc.x0)
-    assert converged
-    total = sum(s.J_star for s in sols)
-    assert abs(total - central) / central <= 5e-3
+        sols, _, converged = run_admm(fleet_ocps(sc, pipe, b_share=pipe.schedule.b / sc.M),
+                                      sc.solver)
+        _, central = solve_centralized(sc, pipe.ingredients, pipe.tightened,
+                                       pipe.schedule, sc.x0)
+        assert converged
+        total = sum(s.J_star.sum() for s in sols)
+        assert abs(total - central) / central <= 5e-3
 
 
 def test_schedule_check_rejects_nonmonotone_terminal_entry():

@@ -1,4 +1,4 @@
-"""Per-agent OCP templates: built once in prepare, read-only, exact against assembly."""
+"""Agent groups: built once in prepare, read-only, exact against per-agent assembly."""
 
 import copy
 from dataclasses import fields, replace
@@ -12,6 +12,8 @@ from tube_dmpc.dual_admm import consensus_gain, default_tau
 from tube_dmpc.local_solver import condense, rollout_maps
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare, run_closed_loop
+
+from conftest import fleet_ocps
 
 
 def assemble(agent, ing, tightened, Psi_x, Psi_u, x0, N):
@@ -49,16 +51,16 @@ def assemble(agent, ing, tightened, Psi_x, Psi_u, x0, N):
     }
 
 
-def template_arrays(template):
-    """Every array held by a template and by its split-QP setup."""
-    values = [getattr(template, f.name) for f in fields(template)]
-    values += [getattr(template.split, f.name) for f in fields(template.split)]
+def group_arrays(group):
+    """Every array held by an agent group and by its split-QP setup."""
+    values = [getattr(group, f.name) for f in fields(group)]
+    values += [getattr(group.split, f.name) for f in fields(group.split)]
     return [a for v in values for a in (v if isinstance(v, tuple) else (v,))
             if isinstance(a, np.ndarray)]
 
 
 def test_template_arrays_are_read_only(default_pipeline):
-    arrays = template_arrays(default_pipeline.templates[0])
+    arrays = group_arrays(default_pipeline.groups[0])
     assert len(arrays) >= 20
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -70,20 +72,22 @@ def test_template_arrays_are_read_only(default_pipeline):
 def test_condense_equals_assembly_from_scratch(default_scenario, default_pipeline, i, x1, x2):
     sc, pipe = default_scenario, default_pipeline
     x0 = np.array([x1, x2])
-    ocp = condense(pipe.templates[i], x0)
+    (group,) = pipe.groups  # the default agents share one model
+    ocp = condense(group, [x0], [i])
     ref = assemble(sc.agents[i], pipe.ingredients[i], pipe.tightened[i],
                    sc.coupling.Psi_x[i], sc.coupling.Psi_u[i], x0, sc.N)
     for name, value in ref.items():
-        owner = ocp.template if name in ("H", "rows_C", "ball_C", "F") else ocp
-        np.testing.assert_array_equal(getattr(owner, name), value, err_msg=name)
+        shared = name in ("H", "rows_C", "ball_C")
+        actual = getattr(group, name) if shared else getattr(ocp, name)[0]
+        np.testing.assert_array_equal(actual, value, err_msg=name)
 
 
 def test_default_tau_from_template_curvature(default_scenario, default_pipeline):
     sc, pipe = default_scenario, default_pipeline
-    ocps = [condense(pipe.templates[i], sc.x0[i]) for i in range(sc.M)]
-    direct = [float(np.linalg.norm(t.F @ np.linalg.solve(t.H, t.F.T), 2))
-              for t in (ocp.template for ocp in ocps)]
-    assert [ocp.template.dual_curvature for ocp in ocps] == direct
+    ocps = fleet_ocps(sc, pipe)
+    (group,) = pipe.groups
+    direct = [float(np.linalg.norm(F @ np.linalg.solve(group.H, F.T), 2)) for F in group.F]
+    assert group.dual_curvature.tolist() == direct
     assert (default_tau(ocps, 1.5, sc.M)
             == 1.5 * consensus_gain(sc.M) + max(max(direct), 1e-8))
 
@@ -96,17 +100,19 @@ def test_identical_agents_share_one_template(default_raw):
         raw["coupling"][key] = [raw["coupling"][key][i % 4] for i in range(8)]
     raw["coupling"]["rhs"] = [20.0]
     pipe = prepare(validate_scenario(raw))
-    assert all(pipe.templates[i] is pipe.templates[i % 4] for i in range(8))
-    assert len({id(t) for t in pipe.templates}) == 4  # psi_u differs among the four
-    # the four differ only in their coupling rows: one split setup, four maps F
-    assert all(t.split is pipe.templates[0].split for t in pipe.templates)
-    Fs = [pipe.templates[i].F for i in range(4)]
+    # the eight differ only in their coupling rows: one group, one split setup, and
+    # the members' own maps F (psi_u differs among the four)
+    (group,) = pipe.groups
+    assert group.index.tolist() == list(range(8))
+    Fs = group.F
+    assert all(np.array_equal(Fs[i], Fs[i % 4]) for i in range(8))
     assert not any(np.array_equal(Fs[i], Fs[j]) for i in range(4) for j in range(i))
+    assert all(pipe.ingredients[i] is pipe.ingredients[0] for i in range(8))
 
     raw["agents"][5]["R"] = [[0.2]]
     pipe = prepare(validate_scenario(raw))
-    assert pipe.templates[5].split is not pipe.templates[1].split
-    assert all(pipe.templates[i].split is pipe.templates[0].split for i in range(8) if i != 5)
+    assert [g.index.tolist() for g in pipe.groups] == [[0, 1, 2, 3, 4, 6, 7], [5]]
+    assert pipe.groups[1].split is not pipe.groups[0].split
 
 
 def test_closed_loop_after_prepare_factors_nothing(default_scenario, default_pipeline,
@@ -142,5 +148,5 @@ def test_feedback_coupling_matches_closed_loop_rollout(default_scenario, default
     Phi, _ = rollout_maps(agent.A + agent.B @ K, agent.B, sc.N)
     z = Phi[:sc.N] @ x
     direct = (z @ sc.coupling.Psi_x[i].T + (z @ K.T) @ sc.coupling.Psi_u[i].T).ravel()
-    np.testing.assert_allclose(pipe.templates[i].feedback_coupling @ x, direct,
+    np.testing.assert_allclose(pipe.groups[0].feedback_coupling[i] @ x, direct,
                                rtol=1e-12, atol=1e-12 * max(1.0, np.abs(direct).max()))

@@ -145,8 +145,8 @@ def test_coupling_affine_consistency(default_scenario, default_pipeline):
         x0 = rng.uniform(-5, 5, size=2)
         u = rng.uniform(-2, 2, size=N)
         direct = coupling_terms(agent, Px, Pu, x0, u)
-        ocp = condense(default_pipeline.templates[1], x0)
-        np.testing.assert_allclose(direct, ocp.coupling_values(u), atol=1e-12)
+        ocp = condense(default_pipeline.groups[0], [x0], [1])
+        np.testing.assert_allclose(direct, ocp.coupling_values(u[None])[0], atol=1e-12)
 
 
 def test_tightening_soundness_sampled(default_scenario, default_pipeline):

@@ -16,6 +16,8 @@ import tube_dmpc
 from tube_dmpc import cli, dual_admm, local_solver, simulator  # noqa: F401  (rebind targets)
 from tube_dmpc.model import validate_scenario
 
+from conftest import load_raw
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -45,13 +47,15 @@ def test_traced_run_spans_match_counters(spans, default_scenario, default_pipeli
     code = data["code"]
     inner = code == spans.CODE["local_solver.solve_inner"]
     assert int(data["payload"][inner].sum()) == log.counters["inner_iterations"]
+    # one condense span per agent group and instant (the default agents form one group)
     condense = code == spans.CODE["local_solver.condense"]
-    assert int(condense.sum()) == sum(len(rec.ocp_agents) for rec in log.triggers)
+    assert len(default_pipeline.groups) == 1
+    assert int(condense.sum()) == log.solve_instants()
     assert int(spans.instant_ids(data).max()) + 1 == log.solve_instants()
 
 
 def replicated_eight(default_raw):
-    """Eight copies of the default agents: one split setup, so one lockstep group of 8."""
+    """Eight copies of the default agents: one agent group of 8, solved in lockstep."""
     raw = copy.deepcopy(default_raw)
     raw["agents"] = [copy.deepcopy(raw["agents"][i % 4]) for i in range(8)]
     for key in ("psi_x", "psi_u"):
@@ -60,16 +64,17 @@ def replicated_eight(default_raw):
     return validate_scenario(raw)
 
 
-@pytest.mark.parametrize("case", ["periodic", "replicated-8"])
+@pytest.mark.parametrize("case", ["periodic", "replicated-8", "mixed-six"])
 def test_traced_grouped_runs_match_counters(spans, default_scenario, default_pipeline,
                                             default_raw, case):
     # one solve_inner span per group and ADMM iteration, its payload summed over the group
     if case == "periodic":
         scenario, pipeline = replace(default_scenario, trigger_mode="periodic"), default_pipeline
     else:
-        scenario = replicated_eight(default_raw)
+        scenario = (replicated_eight(default_raw) if case == "replicated-8"
+                    else validate_scenario(load_raw("mixed_six.yaml")))
         pipeline = simulator.prepare(scenario)
-        assert len({t.split for t in pipeline.templates}) == 1
+        assert len(pipeline.groups) == (1 if case == "replicated-8" else 3)
     tracer = spans.Tracer(tube_dmpc)
     tracer.install()
     try:
@@ -81,7 +86,12 @@ def test_traced_grouped_runs_match_counters(spans, default_scenario, default_pip
     code = data["code"]
     inner = code == spans.CODE["local_solver.solve_inner"]
     assert int(data["payload"][inner].sum()) == log.counters["inner_iterations"] > 0
-    # all agents share one split setup: one span per ADMM iteration plus the first solve
-    assert int(inner.sum()) == sum(rec.admm_iterations + 1 for rec in log.triggers)
+    # per instant, one condense span per group with solving agents, and one
+    # solve_inner span per such group and ADMM iteration plus the first solve
+    solving = [sum(bool(set(rec.ocp_agents) & set(g.index.tolist())) for g in pipeline.groups)
+               for rec in log.triggers]
+    assert int(inner.sum()) == sum((rec.admm_iterations + 1) * k
+                                   for rec, k in zip(log.triggers, solving))
     condense = code == spans.CODE["local_solver.condense"]
-    assert int(condense.sum()) == sum(len(rec.ocp_agents) for rec in log.triggers)
+    assert int(condense.sum()) == sum(solving)
+    assert int(spans.instant_ids(data).max()) + 1 == log.solve_instants()

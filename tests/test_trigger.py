@@ -5,11 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tube_dmpc.model import AgentModel, HPolytope
-from tube_dmpc.local_solver import condense
 from tube_dmpc.synthesis import NORM_ONE_TOL, TerminalIngredients, error_gain
 from tube_dmpc.trigger import deviation_bound, g_profile, select_Mk
 
-from conftest import solve_one
+from conftest import plan, row
 
 
 # -- references: the per-M loop and the scan that g_profile and select_Mk replace --
@@ -103,22 +102,20 @@ def test_cost_bound_zero_disturbance_is_negative(nominal_scenario):
     from tube_dmpc.simulator import prepare
     pipe = prepare(nominal_scenario)
     sc = nominal_scenario
-    ocp = condense(pipe.templates[0], sc.x0[0])
-    sol = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
-    assert sol.status == "optimal"
+    sol = plan(pipe.groups[0], sc.x0[0], np.zeros(sc.coupling.p * sc.N))
+    assert row(sol).status == "optimal"
+    profile = g_profile(pipe.groups[0], sol)[0][0]
     for Mk in range(1, sc.N + 1):
-        g = g_profile(sc.agents[0], sol, pipe.ingredients[0], sc.N)[Mk - 1]
         # with w_bar = 0 the bound is exactly minus the skipped stage costs
-        assert g < 0
+        assert profile[Mk - 1] < 0
 
 
 def test_cost_bound_origin_zero(nominal_scenario):
     from tube_dmpc.simulator import prepare
     pipe = prepare(nominal_scenario)
     sc = nominal_scenario
-    ocp = condense(pipe.templates[0], np.zeros(2))
-    sol = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
-    g = g_profile(sc.agents[0], sol, pipe.ingredients[0], sc.N)[0]
+    sol = plan(pipe.groups[0], np.zeros(2), np.zeros(sc.coupling.p * sc.N))
+    g = g_profile(pipe.groups[0], sol)[0][0, 0]
     assert g == pytest.approx(0.0, abs=1e-8)
 
 
@@ -126,14 +123,14 @@ def test_cost_bound_upper_bounds_realized_difference(default_scenario,
                                                      default_pipeline):
     # re-solve oracle over sampled disturbances at the chosen interval
     sc, pipe = default_scenario, default_pipeline
-    agent, ing = sc.agents[0], pipe.ingredients[0]
+    agent, group = sc.agents[0], pipe.groups[0]
     x0 = np.array([-10.0, -4.0])
     lam0 = np.zeros(sc.coupling.p * sc.N)
-    ocp0 = condense(pipe.templates[0], x0)
-    sol0 = solve_one(ocp0, lam0)
+    plan0 = plan(group, x0, lam0)
+    sol0 = row(plan0)
     assert sol0.status == "optimal"
     rng = np.random.default_rng(17)
-    profile = g_profile(agent, sol0, ing, sc.N)
+    profile = g_profile(group, plan0)[0][0]
     for Mk in (1, 5):
         g = profile[Mk - 1]
         assert g < 0
@@ -142,7 +139,7 @@ def test_cost_bound_upper_bounds_realized_difference(default_scenario,
             for l in range(Mk):
                 u = sol0.u_star[l * agent.m:(l + 1) * agent.m]
                 x = agent.A @ x + agent.B @ u + rng.uniform(-0.3, 0.3, size=2)
-            sol1 = solve_one(condense(pipe.templates[0], x), lam0)
+            sol1 = row(plan(group, x, lam0))
             assert sol1.status == "optimal"
             assert sol1.J_star - sol0.J_star <= g + 1e-5
 
@@ -157,9 +154,8 @@ def test_select_zero_disturbance_prefers_full_horizon(nominal_scenario):
     from tube_dmpc.simulator import prepare
     pipe = prepare(nominal_scenario)
     sc = nominal_scenario
-    ocp = condense(pipe.templates[0], sc.x0[0])
-    sol = solve_one(ocp, np.zeros(ocp.template.F.shape[0]))
-    profile = g_profile(sc.agents[0], sol, pipe.ingredients[0], sc.N)
+    profile = g_profile(pipe.groups[0], plan(pipe.groups[0], sc.x0[0],
+                                             np.zeros(sc.coupling.p * sc.N)))[0][0]
     assert np.all(np.diff(profile) < 0)  # strictly improving with longer M
     decision = select_Mk([profile])
     assert decision.Mk == sc.N
@@ -223,11 +219,13 @@ def trigger_cases(draw):
 @given(trigger_cases())
 def test_g_profile_equals_per_M_loop(case):
     agent, ing, sol, N = case
-    profile = g_profile(agent, sol, ing, N)
-    assert profile.shape == (N,)
+    profiles, spent = g_profile(SimpleNamespace(agent=agent, ing=ing),
+                                SimpleNamespace(z_star=sol.z_star[None], u_star=sol.u_star[None]))
+    assert profiles.shape == spent.shape == (1, N)
     for M in range(1, N + 1):
-        g0, spent = cost_decrease_bound_g(agent, M, sol, ing)
-        assert abs(profile[M - 1] - (g0 - spent)) <= 1e-12 * (abs(g0) + abs(spent))
+        g0, ref_spent = cost_decrease_bound_g(agent, M, sol, ing)
+        assert abs(profiles[0, M - 1] - (g0 - ref_spent)) <= 1e-12 * (abs(g0) + abs(ref_spent))
+        assert abs(spent[0, M - 1] - ref_spent) <= 1e-12 * abs(ref_spent)
 
 
 @settings(max_examples=300, deadline=None)
