@@ -1,13 +1,13 @@
 """Robust self-triggered distributed MPC for disturbed linear multi-agent systems."""
 
 from .model import (AgentModel, CouplingSpec, HPolytope, Scenario, ScenarioError,
-                    SolverParams, membership, validate_scenario, scenario_to_dict)
+                    SolverParams, group_members, membership, validate_scenario,
+                    scenario_to_dict)
 from .synthesis import (CertificateReport, TerminalIngredients, certify,
                         lqr_gain, synthesize, terminal_radii, terminal_weight)
-from .tightening import (TightenedSets, ToleranceSchedule, coupling_terms,
-                         tighten_local_sets, tolerance_schedule)
+from .tightening import TightenedSets, ToleranceSchedule, tighten_local_sets, tolerance_schedule
 from .local_solver import (AgentGroup, CondensedOcp, OcpSolution, agent_group, agent_groups,
-                           condense, group_members, solve_centralized, solve_inner)
+                           condense, solve_centralized, solve_inner)
 from .dual_admm import (AdmmError, AdmmState, consensus_adjoint, consensus_diff,
                         run_admm)
 from .trigger import TriggerDecision, deviation_bound, select_Mk
@@ -19,8 +19,7 @@ __all__ = [
     "SolverParams", "membership", "validate_scenario", "scenario_to_dict",
     "CertificateReport", "TerminalIngredients", "certify", "lqr_gain",
     "synthesize", "terminal_radii", "terminal_weight",
-    "TightenedSets", "ToleranceSchedule", "coupling_terms",
-    "tighten_local_sets", "tolerance_schedule",
+    "TightenedSets", "ToleranceSchedule", "tighten_local_sets", "tolerance_schedule",
     "AgentGroup", "CondensedOcp", "OcpSolution", "agent_group", "agent_groups", "condense",
     "group_members", "solve_centralized", "solve_inner",
     "AdmmError", "AdmmState", "consensus_adjoint", "consensus_diff", "run_admm",

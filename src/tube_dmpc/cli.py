@@ -40,12 +40,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .model import ScenarioError, Scenario, validate_scenario
+from .model import ScenarioError, Scenario, group_members, per_agent, validate_scenario
+from .synthesis import certify, synthesize
 from .simulator import (CertificationError, InitialInfeasibilityError,
                         SimulationAborted, monte_carlo, prepare,
                         run_closed_loop, write_summary_json, write_trace_csv,
                         write_triggers_csv)
-from .tightening import TighteningError
+from .tightening import TighteningError, schedule_values
 from .trigger import stage_costs
 
 EXIT_OK = 0
@@ -90,11 +91,12 @@ def _outdir(args) -> Path:
 
 
 def cmd_certify(args) -> int:
-    from .synthesis import certify, synthesize
-
     scenario = load_scenario(args.scenario, _overrides(args))
-    ingredients = [synthesize(agent) for agent in scenario.agents]
-    certificate = certify(scenario, ingredients)  # reports failures, never raises
+    members = group_members(scenario.agents)
+    ingredients = per_agent(scenario.agents, members, synthesize)
+    # schedule_values and certify report failures (eps(N) >= 1 included), never raise
+    eps = schedule_values(scenario, ingredients, members)
+    certificate = certify(scenario, ingredients, eps, members)
     report = certificate.as_dict()
     out = _outdir(args) / "certificate.json"
     with open(out, "w") as fh:

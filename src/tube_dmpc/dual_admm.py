@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class AdmmState:
     iteration: int = 0
     primal_residual: float = np.inf
     dual_residual: float = np.inf
-    solutions: list = field(default_factory=list)
     total_inner_iterations: int = 0
 
     @property
@@ -163,5 +162,4 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
         if trace is not None:
             trace.close()
 
-    state.solutions = solutions()
-    return state.solutions, state, converged
+    return solutions(), state, converged

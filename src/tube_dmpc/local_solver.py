@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
-from .model import AgentModel, Scenario
+from .model import AgentModel, Scenario, group_members
 from .synthesis import TerminalIngredients
 from .tightening import TightenedSets, ToleranceSchedule
 
@@ -294,20 +294,6 @@ def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: Tightene
         split=split_setup(H, rows_C, [ball_C], [ing.eps_r]))
     _read_only(group)
     return group
-
-
-def group_members(agents) -> list:
-    """Agent indices per distinct model (A, B, Q, R, X, U, w_bar), in order of first appearance.
-
-    This is where agents are grouped: the agents of one entry share their
-    terminal ingredients, tightened sets, OCP data and split setup.
-    """
-    members = {}
-    for i, a in enumerate(agents):
-        arrays = (a.A, a.B, a.Q, a.R, a.X.G, a.X.h, a.U.G, a.U.h)
-        key = tuple((x.shape, x.tobytes()) for x in arrays) + (a.w_bar,)
-        members.setdefault(key, []).append(i)
-    return [np.array(idx) for idx in members.values()]
 
 
 def agent_groups(scenario: Scenario, ingredients, tightened, members=None) -> tuple:

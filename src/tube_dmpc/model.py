@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 MEMBERSHIP_TOL = 1e-9
 PD_TOL = 1e-9
@@ -81,6 +80,7 @@ class HPolytope:
         """
         if np.linalg.matrix_rank(self.G) < self.dim:
             return False
+        from scipy.optimize import linprog  # imported on first use: a slow import
         res = linprog(np.zeros(self.G.shape[0]), A_eq=self.G.T, b_eq=np.zeros(self.dim),
                       bounds=(1.0, None), method="highs")
         if res.status == 2:  # infeasible: some d != 0 has G d <= 0
@@ -157,20 +157,6 @@ class CouplingSpec:
     Psi_u: tuple
     p: int
 
-    def norms_x(self) -> np.ndarray:
-        """Per-agent max-over-rows 2-norm of Psi_x (tight row-wise bound)."""
-        return np.array([row_norm(Px) for Px in self.Psi_x])
-
-    def norms_N(self, gains) -> np.ndarray:
-        """Per-agent row norm of Psi_N = Psi_x + Psi_u K."""
-        return np.array([row_norm(Px + Pu @ K)
-                         for Px, Pu, K in zip(self.Psi_x, self.Psi_u, gains)])
-
-
-def row_norm(mat: np.ndarray) -> float:
-    """Max over rows of the 2-norm; equals the spectral norm for one row."""
-    return float(np.max(np.linalg.norm(np.atleast_2d(mat), axis=1)))
-
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -218,12 +204,26 @@ class Scenario:
     def M(self) -> int:
         return len(self.agents)
 
-    def with_w_bar_scaled(self, factor: float) -> "Scenario":
-        agents = tuple(replace(a, w_bar=a.w_bar * factor,
-                               box_half_widths=None if a.box_half_widths is None
-                               else a.box_half_widths * factor)
-                       for a in self.agents)
-        return replace(self, agents=agents)
+
+def group_members(agents) -> list:
+    """Agent indices per distinct model (A, B, Q, R, X, U, w_bar), in order of first appearance.
+
+    This is where agents are grouped: the agents of one entry share their
+    terminal ingredients, tightened sets, OCP data and split setup.
+    """
+    members = {}
+    for i, a in enumerate(agents):
+        arrays = (a.A, a.B, a.Q, a.R, a.X.G, a.X.h, a.U.G, a.U.h)
+        key = tuple((x.shape, x.tobytes()) for x in arrays) + (a.w_bar,)
+        members.setdefault(key, []).append(i)
+    return [np.array(idx) for idx in members.values()]
+
+
+def per_agent(agents, members, fn) -> tuple:
+    """fn of each group's model, evaluated once per entry of `members`, one value per agent."""
+    values = [fn(agents[idx[0]]) for idx in members]
+    which = {i: k for k, idx in enumerate(members) for i in idx.tolist()}
+    return tuple(values[which[i]] for i in range(len(agents)))
 
 
 def _parse_polytope(node, dim, what) -> HPolytope:
@@ -267,11 +267,14 @@ def _parse_agent(node, index, bounded: dict) -> AgentModel:
     Q = _symmetrize_pd(_as_matrix(_get(node, "Q", tag), n, n, f"{tag}: Q"), f"{tag}: Q")
     R = _symmetrize_pd(_as_matrix(_get(node, "R", tag), m, m, f"{tag}: R"), f"{tag}: R")
 
-    X = _parse_polytope(_get(node, "state_set", tag, dict), n, f"{tag}: state_set")
-    U = _parse_polytope(_get(node, "input_set", tag, dict), m, f"{tag}: input_set")
-    for what, poly in (("state_set", X), ("input_set", U)):
+    X_node, U_node = _get(node, "state_set", tag, dict), _get(node, "input_set", tag, dict)
+    X = _parse_polytope(X_node, n, f"{tag}: state_set")
+    U = _parse_polytope(U_node, m, f"{tag}: input_set")
+    for what, poly, spec in (("state_set", X, X_node), ("input_set", U, U_node)):
         if not poly.contains_origin_strictly():
             raise ScenarioError(f"{tag}: origin not interior to {what}")
+        if "box" in spec:
+            continue  # a box is bounded by construction: no LP
         key = (poly.G.shape, poly.G.tobytes(), poly.h.tobytes())
         if key not in bounded:
             bounded[key] = poly.is_bounded()
@@ -335,6 +338,24 @@ def _parse_coupling(node, agents) -> CouplingSpec:
     return CouplingSpec(Psi_x=Psi_x, Psi_u=Psi_u, p=p)
 
 
+def _integer(value) -> int:
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
+
+
+def _parse_solver(node) -> SolverParams:
+    """SolverParams from the 'solver' mapping; YAML 1.1 loads 1e-5 (no dot) as a string."""
+    kinds = {f.name: _integer if f.type == "int" else float for f in fields(SolverParams)}
+    unknown = [key for key in node if key not in kinds]
+    if unknown:
+        raise ScenarioError(f"solver: unknown field {unknown[0]!r}")
+    return SolverParams(**{key: None if key == "tau" and value is None
+                           else _get(node, key, "solver", kinds[key])
+                           for key, value in node.items()})
+
+
 def validate_scenario(raw: dict) -> Scenario:
     """Turn a parsed scenario document into a validated, normalized Scenario."""
     if not isinstance(raw, dict):
@@ -370,7 +391,7 @@ def validate_scenario(raw: dict) -> Scenario:
     if mode not in ("self-triggered", "periodic"):
         raise ScenarioError(f"trigger_mode must be 'self-triggered' or 'periodic', got {mode!r}")
 
-    solver = _get(raw, "solver", "scenario", lambda node: SolverParams(**node), SolverParams())
+    solver = _parse_solver(_get(raw, "solver", "scenario", dict, {}))
     from .dual_admm import consensus_gain  # the ADMM module imports this one
     floor = solver.rho * consensus_gain(len(agents))
     if solver.tau is not None and solver.tau < floor:

@@ -9,10 +9,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Scenario, membership
+from .model import Scenario, group_members, membership, per_agent
 from .synthesis import certify, synthesize
 from .tightening import tolerance_schedule, tighten_local_sets
-from .local_solver import agent_groups, condense, group_members
+from .local_solver import agent_groups, condense
 from .dual_admm import AdmmError, run_admm
 from .trigger import g_profile, quad_form, select_Mk
 
@@ -53,19 +53,11 @@ class Pipeline:
 
 def prepare(scenario: Scenario) -> Pipeline:
     members = group_members(scenario.agents)
-    which = np.empty(scenario.M, dtype=int)  # the group of every agent
-    for k, idx in enumerate(members):
-        which[idx] = k
-
-    def per_agent(fn) -> tuple:
-        """fn of each group's model, evaluated once per group, one entry per agent."""
-        values = [fn(scenario.agents[idx[0]]) for idx in members]
-        return tuple(values[k] for k in which)
-
-    ingredients = per_agent(synthesize)
-    schedule = tolerance_schedule(scenario, ingredients)
-    tightened = per_agent(lambda agent: tighten_local_sets(agent, scenario.N))
-    certificate = certify(scenario, ingredients, schedule.eps)
+    ingredients = per_agent(scenario.agents, members, synthesize)
+    schedule = tolerance_schedule(scenario, ingredients, members)
+    tightened = per_agent(scenario.agents, members,
+                          lambda agent: tighten_local_sets(agent, scenario.N))
+    certificate = certify(scenario, ingredients, schedule.eps, members)
     return Pipeline(ingredients=ingredients, schedule=schedule, tightened=tightened,
                     certificate=certificate,
                     groups=agent_groups(scenario, ingredients, tightened, members))

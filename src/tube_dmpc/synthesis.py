@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AgentModel, Scenario
+from .model import AgentModel, Scenario, group_members
 
 NORM_ONE_TOL = 1e-9
 
@@ -231,48 +231,67 @@ class CertificateReport:
         }
 
 
-def certify(scenario: Scenario, ingredients, schedule_eps=None) -> CertificateReport:
-    """Evaluate the offline disturbance-bound checks; never raises on failure."""
-    from .tightening import schedule_values  # local import to avoid a cycle
+def coupling_rows(scenario: Scenario, K, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Psi_x and Psi_N = Psi_x + Psi_u K of the agents idx of one group (gain K), stacked."""
+    Psi_x = np.stack([scenario.coupling.Psi_x[i] for i in idx])
+    Psi_u = np.stack([scenario.coupling.Psi_u[i] for i in idx])
+    return Psi_x, Psi_x + Psi_u @ K
 
+
+def rows_max_norm(rows) -> np.ndarray:
+    """Max over rows of the 2-norm, one value per matrix of a stack."""
+    return np.linalg.norm(rows, axis=-1).max(axis=-1)
+
+
+def certify(scenario: Scenario, ingredients, schedule_eps, members=None) -> CertificateReport:
+    """Offline checks on eps(0..N), once per entry of `members` (default: group_members).
+
+    Never raises on a failed check. The terminal row and global bounds use the support
+    r ||L^-1 psi'|| (P = L L') of {||z||_P <= r} along each row psi of Psi_N, exact in
+    every direction. The local and invariance bounds use ||z||_P <= sqrt(lam_max(P)) ||z||,
+    which holds for every z.
+    """
+    if members is None:
+        members = group_members(scenario.agents)
     M = scenario.M
-    if schedule_eps is None:
-        schedule_eps = schedule_values(scenario, ingredients)
-    gains = [ing.K for ing in ingredients]
-    psi_N_norms = scenario.coupling.norms_N(gains)
+    agents = [None] * M
+    support = [0.0] * M
+    for idx in members:
+        agent, ing = scenario.agents[idx[0]], ingredients[idx[0]]
+        Psi_N = coupling_rows(scenario, ing.K, idx)[1]
+        L_inv = np.linalg.inv(np.linalg.cholesky(ing.P))  # psi P^-1 psi' = ||psi L^-T||^2
+        npsi = rows_max_norm(Psi_N)
+        group_support = ing.r * rows_max_norm(Psi_N @ L_inv.T)
 
-    agents = []
-    terminal_sum = 0.0
-    for i, (agent, ing) in enumerate(zip(scenario.agents, ingredients)):
         gain = error_gain(agent.norm_A, scenario.N)
         sqrt_lam = np.sqrt(ing.lam_max_P)
         margin_re = ing.r - ing.eps_r
+        local_rhs = float(margin_re / (sqrt_lam * gain))
+        inv_margin = float(margin_re - sqrt_lam * agent.w_bar)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero row couples nothing
+            global_rhs = np.where(npsi > 0, (1.0 / M - group_support) / (npsi * gain), np.inf)
 
-        local_rhs = margin_re / (sqrt_lam * gain)
-        npsi = psi_N_norms[i]
-        global_rhs = np.inf if npsi == 0 else (1.0 / (M * npsi) - ing.r / sqrt_lam) / gain
-        inv_margin = margin_re - sqrt_lam * agent.w_bar
-        terminal_sum += npsi * ing.r / sqrt_lam
-
-        agents.append(AgentCertificate(
-            w_bar=agent.w_bar,
-            norm_A=agent.norm_A,
-            local_rhs=float(local_rhs),
-            local_margin=float(local_rhs - agent.w_bar),
-            local_ok=bool(agent.w_bar <= local_rhs),
-            global_rhs=float(global_rhs),
-            global_margin=float(global_rhs - agent.w_bar),
-            global_ok=bool(agent.w_bar <= global_rhs),
-            invariance_margin=float(inv_margin),
-            invariance_ok=bool(inv_margin >= 0.0),
-        ))
+        for i, g_rhs, s in zip(idx.tolist(), global_rhs.tolist(), group_support.tolist()):
+            support[i] = s
+            agents[i] = AgentCertificate(
+                w_bar=agent.w_bar,
+                norm_A=agent.norm_A,
+                local_rhs=local_rhs,
+                local_margin=local_rhs - agent.w_bar,
+                local_ok=bool(agent.w_bar <= local_rhs),
+                global_rhs=g_rhs,
+                global_margin=g_rhs - agent.w_bar,
+                global_ok=bool(agent.w_bar <= g_rhs),
+                invariance_margin=inv_margin,
+                invariance_ok=bool(inv_margin >= 0.0),
+            )
 
     eps = np.asarray(schedule_eps, dtype=float)
     vacuous = bool(all(agent.w_bar == 0.0 for agent in scenario.agents))
     increasing = bool(np.all(np.diff(eps[1:]) > 0)) if eps.size > 2 else True
     schedule_ok = vacuous or bool(eps[1] > 0.0 and increasing and eps[-1] < 1.0)
 
-    terminal_margin = 1.0 - (terminal_sum + eps[-1])
+    terminal_margin = 1.0 - (sum(support) + eps[-1])
     terminal_ok = bool(terminal_margin >= 0.0)
 
     overall = (all(a.global_ok for a in agents)

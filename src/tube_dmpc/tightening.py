@@ -1,4 +1,4 @@
-"""Tolerance schedule, tightened state sets and coupling-term evaluation."""
+"""Tolerance schedule and tightened state sets."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AgentModel, HPolytope, Scenario
-from .synthesis import error_gain
+from .model import AgentModel, HPolytope, Scenario, group_members
+from .synthesis import coupling_rows, error_gain, rows_max_norm
 
 
 class TighteningError(RuntimeError):
@@ -27,28 +27,27 @@ class ToleranceSchedule:
     b: np.ndarray
     p: int
 
-    @property
-    def N(self) -> int:
-        return self.eps.size - 1
 
-
-def schedule_values(scenario: Scenario, ingredients) -> np.ndarray:
-    """eps(l) for l = 0..N; never raises (certify reports on these directly)."""
+def schedule_values(scenario: Scenario, ingredients, members=None) -> np.ndarray:
+    """eps(l) for l = 0..N, one array expression per entry of `members` (default:
+    group_members); never raises (certify reports on these directly)."""
+    if members is None:
+        members = group_members(scenario.agents)
     N = scenario.N
-    norms_x = scenario.coupling.norms_x()
-    norms_N = scenario.coupling.norms_N([ing.K for ing in ingredients])
+    steps = np.arange(N + 1)
+    terms = np.empty((scenario.M, N + 1))
+    for idx in members:
+        agent, ing = scenario.agents[idx[0]], ingredients[idx[0]]
+        Psi_x, Psi_N = coupling_rows(scenario, ing.K, idx)
+        norms = np.where(steps == N, rows_max_norm(Psi_N)[:, None],
+                         rows_max_norm(Psi_x)[:, None])
+        terms[idx] = norms * agent.w_bar * error_gain(agent.norm_A, steps)
+    return sum(terms)  # row by row: the same rounding for any grouping
 
-    eps = np.zeros(N + 1)
-    for l in range(1, N + 1):
-        norms = norms_N if l == N else norms_x
-        eps[l] = sum(norms[i] * agent.w_bar * error_gain(agent.norm_A, l)
-                     for i, agent in enumerate(scenario.agents))
-    return eps
 
-
-def tolerance_schedule(scenario: Scenario, ingredients) -> ToleranceSchedule:
+def tolerance_schedule(scenario: Scenario, ingredients, members=None) -> ToleranceSchedule:
     """Build the schedule; rejects eps(N) >= 1 (no room left in the RHS)."""
-    eps = schedule_values(scenario, ingredients)
+    eps = schedule_values(scenario, ingredients, members)
     if eps[-1] >= 1.0:
         raise TighteningError(f"infeasible tightening: eps(N) = {eps[-1]:.6f} >= 1")
     p = scenario.coupling.p
@@ -77,25 +76,3 @@ def tighten_local_sets(agent: AgentModel, N: int) -> TightenedSets:
         sets.append(HPolytope(G, offsets))
         normals = normals @ agent.A  # row g'A^j -> g'A^{j+1}
     return TightenedSets(Z=tuple(sets))
-
-
-def coupling_terms(agent: AgentModel, Psi_x, Psi_u, x0, u) -> np.ndarray:
-    """Stacked coupling values over the horizon by direct nominal simulation.
-
-    Block l is Psi_x z(l) + Psi_u u(l) with z the disturbance-free rollout
-    from x0 under the stacked input sequence u.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    m = agent.m
-    if u.size % m != 0:
-        raise TighteningError(f"input sequence length {u.size} not a multiple of m = {m}")
-    N = u.size // m
-    z = np.asarray(x0, dtype=float).ravel()
-    if z.size != agent.n:
-        raise TighteningError(f"x0 has dim {z.size}, expected {agent.n}")
-    blocks = []
-    for l in range(N):
-        ul = u[l * m:(l + 1) * m]
-        blocks.append(Psi_x @ z + Psi_u @ ul)
-        z = agent.A @ z + agent.B @ ul
-    return np.concatenate(blocks)

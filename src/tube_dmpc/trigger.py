@@ -15,7 +15,8 @@ def deviation_bound(agent: AgentModel, phi, l, Mk):
 
     Equals sqrt(lam_max(phi)) * w_bar * ||A||^l * sum_{j<Mk} ||A||^j, which is
     sqrt(lam_max(phi)) * w_bar * Mk at ||A|| = 1; elementwise over integer
-    arrays l and Mk.
+    arrays l and Mk. It is sound in every direction: ||e||_phi <=
+    sqrt(lam_max(phi)) ||e|| holds for every e.
     """
     return _deviation_bound(agent, float(np.linalg.eigvalsh(np.atleast_2d(phi)).max()),
                             l, Mk)

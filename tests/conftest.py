@@ -1,7 +1,9 @@
 import copy
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 
@@ -39,6 +41,32 @@ def plan(group, x0, lam, slot=0):
 def solve_one(ocp, lam):
     """Inner solve of a one-row problem (a group of one): its row's solution."""
     return row(solve_inner(ocp, [lam]).solution)
+
+
+def coupling_terms(agent, Psi_x, Psi_u, x0, u):
+    """Reference coupling values over the horizon by direct nominal simulation.
+
+    Block l is Psi_x z(l) + Psi_u u(l) with z the disturbance-free rollout
+    from x0 under the stacked input sequence u.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    m = agent.m
+    z = np.asarray(x0, dtype=float).ravel()
+    blocks = []
+    for l in range(u.size // m):
+        ul = u[l * m:(l + 1) * m]
+        blocks.append(Psi_x @ z + Psi_u @ ul)
+        z = agent.A @ z + agent.B @ ul
+    return np.concatenate(blocks)
+
+
+def w_bar_scaled(scenario, factor):
+    """The scenario with every disturbance bound (ball radius and box) scaled by factor."""
+    agents = tuple(replace(a, w_bar=a.w_bar * factor,
+                           box_half_widths=None if a.box_half_widths is None
+                           else a.box_half_widths * factor)
+                   for a in scenario.agents)
+    return replace(scenario, agents=agents)
 
 
 def load_raw(name):

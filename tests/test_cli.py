@@ -1,17 +1,24 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from tube_dmpc.cli import main
+from tube_dmpc import cli
+from tube_dmpc.cli import load_scenario, main
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "four_agent.yaml")
 INFEASIBLE_X0 = str(Path(__file__).resolve().parent.parent / "scenarios"
                / "four_agent_infeasible_x0.yaml")
 COUPLED_INFEASIBLE = str(Path(__file__).resolve().parent.parent / "scenarios"
                          / "four_agent_coupled_infeasible.yaml")
+ANISOTROPIC = str(Path(__file__).resolve().parent.parent / "scenarios"
+                  / "four_agent_anisotropic_terminal.yaml")
+MIXED_SIX = str(Path(__file__).resolve().parent.parent / "scenarios" / "mixed_six.yaml")
 
 
 def write_variant(tmp_path, mutate, name="variant.yaml"):
@@ -108,6 +115,8 @@ MALFORMED = {
     "zero-inner-max-iter": (lambda raw: raw["solver"].update(inner_max_iter=0),
                             "inner_max_iter"),
     "negative-tol": (lambda raw: raw["solver"].update(tol_primal=-1), "tol_primal"),
+    "text-tol": (lambda raw: raw["solver"].update(tol_primal="fast"), "'tol_primal'"),
+    "fractional-max-iter": (lambda raw: raw["solver"].update(max_iter=2.5), "'max_iter'"),
 }
 
 
@@ -118,6 +127,45 @@ def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, case
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err
+
+
+def test_solver_numbers_without_a_dot_are_converted(tmp_path):
+    # YAML 1.1 loads 1e-5 and 5e2 (no dot) as strings
+    text = (Path(SCENARIO).read_text().replace("tol_primal: 1.0e-5", "tol_primal: 1e-5")
+            .replace("max_iter: 500", "max_iter: 5e2"))
+    path = tmp_path / "no_dot.yaml"
+    path.write_text(text)
+    assert yaml.safe_load(text)["solver"]["tol_primal"] == "1e-5"
+    solver = load_scenario(path).solver
+    assert solver.tol_primal == 1e-5 and solver.max_iter == 500
+    assert isinstance(solver.max_iter, int)
+
+
+def test_certify_synthesizes_once_per_agent_group(tmp_path, monkeypatch):
+    calls, synthesize = [], cli.synthesize
+    monkeypatch.setattr(cli, "synthesize", lambda agent: calls.append(agent) or synthesize(agent))
+    assert main(["certify", "--scenario", MIXED_SIX, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 3  # six agents, three models
+
+
+def test_anisotropic_terminal_set_is_refused(tmp_path, capsys):
+    # the coupled row runs along the short axis of P's ellipsoid: every agent
+    # starts in terminal mode and the row reads 1.766 at t = 0
+    assert main(["certify", "--scenario", ANISOTROPIC, "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "certificate.json").read_text())
+    assert report["terminal_row"]["ok"] is False
+    assert report["terminal_row"]["margin"] == pytest.approx(-0.964, abs=1e-3)
+    capsys.readouterr()
+    assert main(["run", "--scenario", ANISOTROPIC, "--out", str(tmp_path / "run")]) == 2
+    assert "certificates fail" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    code = "import sys, tube_dmpc.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert out.stdout.strip() == "False"
 
 
 def test_run_initial_infeasibility_exit_three(tmp_path):

@@ -1,4 +1,5 @@
-"""Randomized properties of the condensed rollout, the consensus operator and polytopes."""
+"""Randomized properties of the condensed rollout, the consensus operator, polytopes and the
+terminal-row certificate."""
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -7,9 +8,11 @@ from scipy.optimize import linprog
 
 from tube_dmpc.dual_admm import consensus_adjoint, consensus_diff, consensus_gain
 from tube_dmpc.local_solver import agent_group, condense
-from tube_dmpc.model import AgentModel, HPolytope, ScenarioError
-from tube_dmpc.synthesis import TerminalIngredients
-from tube_dmpc.tightening import coupling_terms, tighten_local_sets
+from tube_dmpc.model import AgentModel, CouplingSpec, HPolytope, Scenario, ScenarioError
+from tube_dmpc.synthesis import SynthesisError, TerminalIngredients, certify, synthesize
+from tube_dmpc.tightening import schedule_values, tighten_local_sets
+
+from conftest import coupling_terms
 
 FEW = settings(max_examples=40, deadline=None)
 entries = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
@@ -116,3 +119,50 @@ def test_is_bounded_where_a_coordinate_lp_reports_infeasible():
     poly = HPolytope(G, np.ones(5))
     assert not poly.is_bounded()
     assert np.all(G @ np.array([1.0, -1.0, 0.0]) <= 0.0)
+
+
+def spd(draw, size):
+    root = draw(matrix(size, size))
+    return root @ root.T + draw(st.floats(0.05, 2.0)) * np.eye(size)
+
+
+@st.composite
+def one_agent_scenarios(draw):
+    n, m, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    A, B = draw(matrix(n, n)), draw(matrix(n, m))
+    ctrb = np.hstack([np.linalg.matrix_power(A, j) @ B for j in range(n)])
+    sv = np.linalg.svd(ctrb, compute_uv=False)
+    assume(sv.min() > 1e-2 * sv.max())  # reachable, hence stabilizable
+    agent = AgentModel(A=A, B=B, w_bar=draw(st.floats(0.0, 0.05)),
+                       X=HPolytope.box(draw(arrays(np.float64, n, elements=st.floats(1, 20)))),
+                       U=HPolytope.box(draw(arrays(np.float64, m, elements=st.floats(1, 5)))),
+                       Q=spd(draw, n), R=spd(draw, m))
+    coupling = CouplingSpec(Psi_x=(draw(matrix(p, n)),), Psi_u=(draw(matrix(p, m)),), p=p)
+    return Scenario(agents=(agent,), coupling=coupling, N=draw(st.integers(1, 6)), T_run=1,
+                    x0=(np.zeros(n),))
+
+
+@FEW
+@given(one_agent_scenarios())
+def test_terminal_row_support_covers_the_worst_terminal_point(scenario):
+    # on {||z||_P <= r}, psi z peaks at z = r P^-1 psi' / ||psi||_{P^-1}; the certificate's
+    # terminal support (read back from its margin) must cover that value for every row
+    agent = scenario.agents[0]
+    try:
+        ing = synthesize(agent)
+    except SynthesisError:
+        assume(False)
+    eps = schedule_values(scenario, [ing])
+    report = certify(scenario, [ing], eps)
+    support = 1.0 - report.terminal_sum_margin - eps[-1]
+
+    Psi_N = scenario.coupling.Psi_x[0] + scenario.coupling.Psi_u[0] @ ing.K
+    P_inv = np.linalg.inv(ing.P)
+    worst = 0.0
+    for psi in Psi_N:
+        level = np.sqrt(psi @ P_inv @ psi)
+        if level > 0:
+            z = ing.r * P_inv @ psi / level
+            assert ing.p_norm(z) <= ing.r * (1 + 1e-9)
+            worst = max(worst, float(psi @ z))
+    assert worst <= support + 1e-9 * max(1.0, support)

@@ -5,6 +5,9 @@ from scipy import linalg as sla
 from tube_dmpc.model import HPolytope
 from tube_dmpc.synthesis import (certify, error_gain, lqr_gain, synthesize,
                                  terminal_radii, terminal_weight)
+from tube_dmpc.tightening import schedule_values
+
+from conftest import w_bar_scaled
 
 A5 = np.array([[1.1, 0.12], [0.35, 0.0075]])
 B5 = np.array([[1.5], [0.5]])
@@ -150,7 +153,7 @@ def test_certify_default_scenario(default_scenario, default_pipeline):
 
 def test_certify_zero_disturbance(nominal_scenario):
     ings = [synthesize(agent) for agent in nominal_scenario.agents]
-    report = certify(nominal_scenario, ings)
+    report = certify(nominal_scenario, ings, schedule_values(nominal_scenario, ings))
     assert report.overall_ok
     assert report.schedule_vacuous
     assert report.strict_local_all_ok
@@ -160,8 +163,9 @@ def test_certify_zero_disturbance(nominal_scenario):
 
 
 def test_certify_huge_disturbance(default_scenario, default_pipeline):
-    sc = default_scenario.with_w_bar_scaled(1e3 / default_scenario.agents[0].w_bar)
-    report = certify(sc, default_pipeline.ingredients)
+    sc = w_bar_scaled(default_scenario, 1e3 / default_scenario.agents[0].w_bar)
+    report = certify(sc, default_pipeline.ingredients,
+                     schedule_values(sc, default_pipeline.ingredients))
     assert not report.overall_ok
     assert all(a.local_margin < 0 for a in report.agents)
     assert all(a.global_margin < 0 for a in report.agents)
@@ -169,9 +173,10 @@ def test_certify_huge_disturbance(default_scenario, default_pipeline):
 
 def test_certify_monotone_in_w_bar(default_scenario, default_pipeline):
     # passing at w_bar implies passing at any smaller w_bar
-    report = certify(default_scenario, default_pipeline.ingredients)
-    smaller = certify(default_scenario.with_w_bar_scaled(0.5),
-                      default_pipeline.ingredients)
+    report = default_pipeline.certificate
+    sc = w_bar_scaled(default_scenario, 0.5)
+    smaller = certify(sc, default_pipeline.ingredients,
+                      schedule_values(sc, default_pipeline.ingredients))
     for a, b in zip(report.agents, smaller.agents):
         assert b.global_margin >= a.global_margin
         assert b.invariance_margin >= a.invariance_margin

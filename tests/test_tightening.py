@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from tube_dmpc.model import AgentModel, HPolytope
-from tube_dmpc.synthesis import synthesize
+from tube_dmpc.model import AgentModel, HPolytope, validate_scenario
+from tube_dmpc.simulator import prepare
+from tube_dmpc.synthesis import error_gain, synthesize
 from tube_dmpc.local_solver import condense
-from tube_dmpc.tightening import (TighteningError, coupling_terms, schedule_values,
-                                  tighten_local_sets, tolerance_schedule)
+from tube_dmpc.tightening import (TighteningError, schedule_values, tighten_local_sets,
+                                  tolerance_schedule)
+
+from conftest import coupling_terms, load_raw, w_bar_scaled
 
 
 def box_agent(A, B, w_bar=0.0, state=10.0, inp=10.0, box=None):
@@ -57,6 +60,19 @@ def test_schedule_first_step_oracle(default_scenario, default_pipeline):
     assert eps[5] == pytest.approx(oracleN, rel=1e-10)
 
 
+def test_schedule_equals_per_agent_loop_on_mixed_fleet():
+    # reference: the per-agent, per-step sum the per-group expression replaced
+    sc = validate_scenario(load_raw("mixed_six.yaml"))
+    ings = prepare(sc).ingredients
+    ref = np.zeros(sc.N + 1)
+    for l in range(1, sc.N + 1):
+        ref[l] = sum(np.max(np.linalg.norm(Px + Pu @ ing.K if l == sc.N else Px, axis=1))
+                     * agent.w_bar * error_gain(agent.norm_A, l)
+                     for agent, ing, Px, Pu in zip(sc.agents, ings, sc.coupling.Psi_x,
+                                                   sc.coupling.Psi_u))
+    np.testing.assert_array_equal(schedule_values(sc, ings), ref)
+
+
 def test_schedule_monotone(default_scenario, default_pipeline):
     eps = schedule_values(default_scenario, default_pipeline.ingredients)
     assert np.all(np.diff(eps) > 0)
@@ -64,7 +80,7 @@ def test_schedule_monotone(default_scenario, default_pipeline):
 
 
 def test_schedule_infeasible_raises(default_scenario, default_pipeline):
-    sc = default_scenario.with_w_bar_scaled(100.0)
+    sc = w_bar_scaled(default_scenario, 100.0)
     with pytest.raises(TighteningError, match="infeasible tightening"):
         tolerance_schedule(sc, default_pipeline.ingredients)
 
@@ -167,9 +183,3 @@ def test_tightening_soundness_sampled(default_scenario, default_pipeline):
             total += e @ Psi.T
         assert total.max() <= eps[l] + 1e-12
 
-
-def test_coupling_terms_dimension_errors():
-    agent = box_agent([[0.5]], [[1.0]])
-    Px, Pu = np.array([[1.0]]), np.array([[0.0]])
-    with pytest.raises(TighteningError, match="x0"):
-        coupling_terms(agent, Px, Pu, [0.0, 1.0], np.zeros(3))

@@ -10,6 +10,7 @@ import types
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tube_dmpc
@@ -95,3 +96,24 @@ def test_traced_grouped_runs_match_counters(spans, default_scenario, default_pip
     condense = code == spans.CODE["local_solver.condense"]
     assert int(condense.sum()) == sum(solving)
     assert int(spans.instant_ids(data).max()) + 1 == log.solve_instants()
+
+
+def test_traced_prepare_records_offline_layers_per_group(spans):
+    # the bench's set-up metrics read these spans under simulator.prepare
+    scenario = validate_scenario(load_raw("mixed_six.yaml"))
+    tracer = spans.Tracer(tube_dmpc)
+    tracer.install()
+    try:
+        pipeline = simulator.prepare(scenario)
+    finally:
+        tracer.uninstall()
+    data = tracer.arrays()
+    code, parent = data["code"], data["parent"]
+    prepare = np.flatnonzero(code == spans.CODE["simulator.prepare"])
+    assert prepare.size == 1 and len(pipeline.groups) == 3
+    expected = {"synthesis.synthesize": 3, "tightening.tighten_local_sets": 3,
+                "tightening.tolerance_schedule": 1, "synthesis.certify": 1}
+    for name, count in expected.items():
+        calls = code == spans.CODE[name]
+        assert int(calls.sum()) == count, name
+        assert np.all(parent[calls] == prepare[0]), name
