@@ -105,16 +105,25 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
     state = AdmmState(lambdas=np.zeros((M, d)), omega=np.zeros((M - 1, d)),
                       coupling_excess=np.full(d, np.inf))
     results = [None] * len(ocps)  # each group's latest InnerResult
+    solved_at = [None] * len(ocps)  # the multiplier rows of that solve, as bytes
 
     def inner(lambdas) -> np.ndarray:
-        """One lockstep solve per group; returns the coupling values, one row per agent."""
+        """One lockstep solve per group; returns the coupling values, one row per agent.
+
+        A group whose multiplier rows equal those of its last solve bit for bit
+        keeps that solve's result: its answers are the optimum at those
+        multipliers (to inner_tol where the polish fell back to splitting).
+        """
         f_values = np.empty((M, d))
         infeasible = []
         for k, (ocp, r) in enumerate(zip(ocps, rows)):
-            warm = results[k].warm if results[k] is not None else None
-            results[k] = solve_inner(ocp, lambdas[r], warm,
-                                     tol=params.inner_tol, max_iter=params.inner_max_iter)
-            state.total_inner_iterations += results[k].iterations
+            lam = lambdas[r]
+            if lam.tobytes() != solved_at[k]:
+                warm = results[k].warm if results[k] is not None else None
+                results[k] = solve_inner(ocp, lam, warm,
+                                         tol=params.inner_tol, max_iter=params.inner_max_iter)
+                solved_at[k] = lam.tobytes()
+                state.total_inner_iterations += results[k].iterations
             f_values[r] = ocp.coupling_values(results[k].u)
             # flagged infeasible with an infeasible final iterate
             bad = (np.asarray(results[k].flags) == "infeasible") & ~ocp.feasible(results[k].u)

@@ -7,8 +7,6 @@ from functools import cached_property
 from itertools import groupby
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from .model import AgentModel, Scenario, group_members
 from .synthesis import TerminalIngredients
@@ -18,6 +16,8 @@ FEAS_TOL = 1e-6
 RELAXATION = 1.6  # classic over-relaxation factor for the splitting iteration
 STALL_WINDOW = 2000
 STALL_LEVEL = 1e-3
+POLISH_LEVEL = 1e-1  # splitting residual at which solve_inner guesses the active set
+KKT_TOL = 1e-10  # slack allowed in the polish's feasibility and tightness checks
 SCALE_FLOOR = np.finfo(float).tiny  # a row or block normed below this cannot be rescaled
 
 
@@ -49,27 +49,27 @@ def _read_only(obj):
 
 @dataclass(frozen=True, eq=False)
 class SplitSetup:
-    """State-independent part of the splitting QP: scaled constraints, step, factor.
+    """State-independent part of the splitting QP: scaled constraints, step, inverse.
 
     Rows of the halfspace block are scaled to unit norm; rows normed below
     SCALE_FLOOR (all-zero rows included) are dropped through `zero`. Each
     ball block is scaled by 1/||C_ball||_2. `balls` holds one entry per run of
     consecutive ball blocks of equal size, so that one array expression
-    projects them all: (rows, scales, scaled radii). `factor` is
-    the upper Cholesky factor of H + sigma C'C in LAPACK layout.
+    projects them all: (rows, scales, scaled radii). With K = H + sigma C'C,
+    `solve_map` is K^-1 and `step_map` is sigma K^-1 C'.
     """
 
     zero: np.ndarray | None  # mask of the dropped halfspace rows, None when none is
     row_scale: np.ndarray
     C: np.ndarray
     sigma: float
-    sigmaCT: np.ndarray
-    factor: np.ndarray
+    solve_map: np.ndarray
+    step_map: np.ndarray
     balls: tuple
 
 
 def split_setup(H, rows_C, ball_Cs, ball_radii) -> SplitSetup:
-    """Scale the constraint blocks, pick the step sigma and factor H + sigma C'C."""
+    """Scale the constraint blocks, pick the step sigma and invert H + sigma C'C."""
     norms = np.linalg.norm(rows_C, axis=1)
     zero = norms < SCALE_FLOOR
     if np.any(zero):
@@ -96,10 +96,9 @@ def split_setup(H, rows_C, ball_Cs, ball_radii) -> SplitSetup:
 
     sigma = np.linalg.norm(H, 2) / max(1.0, np.linalg.norm(C, 2) ** 2)
     sigma = float(np.clip(sigma, 1e-3, 1e6))
-    sigmaCT = sigma * C.T
-    factor, _ = cho_factor(H + sigmaCT @ C, lower=False)
-    setup = SplitSetup(zero=zero, row_scale=scale, C=C, sigma=sigma, sigmaCT=sigmaCT,
-                       factor=factor, balls=tuple(balls))
+    solve_map = np.linalg.inv(H + sigma * (C.T @ C))
+    setup = SplitSetup(zero=zero, row_scale=scale, C=C, sigma=sigma, solve_map=solve_map,
+                       step_map=(sigma * solve_map) @ C.T, balls=tuple(balls))
     _read_only(setup)
     return setup
 
@@ -123,7 +122,7 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, w
     coefficients zero, or too small to rescale) is ignored when its rhs is
     >= 0 and makes the problem infeasible when its rhs is < 0.
     """
-    C, sigma, sigmaCT, factor = setup.C, setup.sigma, setup.sigmaCT, setup.factor
+    C, sigma, step_map = setup.C, setup.sigma, setup.step_map
     CT = C.T
     (k, B), total = G.shape, C.shape[0]
     if warm is None:
@@ -146,30 +145,31 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, w
     # halfspace bounds, +inf on the ball rows so that one minimum clips every row
     upper = np.full((total, cols.size), np.inf)
     upper[:nrows] = rows_rhs[:, cols] * setup.row_scale[:, None]
-    # per run of equal-size balls: rows, scaled offsets (blocks, nb, columns), scaled
-    # radii and the floor of the projection's denominator (the radius, or 1 at radius 0)
+    # per run of equal-size balls: rows, scaled offsets (blocks, nb, columns), scaled radii
     balls, first = [], 0
     for sl, beta, rad_s in setup.balls:
         off = np.stack(ball_offsets[first:first + beta.size])[:, :, cols] * beta[:, None, None]
-        rad_s = rad_s[:, None, None]
-        balls.append((sl, off, rad_s, np.where(rad_s > 0, rad_s, 1.0)))
+        balls.append((sl, off, rad_s[:, None, None]))
         first += beta.size
-    G = G[:, cols]
+    KG = setup.solve_map @ G[:, cols]
     S, Y = S_out[:, cols], Y_out[:, cols]
     last_ok = np.zeros(cols.size, dtype=int)  # last iteration with r_prim <= STALL_LEVEL
 
     for it in range(1, max_iter + 1 if cols.size else 1):  # none if every problem failed
-        U, info = dpotrs(factor, sigmaCT @ (S - Y) - G, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
+        U = step_map @ (S - Y)
+        U -= KG
         CU = C @ U
         CU_rel = RELAXATION * CU + (1.0 - RELAXATION) * S
         V = CU_rel + Y
         S_new = np.minimum(V, upper)
-        for sl, off_s, rad_s, floor in balls:  # project each block onto ||. + off_s|| <= rad_s
+        for sl, off_s, rad_s in balls:  # project each block onto ||. + off_s|| <= rad_s
+            # only a block outside its ball moves (V + off - off would round V away where
+            # |off| >> |V|), and hypot cannot overflow where the sum of squares would
             W = V[sl].reshape(off_s.shape) + off_s
-            W *= rad_s / np.maximum(np.sqrt(np.vecdot(W, W, axis=1, keepdims=True)), floor)
-            np.subtract(W, off_s, out=S_new[sl].reshape(off_s.shape))
+            norm = np.hypot.reduce(W, axis=1, keepdims=True)
+            outside = norm > rad_s
+            W *= np.divide(rad_s, norm, out=np.ones_like(norm), where=outside)
+            np.subtract(W, off_s, out=S_new[sl].reshape(off_s.shape), where=outside)
         Y = V - S_new
         P = CU - S_new
         r_prim = np.maximum.reduce(np.abs(P, out=P))
@@ -198,10 +198,73 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, w
         keep = ~done
         if not keep.any():
             break
-        cols, G, upper, S, Y = cols[keep], G[:, keep], upper[:, keep], S[:, keep], Y[:, keep]
+        cols, KG, upper, S, Y = cols[keep], KG[:, keep], upper[:, keep], S[:, keep], Y[:, keep]
         last_ok = last_ok[keep]
         balls = [(sl, off_s[:, :, keep], *radii) for sl, off_s, *radii in balls]
     return U_out, (S_out, Y_out), iterations, r_prim_out, r_dual_out, flags.tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class PolishSetup:
+    """State-independent part of the active-set polish of one split setup's problems.
+
+    Over the scaled halfspace rows C_r of the setup (its dropped rows left
+    out): `H_inv` = H^-1, `CH_inv` = C_r H^-1 and `schur` = C_r H^-1 C_r'.
+    """
+
+    H_inv: np.ndarray
+    CH_inv: np.ndarray
+    schur: np.ndarray
+
+
+def polish_setup(H, split: SplitSetup) -> PolishSetup:
+    C_r = split.C[:split.row_scale.size]
+    H_inv = np.linalg.inv(H)
+    CH_inv = C_r @ H_inv
+    setup = PolishSetup(H_inv=H_inv, CH_inv=CH_inv, schur=CH_inv @ C_r.T)
+    _read_only(setup)
+    return setup
+
+
+def polish(split: SplitSetup, pol: PolishSetup, G, rows_rhs, Y):
+    """Exact minimizers on the active sets guessed from the splitting duals Y.
+
+    Column j of G, rows_rhs (unscaled, dropped rows included) and Y (the
+    splitting dual) belongs to problem j; its guess is the halfspace rows with
+    Y > 0. The guessed rows are held as equalities: their multipliers mu solve
+    (C_A H^-1 C_A') mu = C_A u0 - b_A with u0 = -H^-1 g, by conjugate
+    gradients on the masked Schur matrix, every column at once, and then
+    u = u0 - H^-1 C_r' mu. Returns (U, kkt, violation): the answers, whether
+    mu >= 0, every row holds and every guessed row is tight (each to KKT_TOL
+    relative to max(1, |b|)), and the largest row violation. No factorization
+    or solve runs: every step is a product with offline data.
+    """
+    nrows = split.row_scale.size
+    if split.zero is not None:
+        rows_rhs = rows_rhs[~split.zero]
+    b = rows_rhs * split.row_scale[:, None]
+    active = Y[:nrows] > 0
+    CU0 = -(pol.CH_inv @ G)
+    res = np.where(active, CU0 - b, 0.0)
+    mu, p = np.zeros_like(res), res.copy()
+    rr = np.vecdot(res, res, axis=0)
+    # CG converges in at most rank(C_A H^-1 C_A') <= min(|A|, k) steps, plus one for rounding
+    steps = int(np.minimum(active.sum(axis=0), G.shape[0]).max(initial=0)) + 1
+    for _ in range(steps):
+        Sp = pol.schur @ p
+        Sp *= active
+        pSp = np.vecdot(p, Sp, axis=0)
+        alpha = np.divide(rr, pSp, out=np.zeros_like(rr), where=pSp > 0)
+        mu += alpha * p
+        res -= alpha * Sp
+        rr_new = np.vecdot(res, res, axis=0)
+        p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
+        rr = rr_new
+    U = -(pol.H_inv @ G) - pol.CH_inv.T @ mu
+    slack = CU0 - pol.schur @ mu - b
+    tol = KKT_TOL * np.maximum(1.0, np.abs(b))
+    kkt = ((mu >= 0.0) & (slack <= tol) & (~active | (slack >= -tol))).all(axis=0)
+    return U, kkt, np.maximum(slack.max(axis=0, initial=0.0), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,12 +276,12 @@ class AgentGroup:
     OCP: `W[l - 1]` is the stage weight at step l (P at l = N), `q_maps[l - 1]`
     = 2 Gamma[l]' W[l - 1], `rhs_G`/`rhs_h` are the tightened state sets
     Z[1..N-1], `rhs_U` the input rows over the horizon, `ball_map` = L' with
-    P = L L', and `split` the splitting solver's setup. Their coupling data are
-    stacked along axis 0, one entry per member: the rows Psi_x and Psi_u, the
-    coupling map F with its x0 part `f0_map`, `feedback_coupling` (x to the
-    stacked coupling values (Psi_x + Psi_u K)(A + BK)^l x, l < N, of the
-    terminal-feedback plan) and `dual_curvature` ||F H^-1 F'||_2. Every array
-    is read-only.
+    P = L L', `split` the splitting solver's setup and `polish` its polish data.
+    Their coupling data are stacked along axis 0, one entry per member: the
+    rows Psi_x and Psi_u, the coupling map F with its x0 part `f0_map`,
+    `feedback_coupling` (x to the stacked coupling values (Psi_x + Psi_u K)
+    (A + BK)^l x, l < N, of the terminal-feedback plan) and `dual_curvature`
+    ||F H^-1 F'||_2. Every array is read-only.
     """
 
     index: np.ndarray
@@ -242,6 +305,7 @@ class AgentGroup:
     feedback_coupling: np.ndarray
     dual_curvature: np.ndarray
     split: SplitSetup = field(repr=False)
+    polish: PolishSetup = field(repr=False)
 
 
 def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSets,
@@ -274,6 +338,7 @@ def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: Tightene
     L = np.linalg.cholesky(ing.P)  # P = L L', so ||z||_P = ||L' z||
     ball_map = L.T
     ball_C = ball_map @ Gamma[N]
+    split = split_setup(H, rows_C, [ball_C], [ing.eps_r])
 
     # coupling block l of member j: Psi_x[j] z(l) + Psi_u[j] u(l), from the same rollout
     Psi_x, Psi_u = np.stack(Psi_x), np.stack(Psi_u)
@@ -291,7 +356,7 @@ def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: Tightene
         feedback_coupling=((Psi_x + Psi_u @ ing.K)[:, None] @ Phi_K[:N]).reshape(size, N * p, n),
         dual_curvature=np.linalg.norm(F @ np.linalg.solve(H, F.transpose(0, 2, 1)), 2,
                                       axis=(1, 2)),
-        split=split_setup(H, rows_C, [ball_C], [ing.eps_r]))
+        split=split, polish=polish_setup(H, split))
     _read_only(group)
     return group
 
@@ -414,8 +479,9 @@ class InnerResult:
     """Lockstep inner solve of the rows of one CondensedOcp.
 
     Row j of `u` and entry j of the per-row arrays belong to row j of `ocp`.
-    `warm` is the splitting state and `iterations` the inner iterations summed
-    over the rows. The OcpSolution is assembled on first access to `solution`.
+    `warm` is the splitting state, `polished` marks the rows whose answer the
+    polish gave, and `iterations` is the inner iterations summed over the
+    rows. The OcpSolution is assembled on first access to `solution`.
     """
 
     ocp: CondensedOcp
@@ -425,6 +491,7 @@ class InnerResult:
     r_primal: np.ndarray
     r_dual: np.ndarray
     flags: list
+    polished: np.ndarray
 
     @property
     def iterations(self) -> int:
@@ -441,18 +508,45 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
     """Minimize J_j(u) + lam_j'(f_j(u) - b_share) for every row j of `ocp`.
 
     Row j of `lams` is row j's multiplier and `warm` the state a previous call
-    returned for the same rows. One batched splitting iteration advances them all.
+    returned for the same rows. One batched splitting iteration advances them
+    all to the residual max(tol, POLISH_LEVEL); then every converged row is
+    polished. A polished answer is kept when it passes the KKT test of the
+    full problem: mu >= 0, every halfspace row feasible and the guessed rows
+    tight to KKT_TOL, and the terminal ball strictly inactive (its multiplier
+    is zero). Its residuals are then its largest row violation and 0. Any
+    other converged row keeps splitting to `tol` from the state it
+    reached, within what is left of `max_iter`, and its iterations add up.
     """
     lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
     if lams.shape[1] != ocp.F.shape[1]:
         raise ValueError(f"lambda has dim {lams.shape[1]}, expected {ocp.F.shape[1]}")
     if np.any(lams < 0):
         raise ValueError("lambda must be componentwise nonnegative")
-    G = ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]
-    U, warm, iters, rp, rd, flags = split_iterate(
-        ocp.group.split, G.T, ocp.rows_rhs.T, [ocp.ball_off.T], tol, max_iter, warm=warm)
-    return InnerResult(ocp=ocp, u=np.ascontiguousarray(U.T), warm=warm, agent_iterations=iters,
-                       r_primal=rp, r_dual=rd, flags=flags)
+    g, split = ocp.group, ocp.group.split
+    G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]).T
+    rhs, ball_off = ocp.rows_rhs.T, ocp.ball_off.T
+    U, (S, Y), iters, rp, rd, flags = split_iterate(
+        split, G, rhs, [ball_off], max(tol, POLISH_LEVEL), max_iter, warm=warm)
+    flags = np.array(flags, dtype=object)
+
+    converged = flags == "converged"
+    U_pol, kkt, violation = polish(split, g.polish, G, rhs, Y)
+    ok = converged & kkt & (np.hypot.reduce(g.ball_C @ U_pol + ball_off, axis=0) < g.ing.eps_r)
+    if ok.any():
+        U[:, ok] = U_pol[:, ok]
+        rp[ok], rd[ok] = violation[ok], 0.0
+
+    redo = np.flatnonzero(converged & ~ok) if tol < POLISH_LEVEL else np.zeros(0, dtype=int)
+    budget = max_iter - int(iters[redo].max(initial=0))
+    if redo.size and budget == 0:
+        flags[redo] = "iteration-cap"
+    elif redo.size:
+        U[:, redo], (S[:, redo], Y[:, redo]), more, rp[redo], rd[redo], flags[redo] = (
+            split_iterate(split, G[:, redo], rhs[:, redo], [ball_off[:, redo]], tol, budget,
+                          warm=(S[:, redo], Y[:, redo])))
+        iters[redo] += more
+    return InnerResult(ocp=ocp, u=np.ascontiguousarray(U.T), warm=(S, Y), agent_iterations=iters,
+                       r_primal=rp, r_dual=rd, flags=flags.tolist(), polished=ok)
 
 
 def solve_centralized(scenario: Scenario, ingredients, tightened_list,
@@ -462,7 +556,9 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
 
     Ground-truth oracle for the distributed path, built from the same agent
     groups; the stacked inputs run over the groups and, within each, its
-    members. Returns (one OcpSolution per group, total cost).
+    members. It splits to `tol` without the polish of solve_inner, so it
+    stays an independent reference and builds no polish data for the stacked
+    problem. Returns (one OcpSolution per group, total cost).
     """
     groups = agent_groups(scenario, ingredients, tightened_list)
     ocps = [condense(grp, [x0_all[i] for i in grp.index.tolist()]) for grp in groups]

@@ -161,11 +161,13 @@ def test_anisotropic_terminal_set_is_refused(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    code = "import sys, tube_dmpc.cli; print('scipy.optimize' in sys.modules)"
+    # no scipy module at all: linprog is imported on first use, and the solver is numpy only
+    code = ("import sys, tube_dmpc.cli; print('scipy.optimize' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True,
                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False []"
 
 
 def test_run_initial_infeasibility_exit_three(tmp_path):

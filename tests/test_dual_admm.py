@@ -6,7 +6,8 @@ import pytest
 from tube_dmpc.model import AgentModel, HPolytope, SolverParams
 from tube_dmpc.synthesis import synthesize
 from tube_dmpc.tightening import tighten_local_sets
-from tube_dmpc.local_solver import agent_group, condense, solve_centralized
+from tube_dmpc import dual_admm
+from tube_dmpc.local_solver import agent_group, condense, solve_centralized, solve_inner
 from tube_dmpc.dual_admm import (AdmmError, consensus_adjoint, consensus_diff,
                                  consensus_gain, lambda_update, omega_update, run_admm)
 
@@ -192,6 +193,47 @@ def test_run_admm_active_coupling_against_centralized():
     assert spread <= 10 * params.tol_primal
     f_total = sum(ocp.coupling_values(s.u_star).sum(axis=0) for ocp, s in zip(ocps, sols))
     assert np.all(f_total <= b + 1e-4)
+
+
+def recorded_solves(monkeypatch):
+    """The multiplier rows of every solve_inner call that run_admm makes."""
+    calls = []
+
+    def recording(ocp, lams, *args, **kwargs):
+        calls.append(np.array(lams))
+        return solve_inner(ocp, lams, *args, **kwargs)
+
+    monkeypatch.setattr(dual_admm, "solve_inner", recording)
+    return calls
+
+
+def test_run_admm_reuses_the_solve_at_an_unchanged_multiplier(monkeypatch, default_scenario,
+                                                              default_pipeline):
+    # the default coupling is inactive: every ADMM iteration keeps the multiplier 0, so
+    # each group is solved once and that solve serves every iteration
+    sc, pipe = default_scenario, default_pipeline
+    calls = recorded_solves(monkeypatch)
+    ocps = fleet_ocps(sc, pipe, b_share=pipe.schedule.b / sc.M)
+    sols, state, converged = run_admm(ocps, sc.solver)
+    assert converged and state.iteration >= 1
+    assert len(calls) == len(ocps)
+    assert state.total_inner_iterations == sum(int(s.iterations.sum()) for s in sols)
+
+
+def test_run_admm_kept_answers_are_those_at_the_final_multiplier(monkeypatch):
+    # binding coupling: the multiplier moves, and no group is solved twice in a row at one
+    agent = scalar_agent()
+    Px, Pu = np.zeros((1, 1)), np.ones((1, 1))
+    ocp = condense(agent_group(agent, synthesize(agent), tighten_local_sets(agent, 2),
+                               [Px, Px], [Pu, Pu], 2), [[-3.0], [-3.0]], b_share=np.zeros(2))
+    calls = recorded_solves(monkeypatch)
+    params = SolverParams(rho=1.0, gamma=1.0, max_iter=2000, tol_primal=1e-6, tol_dual=1e-6)
+    (sol,), state, converged = run_admm([ocp], params)
+    assert converged and np.all(state.lambdas > 0)
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(calls, calls[1:]))
+    assert len(calls) <= state.iteration + 1
+    fresh = solve_inner(ocp, state.lambdas).solution
+    np.testing.assert_allclose(sol.u_star, fresh.u_star, rtol=0, atol=1e-12)
 
 
 def test_run_admm_single_agent_projected_ascent_analytic():

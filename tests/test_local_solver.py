@@ -364,11 +364,19 @@ ROUNDING_BOUND_CASE = (
               [0, 0, 0, 0, 0]]),
     np.array([[-0.375, -0.375, 0, 0, -0.375]]), 100)
 ROUNDING_ULPS = 2.0 ** 10  # iterates whose ulp is within this factor of tol are rounding-bound
+# ball_C = 3.8e-236 is rescaled by 2.6e235: the squared norm of the scaled ball block
+# overflowed, and the projection sent the block to the centre instead of leaving it
+OVERFLOW_CASE = (
+    np.array([[0.5]]), np.array([[0.0], [1.0], [-1.0], [0.0]]),
+    np.array([[3.80703886e-236]]), 1.0, np.ones((1, 4)),
+    np.array([[-1.0, 0, 0, 0], [0, -1, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0]]),
+    np.array([[1.0, 1.0, 0, 0]]), 100)
 
 
 @settings(max_examples=30, deadline=None)
 @given(split_batches())
 @example(ROUNDING_BOUND_CASE)
+@example(OVERFLOW_CASE)
 def test_batched_columns_equal_solo_solves(case):
     # every column of one batched call follows the call with that column alone: the
     # same flag and iteration count, unless its iterates are so large that their
@@ -402,3 +410,13 @@ def test_batched_columns_equal_solo_solves(case):
     assert (flags[0], iters[0]) == ("infeasible", 0)
     assert (flags[1], iters[1]) == ("iteration-cap", max_iter)
     assert flags[3] == "converged" and iters[2] < iters[3]
+
+
+def test_tiny_ball_block_left_alone_when_inside():
+    # |0.5 + 3.8e-236 u| <= 1 holds for every |u| < 1e235: the ball changes nothing
+    H, G = np.array([[2.0]]), np.array([[-2.0]])  # unconstrained optimum u = 1
+    rows, rhs = np.array([[1.0]]), np.array([[5.0]])
+    setup = split_setup(H, rows, [np.array([[3.80703886e-236]])], [1.0])
+    U, *_, flags = split_iterate(setup, G, rhs, [np.array([[0.5]])], 1e-10, 1000)
+    assert flags == ["converged"]
+    np.testing.assert_allclose(U, [[1.0]], atol=1e-8)

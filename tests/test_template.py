@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tube_dmpc import local_solver
 from tube_dmpc.dual_admm import consensus_gain, default_tau
 from tube_dmpc.local_solver import condense, rollout_maps
 from tube_dmpc.model import validate_scenario
@@ -52,9 +51,10 @@ def assemble(agent, ing, tightened, Psi_x, Psi_u, x0, N):
 
 
 def group_arrays(group):
-    """Every array held by an agent group and by its split-QP setup."""
+    """Every array held by an agent group, its split-QP setup and its polish data."""
     values = [getattr(group, f.name) for f in fields(group)]
-    values += [getattr(group.split, f.name) for f in fields(group.split)]
+    for part in (group.split, group.polish):
+        values += [getattr(part, f.name) for f in fields(part)]
     return [a for v in values for a in (v if isinstance(v, tuple) else (v,))
             if isinstance(a, np.ndarray)]
 
@@ -127,8 +127,7 @@ def test_closed_loop_after_prepare_factors_nothing(default_scenario, default_pip
             refuse()
         return norm(x, ord, *args, **kwargs)
 
-    monkeypatch.setattr(local_solver, "cho_factor", refuse)
-    for name in ("eigvalsh", "eigh", "svd", "cholesky", "solve"):
+    for name in ("eigvalsh", "eigh", "svd", "cholesky", "solve", "inv", "pinv", "lstsq"):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(np.linalg, "norm", vector_norm_only)
     for mode in ("self-triggered", "periodic"):
