@@ -40,7 +40,8 @@ def consensus_gain(M: int) -> float:
 @dataclass
 class AdmmState:
     """Iterate state: multiplier copies (one row per agent), aggregate
-    multiplier, per-row coupling excess f_total - b_total, stats."""
+    multiplier, per-row coupling excess f_total - b_total, stats, and the
+    final inner active sets (one InnerResult.active per group)."""
 
     lambdas: np.ndarray
     omega: np.ndarray
@@ -49,6 +50,7 @@ class AdmmState:
     primal_residual: float = np.inf
     dual_residual: float = np.inf
     total_inner_iterations: int = 0
+    active: list = None
 
     @property
     def coupling_violation(self) -> float:
@@ -81,8 +83,8 @@ def default_tau(ocps, rho: float, M: int) -> float:
     return rho * consensus_gain(M) + max(curv, 1e-8)
 
 
-def run_admm(ocps: list[CondensedOcp], params: SolverParams,
-             trace_path=None) -> tuple[list[OcpSolution], AdmmState, bool]:
+def run_admm(ocps: list[CondensedOcp], params: SolverParams, trace_path=None,
+             guess=None) -> tuple[list[OcpSolution], AdmmState, bool]:
     """Algorithm loop: lambda step, inner solves, omega step, until residuals pass.
 
     `ocps` holds one CondensedOcp per agent group; the multiplier copies are
@@ -91,6 +93,9 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
     residual, the per-agent multiplier change and the aggregate coupling
     violation to fall below tolerance. When trace_path is given, one CSV row
     (iter, primal_res, dual_res, total_cost) is appended per iteration.
+    `guess` holds one active-set guess (see solve_inner) or None per entry
+    of `ocps` for its first solve; each later solve of a group is guessed
+    from the active sets of the one before.
     """
     agents = np.sort(np.concatenate([ocp.agents for ocp in ocps]))
     rows = [np.searchsorted(agents, ocp.agents) for ocp in ocps]  # each group's rows
@@ -105,6 +110,7 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
     state = AdmmState(lambdas=np.zeros((M, d)), omega=np.zeros((M - 1, d)),
                       coupling_excess=np.full(d, np.inf))
     results = [None] * len(ocps)  # each group's latest InnerResult
+    guess = [None] * len(ocps) if guess is None else list(guess)
     solved_at = [None] * len(ocps)  # the multiplier rows of that solve, as bytes
 
     def inner(lambdas) -> np.ndarray:
@@ -120,14 +126,16 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
             lam = lambdas[r]
             if lam.tobytes() != solved_at[k]:
                 warm = results[k].warm if results[k] is not None else None
-                results[k] = solve_inner(ocp, lam, warm,
-                                         tol=params.inner_tol, max_iter=params.inner_max_iter)
+                results[k] = solve_inner(ocp, lam, warm, tol=params.inner_tol,
+                                         max_iter=params.inner_max_iter, guess=guess[k])
+                guess[k] = results[k].active
                 solved_at[k] = lam.tobytes()
                 state.total_inner_iterations += results[k].iterations
             f_values[r] = ocp.coupling_values(results[k].u)
             # flagged infeasible with an infeasible final iterate
-            bad = (np.asarray(results[k].flags) == "infeasible") & ~ocp.feasible(results[k].u)
-            infeasible += ocp.agents[bad].tolist()
+            bad = np.asarray(results[k].flags) == "infeasible"
+            if bad.any():
+                infeasible += ocp.agents[bad & ~ocp.feasible(results[k].u)].tolist()
         if infeasible:
             i = min(infeasible)
             raise AdmmError(f"inner problem infeasible for agent {i}", agent_index=i)
@@ -171,4 +179,5 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams,
         if trace is not None:
             trace.close()
 
+    state.active = [result.active for result in results]
     return solutions(), state, converged

@@ -226,24 +226,23 @@ def polish_setup(H, split: SplitSetup) -> PolishSetup:
     return setup
 
 
-def polish(split: SplitSetup, pol: PolishSetup, G, rows_rhs, Y):
-    """Exact minimizers on the active sets guessed from the splitting duals Y.
+def polish(split: SplitSetup, pol: PolishSetup, G, rows_rhs, active):
+    """Exact minimizers on guessed active sets of halfspace rows.
 
-    Column j of G, rows_rhs (unscaled, dropped rows included) and Y (the
-    splitting dual) belongs to problem j; its guess is the halfspace rows with
-    Y > 0. The guessed rows are held as equalities: their multipliers mu solve
+    Column j of G, rows_rhs (unscaled, dropped rows included) and `active`
+    (a mask over the setup's kept rows) belongs to problem j. The guessed
+    rows are held as equalities: their multipliers mu solve
     (C_A H^-1 C_A') mu = C_A u0 - b_A with u0 = -H^-1 g, by conjugate
     gradients on the masked Schur matrix, every column at once, and then
-    u = u0 - H^-1 C_r' mu. Returns (U, kkt, violation): the answers, whether
-    mu >= 0, every row holds and every guessed row is tight (each to KKT_TOL
-    relative to max(1, |b|)), and the largest row violation. No factorization
-    or solve runs: every step is a product with offline data.
+    u = u0 - H^-1 C_r' mu. Returns (U, mu, kkt, violation): the answers, the
+    multipliers of the scaled rows (0 off the guess), whether mu >= 0, every
+    row holds and every guessed row is tight (each to KKT_TOL relative to
+    max(1, |b|)), and the largest row violation. No factorization or solve
+    runs: every step is a product with offline data.
     """
-    nrows = split.row_scale.size
     if split.zero is not None:
         rows_rhs = rows_rhs[~split.zero]
     b = rows_rhs * split.row_scale[:, None]
-    active = Y[:nrows] > 0
     CU0 = -(pol.CH_inv @ G)
     res = np.where(active, CU0 - b, 0.0)
     mu, p = np.zeros_like(res), res.copy()
@@ -264,7 +263,7 @@ def polish(split: SplitSetup, pol: PolishSetup, G, rows_rhs, Y):
     slack = CU0 - pol.schur @ mu - b
     tol = KKT_TOL * np.maximum(1.0, np.abs(b))
     kkt = ((mu >= 0.0) & (slack <= tol) & (~active | (slack >= -tol))).all(axis=0)
-    return U, kkt, np.maximum(slack.max(axis=0, initial=0.0), 0.0)
+    return U, mu, kkt, np.maximum(slack.max(axis=0, initial=0.0), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +305,23 @@ class AgentGroup:
     dual_curvature: np.ndarray
     split: SplitSetup = field(repr=False)
     polish: PolishSetup = field(repr=False)
+
+    def shift_active(self, active, steps: int) -> np.ndarray:
+        """The active sets `active` (one rows_C mask per row) moved on by `steps` plan steps.
+
+        rows_C holds the N - 1 state-row blocks of z(1..N-1) and then the N
+        input-row blocks of u(0..N-1). Each part moves `steps` blocks to the
+        left, as the plan does once it has applied that many steps; the blocks
+        that come free at its tail are guessed inactive.
+        """
+        N, n_state = len(self.W), self.rows_C.shape[0] - self.rhs_U.size
+        out = np.zeros_like(active)
+        for start, stop, size in ((0, n_state, n_state // max(N - 1, 1)),
+                                  (n_state, self.rows_C.shape[0], self.rhs_U.size // N)):
+            cut = start + steps * size
+            if cut < stop:
+                out[:, start:stop - steps * size] = active[:, cut:stop]
+        return out
 
 
 def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: TightenedSets,
@@ -480,7 +496,9 @@ class InnerResult:
 
     Row j of `u` and entry j of the per-row arrays belong to row j of `ocp`.
     `warm` is the splitting state, `polished` marks the rows whose answer the
-    polish gave, and `iterations` is the inner iterations summed over the
+    polish gave, `active` holds each row's final active set (a mask over
+    rows_C: the rows the polish held tight, or the rows with a positive
+    splitting dual) and `iterations` is the inner iterations summed over the
     rows. The OcpSolution is assembled on first access to `solution`.
     """
 
@@ -492,6 +510,7 @@ class InnerResult:
     r_dual: np.ndarray
     flags: list
     polished: np.ndarray
+    active: np.ndarray
 
     @property
     def iterations(self) -> int:
@@ -504,18 +523,22 @@ class InnerResult:
 
 
 def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
-                max_iter: int = 20000) -> InnerResult:
+                max_iter: int = 20000, guess=None) -> InnerResult:
     """Minimize J_j(u) + lam_j'(f_j(u) - b_share) for every row j of `ocp`.
 
-    Row j of `lams` is row j's multiplier and `warm` the state a previous call
-    returned for the same rows. One batched splitting iteration advances them
-    all to the residual max(tol, POLISH_LEVEL); then every converged row is
-    polished. A polished answer is kept when it passes the KKT test of the
-    full problem: mu >= 0, every halfspace row feasible and the guessed rows
-    tight to KKT_TOL, and the terminal ball strictly inactive (its multiplier
-    is zero). Its residuals are then its largest row violation and 0. Any
-    other converged row keeps splitting to `tol` from the state it
-    reached, within what is left of `max_iter`, and its iterations add up.
+    Row j of `lams` is row j's multiplier, `warm` the state a previous call
+    returned for the same rows and row j of `guess` (a rows_C mask, as in
+    InnerResult.active) a guess of row j's active set. A guessed row is
+    polished on its guess first. A polished answer is kept when it passes the
+    KKT test of the full problem: mu >= 0, every halfspace row feasible and
+    the guessed rows tight to KKT_TOL, and the terminal ball strictly
+    inactive (its multiplier is zero). It counts no iteration, its residuals
+    are its largest row violation and 0, and its warm state is the splitting
+    iteration's fixed point at the answer. Every other row is split to the
+    residual max(tol, POLISH_LEVEL) and, if that converged, polished on the
+    halfspace rows with a positive splitting dual. A row refused again keeps
+    splitting to `tol` from the state it reached, within what is left of
+    `max_iter`, and its iterations add up.
     """
     lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
     if lams.shape[1] != ocp.F.shape[1]:
@@ -525,28 +548,54 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
     g, split = ocp.group, ocp.group.split
     G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]).T
     rhs, ball_off = ocp.rows_rhs.T, ocp.ball_off.T
-    U, (S, Y), iters, rp, rd, flags = split_iterate(
-        split, G, rhs, [ball_off], max(tol, POLISH_LEVEL), max_iter, warm=warm)
-    flags = np.array(flags, dtype=object)
+    (k, B), (total, nrows) = G.shape, (split.C.shape[0], split.row_scale.size)
+    S, Y = (np.zeros((total, B)), np.zeros((total, B))) if warm is None else map(np.copy, warm)
+    U = np.zeros((k, B))
+    iters, rp, rd = np.zeros(B, dtype=int), np.zeros(B), np.zeros(B)
+    flags = np.full(B, "converged", dtype=object)
+    active = np.zeros((nrows, B), dtype=bool)  # over the kept rows
+    polished = np.zeros(B, dtype=bool)
 
-    converged = flags == "converged"
-    U_pol, kkt, violation = polish(split, g.polish, G, rhs, Y)
-    ok = converged & kkt & (np.hypot.reduce(g.ball_C @ U_pol + ball_off, axis=0) < g.ing.eps_r)
-    if ok.any():
-        U[:, ok] = U_pol[:, ok]
-        rp[ok], rd[ok] = violation[ok], 0.0
+    def accept(cols, guess_cols) -> np.ndarray:
+        """Polish the columns `cols` on their guesses; keep the passing answers, return the rest."""
+        U_pol, mu, kkt, violation = polish(split, g.polish, G[:, cols], rhs[:, cols],
+                                           guess_cols)
+        ok = kkt & (np.hypot.reduce(g.ball_C @ U_pol + ball_off[:, cols], axis=0) < g.ing.eps_r)
+        j = cols[ok]
+        U[:, j] = U_pol[:, ok]
+        S[:, j] = split.C @ U[:, j]  # the splitting fixed point: S = C u, Y = mu / sigma
+        Y[:nrows, j], Y[nrows:, j] = mu[:, ok] / split.sigma, 0.0
+        rp[j], rd[j] = violation[ok], 0.0
+        active[:, j], polished[j] = guess_cols[:, ok], True
+        return cols[~ok]
 
-    redo = np.flatnonzero(converged & ~ok) if tol < POLISH_LEVEL else np.zeros(0, dtype=int)
-    budget = max_iter - int(iters[redo].max(initial=0))
-    if redo.size and budget == 0:
-        flags[redo] = "iteration-cap"
-    elif redo.size:
-        U[:, redo], (S[:, redo], Y[:, redo]), more, rp[redo], rd[redo], flags[redo] = (
-            split_iterate(split, G[:, redo], rhs[:, redo], [ball_off[:, redo]], tol, budget,
-                          warm=(S[:, redo], Y[:, redo])))
-        iters[redo] += more
+    todo = np.arange(B)
+    if guess is not None:
+        guess = np.asarray(guess, dtype=bool).T
+        todo = accept(todo, guess if split.zero is None else guess[~split.zero])
+    if todo.size:
+        U[:, todo], (S[:, todo], Y[:, todo]), iters[todo], rp[todo], rd[todo], flags[todo] = (
+            split_iterate(split, G[:, todo], rhs[:, todo], [ball_off[:, todo]],
+                          max(tol, POLISH_LEVEL), max_iter, warm=(S[:, todo], Y[:, todo])))
+        active[:, todo] = Y[:nrows, todo] > 0
+        todo = todo[flags[todo] == "converged"]
+        refused = accept(todo, active[:, todo])
+        redo = refused if tol < POLISH_LEVEL else refused[:0]
+        budget = max_iter - int(iters[redo].max(initial=0))
+        if redo.size and budget == 0:
+            flags[redo] = "iteration-cap"
+        elif redo.size:
+            U[:, redo], (S[:, redo], Y[:, redo]), more, rp[redo], rd[redo], flags[redo] = (
+                split_iterate(split, G[:, redo], rhs[:, redo], [ball_off[:, redo]], tol, budget,
+                              warm=(S[:, redo], Y[:, redo])))
+            iters[redo] += more
+            active[:, redo] = Y[:nrows, redo] > 0
+    if split.zero is not None:
+        kept, active = active, np.zeros((split.zero.size, B), dtype=bool)
+        active[~split.zero] = kept
     return InnerResult(ocp=ocp, u=np.ascontiguousarray(U.T), warm=(S, Y), agent_iterations=iters,
-                       r_primal=rp, r_dual=rd, flags=flags.tolist(), polished=ok)
+                       r_primal=rp, r_dual=rd, flags=flags.tolist(), polished=polished,
+                       active=np.ascontiguousarray(active.T))
 
 
 def solve_centralized(scenario: Scenario, ingredients, tightened_list,

@@ -366,8 +366,14 @@ def validate_scenario(raw: dict) -> Scenario:
     if not all(isinstance(node, dict) for node in agent_nodes):
         raise ScenarioError("every entry of 'agents' must be a mapping")
 
-    bounded = {}
-    agents = tuple(_parse_agent(node, i, bounded) for i, node in enumerate(agent_nodes))
+    # _parse_agent does not read x0: agents whose nodes agree elsewhere share one parse
+    bounded, parsed, agents = {}, {}, []
+    for i, node in enumerate(agent_nodes):
+        key = repr([item for item in node.items() if item[0] != "x0"])
+        if key not in parsed:
+            parsed[key] = _parse_agent(node, i, bounded)
+        agents.append(parsed[key])
+    agents = tuple(agents)
 
     N = _get(raw, "horizon", "scenario", int, 0)
     if N < 1:

@@ -248,6 +248,9 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
         log.x[g][0, j] = scenario.x0[i]
         log.w[g][:, j] = sampler.sample(i, T_run)
 
+    # per group and slot: the active sets of the slot's last answer, moved on to step t (a
+    # slot never solved guesses none); they are the first guess of each later solve instant
+    active = [np.zeros((grp.index.size, grp.rows_C.shape[0]), dtype=bool) for grp in groups]
     t = 0
     terminal = np.zeros(M, dtype=bool)  # the periodic baseline never switches
     while t < T_run:
@@ -256,7 +259,7 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
         ocp_idx = np.flatnonzero(~terminal).tolist()
         if ocp_idx:
             try:
-                span = _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx)
+                span = _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active)
             except SimulationAborted:
                 log.close(t)
                 raise
@@ -276,12 +279,13 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
     return log
 
 
-def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx) -> int:
+def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active) -> int:
     """Solve the coupled problem of the OCP agents at t and record the instant.
 
     Each agent group condenses, solves and is bounded as one stack; the
     per-agent records are kept in agent order. Writes the plans into the input
-    blocks; returns the steps they are applied.
+    blocks and their active sets, moved on by the steps applied, into
+    `active`; returns the steps they are applied.
     """
     N, T_run = scenario.N, scenario.T_run
     sched = pipeline.schedule
@@ -301,7 +305,9 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx) -> int:
             blocks.append(g)
             ocps.append(condense(grp, X[t, slots], slots, b_share))
     try:
-        solutions, admm_state, converged = run_admm(ocps, scenario.solver)
+        # the run's first instant has nothing to guess from: it starts cold
+        guess = [active[g][ocp.slots] for g, ocp in zip(blocks, ocps)] if log.triggers else None
+        solutions, admm_state, converged = run_admm(ocps, scenario.solver, guess=guess)
     except AdmmError as exc:
         if t == 0:
             raise InitialInfeasibilityError(
@@ -353,9 +359,10 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx) -> int:
         g_applied_total=g_tot, g0_applied_total=g_tot + sum(spent[:, Mk - 1].tolist()),
         sumQ_states=float(sum(sumQ.tolist()))))
 
-    for g, ocp, sol in zip(blocks, ocps, solutions):
+    for g, ocp, sol, answered in zip(blocks, ocps, solutions, admm_state.active):
         plans = sol.u_star.reshape(ocp.slots.size, N, -1)[:, :Mk_applied]
         log.u[g][t:t + Mk_applied, ocp.slots] = plans.swapaxes(0, 1)
+        active[g][ocp.slots] = ocp.group.shift_active(answered, Mk_applied)
     return Mk_applied
 
 
@@ -464,13 +471,13 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _fmt_block(block) -> list:
-    """Nested lists of _fmt strings, shaped like block."""
-    flat = [_fmt(v) for v in block.ravel().tolist()]
-    return np.array(flat, dtype=object).reshape(block.shape).tolist()
-
-
 def write_trace_csv(log: SimLog, scenario: Scenario, path) -> None:
+    """One row per step and agent: t, agent, x, u, w, the coupled row values and the mode.
+
+    The bytes are those csv.writer writes for these fields (none needs
+    quoting): numbers as _fmt writes them, CRLF line ends. The text is one
+    %-format of a per-step template over a table with one row per step.
+    """
     dims_n = max(agent.n for agent in scenario.agents)
     dims_m = max(agent.m for agent in scenario.agents)
     header = (["t", "agent"]
@@ -479,17 +486,16 @@ def write_trace_csv(log: SimLog, scenario: Scenario, path) -> None:
               + [f"w{j + 1}" for j in range(dims_n)]
               + [f"coupling_row_{j + 1}" for j in range(log.p)]
               + ["mode"])
-    xs, us, ws = ([_fmt_block(B[:log.steps]) for B in blocks]
-                  for blocks in (log.x, log.u, log.w))
-    coupling = _fmt_block(log.coupling)
-    modes = log.modes.tolist()
+    steps = log.steps
+    t = np.arange(steps)[:, None].astype(object)
+    template, columns = [], []
+    for i, (g, j) in enumerate(log.slots):
+        values = np.hstack([log.x[g][:steps, j], log.u[g][:, j], log.w[g][:, j], log.coupling])
+        template.append(f"%d,{i}," + "%.17g," * values.shape[1] + "%s\r\n")
+        columns += [t, values.astype(object), log.modes[:, i:i + 1].astype(object)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(log.steps):
-            for i, (g, j) in enumerate(log.slots):
-                writer.writerow([t, i] + xs[g][t][j] + us[g][t][j] + ws[g][t][j]
-                                + coupling[t] + [modes[t][i]])
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(template) * steps % tuple(np.hstack(columns).ravel().tolist()))
 
 
 def write_triggers_csv(log: SimLog, path) -> None:

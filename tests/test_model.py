@@ -118,6 +118,19 @@ def test_dimension_mismatch_reported_with_agent(default_raw):
         validate_scenario(raw)
 
 
+def test_agents_differing_only_in_x0_share_one_parse(default_raw):
+    # the default agents differ only in x0: one model is parsed, each agent keeps its x0;
+    # a malformed repeat of a node is still reported at the first agent that has it
+    sc = validate_scenario(copy.deepcopy(default_raw))
+    assert all(agent is sc.agents[0] for agent in sc.agents)
+    np.testing.assert_array_equal(np.array(sc.x0), [node["x0"] for node in default_raw["agents"]])
+    raw = copy.deepcopy(default_raw)
+    for i in (2, 3):
+        raw["agents"][i]["B"] = [[1.5], [0.5], [0.1]]
+    with pytest.raises(ScenarioError, match="agent 2"):
+        validate_scenario(raw)
+
+
 def test_asymmetric_weight_symmetrized(default_raw):
     raw = copy.deepcopy(default_raw)
     raw["agents"][0]["Q"] = [[1.0, 0.2], [0.0, 1.0]]

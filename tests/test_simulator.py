@@ -91,8 +91,8 @@ def test_applied_inputs_equal_stored_segments(default_scenario, default_pipeline
     original = simulator.run_admm
     solved = []  # the (group problem, solution) pairs of every instant, in order
 
-    def capturing(ocps, params):
-        result = original(ocps, params)
+    def capturing(ocps, params, **kwargs):
+        result = original(ocps, params, **kwargs)
         solved.append(list(zip(ocps, result[0])))
         return result
 
