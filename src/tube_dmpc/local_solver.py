@@ -103,6 +103,13 @@ def split_setup(H, rows_C, ball_Cs, ball_radii) -> SplitSetup:
     return setup
 
 
+def dead_columns(setup: SplitSetup, rows_rhs) -> np.ndarray:
+    """Mask of the columns of rows_rhs (r, B) that a row dropped by the setup makes infeasible."""
+    if setup.zero is None:
+        return np.zeros(rows_rhs.shape[1], dtype=bool)
+    return (rows_rhs[setup.zero] < 0).any(axis=0)
+
+
 def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, warm=None):
     """ADMM splitting for min 0.5u'Hu + g'u s.t. rows and ball blocks, one problem per column.
 
@@ -135,9 +142,8 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, w
 
     cols = np.arange(B)  # the working set
     if setup.zero is not None:
-        zero_rhs = rows_rhs[setup.zero]
-        dead = (zero_rhs < 0).any(axis=0)
-        r_prim_out[dead] = -zero_rhs[:, dead].min(axis=0)
+        dead = dead_columns(setup, rows_rhs)
+        r_prim_out[dead] = -rows_rhs[setup.zero][:, dead].min(axis=0)
         flags[dead] = "infeasible"
         cols = cols[~dead]
         rows_rhs = rows_rhs[~setup.zero]
@@ -534,11 +540,12 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
     the guessed rows tight to KKT_TOL, and the terminal ball strictly
     inactive (its multiplier is zero). It counts no iteration, its residuals
     are its largest row violation and 0, and its warm state is the splitting
-    iteration's fixed point at the answer. Every other row is split to the
-    residual max(tol, POLISH_LEVEL) and, if that converged, polished on the
-    halfspace rows with a positive splitting dual. A row refused again keeps
-    splitting to `tol` from the state it reached, within what is left of
-    `max_iter`, and its iterations add up.
+    iteration's fixed point at the answer. A row that a row dropped by the
+    setup makes infeasible skips the guess, so the splitting run flags it.
+    Every other row is split to the residual max(tol, POLISH_LEVEL) and, if
+    that converged, polished on the halfspace rows with a positive splitting
+    dual. A row refused again keeps splitting to `tol` from the state it
+    reached, within what is left of `max_iter`, and its iterations add up.
     """
     lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
     if lams.shape[1] != ocp.F.shape[1]:
@@ -572,7 +579,10 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
     todo = np.arange(B)
     if guess is not None:
         guess = np.asarray(guess, dtype=bool).T
-        todo = accept(todo, guess if split.zero is None else guess[~split.zero])
+        if split.zero is not None:
+            guess = guess[~split.zero]
+        dead = dead_columns(split, rhs)  # left to split_iterate, which flags them
+        todo = np.union1d(accept(todo[~dead], guess[:, ~dead]), todo[dead])
     if todo.size:
         U[:, todo], (S[:, todo], Y[:, todo]), iters[todo], rp[todo], rd[todo], flags[todo] = (
             split_iterate(split, G[:, todo], rhs[:, todo], [ball_off[:, todo]],

@@ -356,6 +356,19 @@ def _parse_solver(node) -> SolverParams:
                            for key, value in node.items()})
 
 
+def _exact(value):
+    """`value` with its arrays as nested lists, whose repr, unlike numpy's, is lossless."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_exact(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_exact(item) for item in value)
+    return value
+
+
 def validate_scenario(raw: dict) -> Scenario:
     """Turn a parsed scenario document into a validated, normalized Scenario."""
     if not isinstance(raw, dict):
@@ -369,7 +382,7 @@ def validate_scenario(raw: dict) -> Scenario:
     # _parse_agent does not read x0: agents whose nodes agree elsewhere share one parse
     bounded, parsed, agents = {}, {}, []
     for i, node in enumerate(agent_nodes):
-        key = repr([item for item in node.items() if item[0] != "x0"])
+        key = repr([(name, _exact(value)) for name, value in node.items() if name != "x0"])
         if key not in parsed:
             parsed[key] = _parse_agent(node, i, bounded)
         agents.append(parsed[key])

@@ -306,7 +306,7 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active) -> int
             ocps.append(condense(grp, X[t, slots], slots, b_share))
     try:
         # the run's first instant has nothing to guess from: it starts cold
-        guess = [active[g][ocp.slots] for g, ocp in zip(blocks, ocps)] if log.triggers else None
+        guess = None if t == 0 else [active[g][ocp.slots] for g, ocp in zip(blocks, ocps)]
         solutions, admm_state, converged = run_admm(ocps, scenario.solver, guess=guess)
     except AdmmError as exc:
         if t == 0:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from tube_dmpc.model import AgentModel, HPolytope, validate_scenario
 from tube_dmpc.simulator import prepare
 from tube_dmpc.synthesis import TerminalIngredients, synthesize
 from tube_dmpc.tightening import tighten_local_sets, ToleranceSchedule
-from tube_dmpc.local_solver import (condense, rollout_maps, solve_centralized, split_iterate,
-                                    split_setup)
+from tube_dmpc.local_solver import (condense, rollout_maps, solve_centralized, solve_inner,
+                                    split_iterate, split_setup)
 
 from conftest import fleet_ocps, one_agent, row, solve_one
 
@@ -295,6 +296,22 @@ def test_zero_constraint_row_dropped_or_infeasible():
 
     bad = solve_one(plain_ocp(agent, ing, [9.0, 3.0], 3), np.zeros(3))  # x1(1) = 12
     assert bad.status == "infeasible"
+
+    # x1(1) = 10.3 breaks only the dropped row once the terminal ball is wide, so
+    # the polish alone (which sees the kept rows) would accept the kept rows'
+    # optimum: a guessed active set must not hide the dropped row
+    wide = TerminalIngredients(K=np.zeros((1, 2)), P=np.eye(2), r=100.0, eps_r=100.0,
+                               contraction=0.5)
+    bad_ocp = plain_ocp(agent, wide, [9.5, 0.8], 3)
+    zero = bad_ocp.group.split.zero
+    kept = dataclasses.replace(bad_ocp, rows_rhs=np.where(zero, 0.0, bad_ocp.rows_rhs))
+    true = solve_inner(kept, np.zeros((1, 3)))
+    assert true.polished[0]
+    rows = zero.size
+    for guess in (true.active, np.zeros((1, rows), dtype=bool), np.ones((1, rows), dtype=bool)):
+        res = solve_inner(bad_ocp, np.zeros((1, 3)), guess=guess)
+        assert res.flags == ["infeasible"] and not res.polished[0]
+        assert row(res.solution).status == "infeasible"
 
 
 def test_subnormal_constraint_rows_dropped():

@@ -131,6 +131,19 @@ def test_agents_differing_only_in_x0_share_one_parse(default_raw):
         validate_scenario(raw)
 
 
+def test_agents_differing_beyond_numpys_print_precision_parse_apart(default_raw):
+    # numpy's repr shows 8 significant digits: a 1e-10 difference in an array A
+    # must still give the second agent its own model
+    raw = copy.deepcopy(default_raw)
+    A = np.array(raw["agents"][0]["A"], dtype=float)
+    raw["agents"][0]["A"] = A
+    raw["agents"][1]["A"] = A + np.array([[1e-10, 0.0], [0.0, 0.0]])
+    sc = validate_scenario(raw)
+    assert sc.agents[1] is not sc.agents[0]
+    np.testing.assert_array_equal(sc.agents[1].A, raw["agents"][1]["A"])
+    np.testing.assert_array_equal(sc.agents[0].A, A)
+
+
 def test_asymmetric_weight_symmetrized(default_raw):
     raw = copy.deepcopy(default_raw)
     raw["agents"][0]["Q"] = [[1.0, 0.2], [0.0, 1.0]]
