@@ -17,6 +17,7 @@ RELAXATION = 1.6  # classic over-relaxation factor for the splitting iteration
 STALL_WINDOW = 2000
 STALL_LEVEL = 1e-3
 POLISH_LEVEL = 1e-1  # splitting residual at which solve_inner guesses the active set
+ACTIVE_SET_ROUNDS = 8  # polish rounds per column before solve_inner falls back to splitting
 KKT_TOL = 1e-10  # slack allowed in the polish's feasibility and tightness checks
 SCALE_FLOOR = np.finfo(float).tiny  # a row or block normed below this cannot be rescaled
 
@@ -232,29 +233,25 @@ def polish_setup(H, split: SplitSetup) -> PolishSetup:
     return setup
 
 
-def polish(split: SplitSetup, pol: PolishSetup, G, rows_rhs, active):
+def polish(pol: PolishSetup, U0, CU0, b, active):
     """Exact minimizers on guessed active sets of halfspace rows.
 
-    Column j of G, rows_rhs (unscaled, dropped rows included) and `active`
-    (a mask over the setup's kept rows) belongs to problem j. The guessed
-    rows are held as equalities: their multipliers mu solve
-    (C_A H^-1 C_A') mu = C_A u0 - b_A with u0 = -H^-1 g, by conjugate
-    gradients on the masked Schur matrix, every column at once, and then
-    u = u0 - H^-1 C_r' mu. Returns (U, mu, kkt, violation): the answers, the
-    multipliers of the scaled rows (0 off the guess), whether mu >= 0, every
-    row holds and every guessed row is tight (each to KKT_TOL relative to
-    max(1, |b|)), and the largest row violation. No factorization or solve
-    runs: every step is a product with offline data.
+    Column j of U0 = -H^-1 g, CU0 = C_r U0, b (the scaled right-hand sides
+    of the setup's kept rows) and `active` (a mask over those rows) belongs
+    to problem j. The guessed rows are held as equalities: their multipliers
+    mu solve (C_A H^-1 C_A') mu = C_A u0 - b_A, by conjugate gradients on
+    the masked Schur matrix, every column at once, and then u = u0 - H^-1
+    C_r' mu. Returns (U, mu, slack, kkt): the answers, the multipliers of the
+    scaled rows (0 off the guess), the row slacks C_r u - b, and whether
+    mu >= 0, every row holds and every guessed row is tight (each to KKT_TOL
+    relative to max(1, |b|)). No factorization or solve runs: every step is
+    a product with offline data.
     """
-    if split.zero is not None:
-        rows_rhs = rows_rhs[~split.zero]
-    b = rows_rhs * split.row_scale[:, None]
-    CU0 = -(pol.CH_inv @ G)
     res = np.where(active, CU0 - b, 0.0)
     mu, p = np.zeros_like(res), res.copy()
     rr = np.vecdot(res, res, axis=0)
     # CG converges in at most rank(C_A H^-1 C_A') <= min(|A|, k) steps, plus one for rounding
-    steps = int(np.minimum(active.sum(axis=0), G.shape[0]).max(initial=0)) + 1
+    steps = int(np.minimum(active.sum(axis=0), U0.shape[0]).max(initial=0)) + 1
     for _ in range(steps):
         Sp = pol.schur @ p
         Sp *= active
@@ -265,11 +262,11 @@ def polish(split: SplitSetup, pol: PolishSetup, G, rows_rhs, active):
         rr_new = np.vecdot(res, res, axis=0)
         p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
         rr = rr_new
-    U = -(pol.H_inv @ G) - pol.CH_inv.T @ mu
+    U = U0 - pol.CH_inv.T @ mu
     slack = CU0 - pol.schur @ mu - b
     tol = KKT_TOL * np.maximum(1.0, np.abs(b))
     kkt = ((mu >= 0.0) & (slack <= tol) & (~active | (slack >= -tol))).all(axis=0)
-    return U, mu, kkt, np.maximum(slack.max(axis=0, initial=0.0), 0.0)
+    return U, mu, slack, kkt
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,8 +501,9 @@ class InnerResult:
     `warm` is the splitting state, `polished` marks the rows whose answer the
     polish gave, `active` holds each row's final active set (a mask over
     rows_C: the rows the polish held tight, or the rows with a positive
-    splitting dual) and `iterations` is the inner iterations summed over the
-    rows. The OcpSolution is assembled on first access to `solution`.
+    splitting dual), `rounds` the active-set rounds each row ran and
+    `iterations` the splitting iterations summed over the rows. The
+    OcpSolution is assembled on first access to `solution`.
     """
 
     ocp: CondensedOcp
@@ -517,6 +515,7 @@ class InnerResult:
     flags: list
     polished: np.ndarray
     active: np.ndarray
+    rounds: np.ndarray
 
     @property
     def iterations(self) -> int:
@@ -534,25 +533,29 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
 
     Row j of `lams` is row j's multiplier, `warm` the state a previous call
     returned for the same rows and row j of `guess` (a rows_C mask, as in
-    InnerResult.active) a guess of row j's active set. A guessed row is
-    polished on its guess first. A polished answer is kept when it passes the
-    KKT test of the full problem: mu >= 0, every halfspace row feasible and
-    the guessed rows tight to KKT_TOL, and the terminal ball strictly
-    inactive (its multiplier is zero). It counts no iteration, its residuals
-    are its largest row violation and 0, and its warm state is the splitting
-    iteration's fixed point at the answer. A row that a row dropped by the
-    setup makes infeasible skips the guess, so the splitting run flags it.
-    Every other row is split to the residual max(tol, POLISH_LEVEL) and, if
-    that converged, polished on the halfspace rows with a positive splitting
-    dual. A row refused again keeps splitting to `tol` from the state it
-    reached, within what is left of `max_iter`, and its iterations add up.
+    InnerResult.active; by default the empty set) row j's first guess of its
+    active set. The rows run primal-dual active-set rounds: each round
+    polishes every pending row on its guess and keeps the answers that pass
+    the KKT test of the full problem: mu >= 0, every halfspace row feasible
+    and the guessed rows tight to KKT_TOL, and the terminal ball strictly
+    inactive (its multiplier is zero). A kept answer counts no iteration, its
+    residuals are its largest row violation and 0, and its warm state is the
+    splitting iteration's fixed point at the answer. A refused row next
+    guesses the scaled rows with mu + (C_r u - b) > 0; it leaves the rounds
+    when that guess equals its last one or after ACTIVE_SET_ROUNDS rounds.
+    Those rows, and the rows that a row dropped by the setup makes infeasible
+    (they run no round, so the splitting run flags them), are split to the
+    residual max(tol, POLISH_LEVEL) and, if that converged, polished on the
+    halfspace rows with a positive splitting dual. A row refused again keeps
+    splitting to `tol` from the state it reached, within what is left of
+    `max_iter`, and its iterations add up.
     """
     lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
     if lams.shape[1] != ocp.F.shape[1]:
         raise ValueError(f"lambda has dim {lams.shape[1]}, expected {ocp.F.shape[1]}")
     if np.any(lams < 0):
         raise ValueError("lambda must be componentwise nonnegative")
-    g, split = ocp.group, ocp.group.split
+    g, split, pol = ocp.group, ocp.group.split, ocp.group.polish
     G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]).T
     rhs, ball_off = ocp.rows_rhs.T, ocp.ball_off.T
     (k, B), (total, nrows) = G.shape, (split.C.shape[0], split.row_scale.size)
@@ -562,34 +565,52 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
     flags = np.full(B, "converged", dtype=object)
     active = np.zeros((nrows, B), dtype=bool)  # over the kept rows
     polished = np.zeros(B, dtype=bool)
+    rounds = np.zeros(B, dtype=int)
+    # the polish's products of g alone: u0 = -H^-1 g, C_r u0 and the scaled kept rows' b
+    U0, CU0 = -(pol.H_inv @ G), -(pol.CH_inv @ G)
+    b = (rhs if split.zero is None else rhs[~split.zero]) * split.row_scale[:, None]
 
-    def accept(cols, guess_cols) -> np.ndarray:
-        """Polish the columns `cols` on their guesses; keep the passing answers, return the rest."""
-        U_pol, mu, kkt, violation = polish(split, g.polish, G[:, cols], rhs[:, cols],
-                                           guess_cols)
+    def accept(cols, guess_cols):
+        """Polish the columns `cols` on their guesses and keep the passing answers.
+
+        Returns the mask of kept columns and every column's next guess.
+        """
+        U_pol, mu, slack, kkt = polish(pol, U0[:, cols], CU0[:, cols], b[:, cols], guess_cols)
         ok = kkt & (np.hypot.reduce(g.ball_C @ U_pol + ball_off[:, cols], axis=0) < g.ing.eps_r)
         j = cols[ok]
         U[:, j] = U_pol[:, ok]
         S[:, j] = split.C @ U[:, j]  # the splitting fixed point: S = C u, Y = mu / sigma
         Y[:nrows, j], Y[nrows:, j] = mu[:, ok] / split.sigma, 0.0
-        rp[j], rd[j] = violation[ok], 0.0
+        rp[j], rd[j] = np.maximum(slack[:, ok].max(axis=0, initial=0.0), 0.0), 0.0
         active[:, j], polished[j] = guess_cols[:, ok], True
-        return cols[~ok]
+        return ok, mu + slack > 0.0
 
-    todo = np.arange(B)
-    if guess is not None:
+    if guess is None:
+        guess = np.zeros((nrows, B), dtype=bool)
+    else:
         guess = np.asarray(guess, dtype=bool).T
         if split.zero is not None:
             guess = guess[~split.zero]
-        dead = dead_columns(split, rhs)  # left to split_iterate, which flags them
-        todo = np.union1d(accept(todo[~dead], guess[:, ~dead]), todo[dead])
+    dead = dead_columns(split, rhs)
+    todo, left = np.flatnonzero(~dead), [np.flatnonzero(dead)]  # left: the columns to split
+    guess = guess[:, todo]
+    for _ in range(ACTIVE_SET_ROUNDS):
+        if not todo.size:
+            break
+        rounds[todo] += 1
+        ok, nxt = accept(todo, guess)
+        moved = ~ok & (nxt != guess).any(axis=0)
+        left.append(todo[~ok & ~moved])
+        todo, guess = todo[moved], nxt[:, moved]
+    todo = np.sort(np.concatenate(left + [todo]))
     if todo.size:
         U[:, todo], (S[:, todo], Y[:, todo]), iters[todo], rp[todo], rd[todo], flags[todo] = (
             split_iterate(split, G[:, todo], rhs[:, todo], [ball_off[:, todo]],
                           max(tol, POLISH_LEVEL), max_iter, warm=(S[:, todo], Y[:, todo])))
         active[:, todo] = Y[:nrows, todo] > 0
         todo = todo[flags[todo] == "converged"]
-        refused = accept(todo, active[:, todo])
+        ok, _ = accept(todo, active[:, todo])
+        refused = todo[~ok]
         redo = refused if tol < POLISH_LEVEL else refused[:0]
         budget = max_iter - int(iters[redo].max(initial=0))
         if redo.size and budget == 0:
@@ -605,7 +626,7 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
         active[~split.zero] = kept
     return InnerResult(ocp=ocp, u=np.ascontiguousarray(U.T), warm=(S, Y), agent_iterations=iters,
                        r_primal=rp, r_dual=rd, flags=flags.tolist(), polished=polished,
-                       active=np.ascontiguousarray(active.T))
+                       active=np.ascontiguousarray(active.T), rounds=rounds)
 
 
 def solve_centralized(scenario: Scenario, ingredients, tightened_list,

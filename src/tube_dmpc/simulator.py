@@ -91,7 +91,9 @@ class DisturbanceSampler:
             hw = agent.box_half_widths
             if self.mode == "extreme":
                 return hw * rng.choice([-1.0, 1.0], size=(steps, n))
-            return rng.uniform(-hw, hw, size=(steps, n))
+            # rng.uniform's own arithmetic (low + (high - low) * U[0, 1)), without its
+            # argument checks: the same bytes at under half the cost
+            return (-hw) + (hw - (-hw)) * rng.random((steps, n))
         out = np.empty((steps, n))
         for row in out:
             direction = rng.normal(size=n)
@@ -241,7 +243,7 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
 
     log = SimLog.allocate(scenario, groups)
     log.counters = {"ocp_solve_instants": 0, "admm_iterations": 0,
-                    "inner_iterations": 0, "fallback_steps": 0}
+                    "inner_iterations": 0, "active_set_rounds": 0, "fallback_steps": 0}
     sampler = DisturbanceSampler(scenario.agents,
                                  scenario.seed if seed is None else seed)
     for i, (g, j) in enumerate(log.slots):
@@ -249,7 +251,7 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
         log.w[g][:, j] = sampler.sample(i, T_run)
 
     # per group and slot: the active sets of the slot's last answer, moved on to step t (a
-    # slot never solved guesses none); they are the first guess of each later solve instant
+    # slot never solved guesses none); they are the first guess of each solve instant
     active = [np.zeros((grp.index.size, grp.rows_C.shape[0]), dtype=bool) for grp in groups]
     t = 0
     terminal = np.zeros(M, dtype=bool)  # the periodic baseline never switches
@@ -305,8 +307,7 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active) -> int
             blocks.append(g)
             ocps.append(condense(grp, X[t, slots], slots, b_share))
     try:
-        # the run's first instant has nothing to guess from: it starts cold
-        guess = None if t == 0 else [active[g][ocp.slots] for g, ocp in zip(blocks, ocps)]
+        guess = [active[g][ocp.slots] for g, ocp in zip(blocks, ocps)]
         solutions, admm_state, converged = run_admm(ocps, scenario.solver, guess=guess)
     except AdmmError as exc:
         if t == 0:
@@ -332,6 +333,7 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active) -> int
     log.counters["ocp_solve_instants"] += 1
     log.counters["admm_iterations"] += admm_state.iteration
     log.counters["inner_iterations"] += admm_state.total_inner_iterations
+    log.counters["active_set_rounds"] += admm_state.total_active_set_rounds
 
     order = np.argsort(np.concatenate([ocp.agents for ocp in ocps]))
 

@@ -34,6 +34,20 @@ def test_consensus_map_two_agents():
     np.testing.assert_array_equal(consensus_adjoint(w), [[0.5, -4.0], [-0.5, 4.0]])
 
 
+def test_consensus_adjoint_bytes_equal_diff():
+    # the repeat-lambda skip of run_admm compares multiplier bytes: the adjoint must
+    # round, and sign its zeros, exactly as np.diff with zeros at both ends
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        M, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        w = rng.normal(size=(M - 1, d)) * (rng.random((M - 1, d)) < 0.5)
+        w[rng.random(w.shape) < 0.2] = -0.0
+        expected = np.diff(w, axis=0, prepend=0.0, append=0.0)
+        got = consensus_adjoint(w)
+        assert got.shape == expected.shape == (M, d)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_consensus_map_four_agents_path_laplacian():
     M, d = 4, 3
     # dense E'E assembled column by column from the operator

@@ -1,4 +1,4 @@
-"""Hot-started inner solves: an active-set guess saves work and never moves an answer."""
+"""Active-set rounds of the inner solves: a guess saves work and never moves an answer."""
 
 import dataclasses
 from dataclasses import replace
@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tube_dmpc.local_solver import agent_group, condense, solve_inner
+from tube_dmpc import local_solver
+from tube_dmpc.local_solver import agent_group, condense, solve_inner, split_iterate
 from tube_dmpc.model import AgentModel, HPolytope
 from tube_dmpc.simulator import run_closed_loop
 from tube_dmpc.synthesis import TerminalIngredients
@@ -35,6 +36,15 @@ def group_problems(draw):
     return draw(st.sampled_from([1.0, 0.1])), x0, lams, kind, draw(st.randoms())
 
 
+def guess_of(kind, plain, rnd) -> np.ndarray:
+    """A guess of the given kind for the rows of the answer `plain` (solved unguessed)."""
+    shape = plain.active.shape
+    return {"true": plain.active, "empty": np.zeros(shape, dtype=bool),
+            "all": np.ones(shape, dtype=bool),
+            "random": np.array([[rnd.random() < 0.2 for _ in range(shape[1])]
+                                for _ in range(shape[0])])}[kind]
+
+
 @settings(max_examples=60, deadline=None)
 @given(group_problems())
 def test_guess_never_moves_the_answer(ball_groups, problem):
@@ -42,12 +52,7 @@ def test_guess_never_moves_the_answer(ball_groups, problem):
     group = ball_groups[factor]
     ocp = condense(group, x0, [0] * len(x0))
     plain = solve_inner(ocp, lams)
-    shape = plain.active.shape
-    guess = {"true": plain.active, "empty": np.zeros(shape, dtype=bool),
-             "all": np.ones(shape, dtype=bool),
-             "random": np.array([[rnd.random() < 0.2 for _ in range(shape[1])]
-                                 for _ in range(shape[0])])}[kind]
-    hot = solve_inner(ocp, lams, guess=guess)
+    hot = solve_inner(ocp, lams, guess=guess_of(kind, plain, rnd))
     assert hot.flags == plain.flags
     for j in range(len(x0)):
         scale = max(1.0, np.abs(plain.u[j]).max())
@@ -55,6 +60,79 @@ def test_guess_never_moves_the_answer(ball_groups, problem):
         # within the inner tolerance of it
         level = 1e-9 if plain.polished[j] and hot.polished[j] else 1e-5
         np.testing.assert_allclose(hot.u[j], plain.u[j], rtol=0, atol=level * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_problems())
+def test_rounds_match_tight_splitting(ball_groups, problem):
+    # from every guess kind, a polished answer is the optimum to rounding: it matches an
+    # independent splitting solve run to 1e-13 without polish (the tolerance of
+    # test_polish_matches_tight_splitting); any other answer is a splitting answer
+    factor, x0, lams, kind, rnd = problem
+    group = ball_groups[factor]
+    ocp = condense(group, x0, [0] * len(x0))
+    result = solve_inner(ocp, lams, guess=guess_of(kind, solve_inner(ocp, lams), rnd))
+    G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ np.array(lams)[:, :, None])[:, :, 0]).T
+    ref, _, _, _, _, flags = split_iterate(group.split, G, ocp.rows_rhs.T, [ocp.ball_off.T],
+                                           1e-13, 400000)
+    for j, flag in enumerate(flags):
+        if flag != "converged":
+            continue  # no reference: the state has no feasible plan, or hardly one
+        scale = max(1.0, np.abs(ref[:, j]).max())
+        level = 1e-11 if result.polished[j] else 1e-5
+        np.testing.assert_allclose(result.u[j], ref[:, j], rtol=0, atol=level * scale)
+
+
+def polish_guesses(monkeypatch) -> list:
+    """Record the guesses (one row per column) of every polish call that has columns."""
+    seen, polish = [], local_solver.polish
+
+    def recording(pol, U0, CU0, b, active):
+        if active.shape[1]:
+            seen.append(active.T.copy())
+        return polish(pol, U0, CU0, b, active)
+
+    monkeypatch.setattr(local_solver, "polish", recording)
+    return seen
+
+
+@pytest.mark.parametrize("factor, x0, flag", [(1.0, [-15.0, -4.9], "infeasible"),
+                                              (0.1, [10.7, -3.4], "converged")])
+def test_stuck_guess_leaves_after_one_round(ball_groups, monkeypatch, factor, x0, flag):
+    # the state has no feasible plan, or its plan ends on the terminal ball: the rounds
+    # reach a guess that maps to itself and leave it to splitting, which keeps its flag
+    group = ball_groups[factor]
+    assert group.split.zero is None  # a polish guess is a full rows_C mask
+    ocp, lam = condense(group, [x0]), np.zeros((1, group.F.shape[1]))
+    seen = polish_guesses(monkeypatch)
+    first = solve_inner(ocp, lam)
+    assert first.flags == [flag] and not first.polished[0] and first.agent_iterations[0] > 0
+    rounds = int(first.rounds[0])
+    assert rounds < local_solver.ACTIVE_SET_ROUNDS  # it left on an unchanged guess
+    stuck = seen[rounds - 1]
+    seen.clear()
+    again = solve_inner(ocp, lam, guess=stuck)
+    assert again.rounds.tolist() == [1] and again.flags == first.flags
+    assert not again.polished[0]
+    # one refused round, then (where the splitting run converged) the fallback's polish
+    assert len(seen) == (2 if flag == "converged" else 1)
+    np.testing.assert_array_equal(seen[0], stuck)
+    status = "optimal" if flag == "converged" else "infeasible"
+    assert again.solution.status == first.solution.status == (status,)
+
+
+def test_one_round_keeps_the_closed_loop(default_scenario, default_pipeline, monkeypatch):
+    # with a single round most columns fall back to splitting and polish; the answers
+    # stay the optimum, so the closed loop moves by rounding only
+    sc = dataclasses.replace(default_scenario, trigger_mode="periodic")
+    rounds = run_closed_loop(sc, pipeline=default_pipeline)
+    monkeypatch.setattr(local_solver, "ACTIVE_SET_ROUNDS", 1)
+    one = run_closed_loop(sc, pipeline=default_pipeline)
+    assert one.counters["inner_iterations"] > rounds.counters["inner_iterations"]
+    for blocks_a, blocks_b in ((rounds.u, one.u), (rounds.x, one.x)):
+        for block_a, block_b in zip(blocks_a, blocks_b):
+            np.testing.assert_allclose(block_b, block_a, rtol=1e-9, atol=1e-12)
+    assert [rec.statuses for rec in one.triggers] == [rec.statuses for rec in rounds.triggers]
 
 
 def test_true_active_set_takes_no_iteration(default_scenario, default_pipeline):

@@ -128,6 +128,22 @@ def test_sample_block_equals_single_draws(agents, seed, mode, steps):
             np.testing.assert_array_equal(rows[t], reference_draw(agent, single._rngs[i], mode))
 
 
+@pytest.mark.parametrize("hw", [0.05, 0.3])
+def test_box_stream_equals_rng_uniform(hw):
+    # the box stream is drawn with rng.uniform's arithmetic, not by rng.uniform:
+    # every seed must still give rng.uniform's bytes
+    agents = tuple(AgentModel(A=0.5 * np.eye(2), B=np.ones((2, 1)), w_bar=float(np.hypot(*box)),
+                              X=HPolytope.box([1.0, 1.0]), U=HPolytope.box([1.0]), Q=np.eye(2),
+                              R=np.eye(1), box_half_widths=np.array(box))
+                   for box in ([hw, hw], [hw, 0.7 * hw]))
+    for seed in range(200):
+        sampler, reference = DisturbanceSampler(agents, seed), DisturbanceSampler(agents, seed)
+        for i, agent in enumerate(agents):
+            half = agent.box_half_widths
+            expected = reference._rngs[i].uniform(-half, half, size=(30, agent.n))
+            assert sampler.sample(i, 30).tobytes() == expected.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(fleets(max_agents=3), st.data())
 def test_stacked_plant_equals_per_agent(models, data):

@@ -65,12 +65,14 @@ def replicated_eight(default_raw):
     return validate_scenario(raw)
 
 
-@pytest.mark.parametrize("case", ["periodic", "replicated-8", "mixed-six"])
+@pytest.mark.parametrize("case", ["periodic", "replicated-8", "mixed-six", "one-round"])
 def test_traced_grouped_runs_match_counters(spans, default_scenario, default_pipeline,
-                                            default_raw, case):
+                                            default_raw, monkeypatch, case):
     # one solve_inner span per group and ADMM iteration, its payload summed over the group
-    if case == "periodic":
+    if case in ("periodic", "one-round"):
         scenario, pipeline = replace(default_scenario, trigger_mode="periodic"), default_pipeline
+        if case == "one-round":  # one active-set round leaves columns to the splitting fallback
+            monkeypatch.setattr(local_solver, "ACTIVE_SET_ROUNDS", 1)
     else:
         scenario = (replicated_eight(default_raw) if case == "replicated-8"
                     else validate_scenario(load_raw("mixed_six.yaml")))
@@ -86,7 +88,10 @@ def test_traced_grouped_runs_match_counters(spans, default_scenario, default_pip
     data = tracer.arrays()
     code = data["code"]
     inner = code == spans.CODE["local_solver.solve_inner"]
-    assert int(data["payload"][inner].sum()) == log.counters["inner_iterations"] > 0
+    assert int(data["payload"][inner].sum()) == log.counters["inner_iterations"]
+    assert log.counters["active_set_rounds"] > 0
+    if case == "one-round":  # the payload check above compares a nonzero count
+        assert log.counters["inner_iterations"] > 0
     # per instant, one condense span per group with solving agents, and one
     # solve_inner span per such group and distinct multiplier: the multipliers
     # stay at 0 on these runs, so every ADMM iteration reuses the first solve
