@@ -100,7 +100,9 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams, trace_path=None,
     stacked in agent order, and each group is solved in lockstep. Returns one
     OcpSolution per entry of `ocps`. Convergence requires the consensus
     residual, the per-agent multiplier change and the aggregate coupling
-    violation to fall below tolerance. When trace_path is given, one CSV row
+    violation to fall below tolerance. When the answers at lambda = 0 all
+    converged and keep every coupled row (excess <= 0), they are returned at
+    iteration 0 with zero residuals. When trace_path is given, one CSV row
     (iter, primal_res, dual_res, total_cost) is appended per iteration.
     `guess` holds one active-set guess (see solve_inner) or None per entry
     of `ocps` for its first solve; each later solve of a group is guessed
@@ -156,14 +158,21 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams, trace_path=None,
 
     f_values = inner(state.lambdas)
     b_total = b_shares.sum(axis=0)
+    state.coupling_excess = f_values.sum(axis=0) - b_total
+    # the dual is differentiable (strictly convex inner problems), so answers at
+    # lambda = 0 that keep every coupled row are the exact coupled optimum
+    converged = (bool(np.all(state.coupling_excess <= 0.0))
+                 and all(flag == "converged" for result in results for flag in result.flags))
+    if converged:
+        state.primal_residual = state.dual_residual = 0.0
+    iterations = 0 if converged else params.max_iter
 
     trace = open(trace_path, "w") if trace_path is not None else None
     if trace is not None:
         trace.write("iter,primal_res,dual_res,total_cost\n")
 
-    converged = False
     try:
-        for k in range(1, params.max_iter + 1):
+        for k in range(1, iterations + 1):
             new_lambdas = lambda_update(state.lambdas, f_values, b_shares,
                                         state.omega, params.rho, tau)
             f_values = inner(new_lambdas)

@@ -206,10 +206,12 @@ class SimLog:
         return len(self.triggers)
 
     def local_violations(self, scenario: Scenario, tol: float = VIOLATION_TOL) -> int:
+        """Logged states outside X plus inputs outside U, one membership call per group and set."""
         count = 0
-        for agent, (g, j) in zip(scenario.agents, self.slots):
-            count += np.count_nonzero(~membership(agent.X, self.x[g][:, j], tol=tol))
-            count += np.count_nonzero(~membership(agent.U, self.u[g][:, j], tol=tol))
+        for grp, X, U in zip(self.groups, self.x, self.u):
+            agent = scenario.agents[grp.index[0]]  # the members share their sets
+            count += np.count_nonzero(~membership(agent.X, X.reshape(-1, agent.n), tol=tol))
+            count += np.count_nonzero(~membership(agent.U, U.reshape(-1, agent.m), tol=tol))
         return int(count)
 
     def global_violations(self, tol: float = VIOLATION_TOL) -> int:

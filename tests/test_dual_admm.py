@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from tube_dmpc.model import AgentModel, HPolytope, SolverParams
+from tube_dmpc.model import AgentModel, CouplingSpec, HPolytope, Scenario, SolverParams
 from tube_dmpc.synthesis import synthesize
-from tube_dmpc.tightening import tighten_local_sets
+from tube_dmpc.tightening import ToleranceSchedule, tighten_local_sets
 from tube_dmpc import dual_admm
-from tube_dmpc.local_solver import agent_group, condense, solve_centralized, solve_inner
+from tube_dmpc.local_solver import (agent_group, agent_groups, condense, solve_centralized,
+                                    solve_inner)
 from tube_dmpc.dual_admm import (AdmmError, consensus_adjoint, consensus_diff,
                                  consensus_gain, lambda_update, omega_update, run_admm)
 
@@ -223,15 +225,42 @@ def recorded_solves(monkeypatch):
 
 def test_run_admm_reuses_the_solve_at_an_unchanged_multiplier(monkeypatch, default_scenario,
                                                               default_pipeline):
-    # the default coupling is inactive: every ADMM iteration keeps the multiplier 0, so
-    # each group is solved once and that solve serves every iteration
+    # the default coupling is inactive: the answers at multiplier 0 keep the row, so
+    # run_admm certifies them at iteration 0 after one solve per group
     sc, pipe = default_scenario, default_pipeline
     calls = recorded_solves(monkeypatch)
     ocps = fleet_ocps(sc, pipe, b_share=pipe.schedule.b / sc.M)
     sols, state, converged = run_admm(ocps, sc.solver)
-    assert converged and state.iteration >= 1
+    assert converged and state.iteration == 0
     assert len(calls) == len(ocps)
     assert state.total_inner_iterations == sum(int(s.iterations.sum()) for s in sols)
+
+
+def test_run_admm_skips_a_group_whose_multiplier_rows_stay_put(monkeypatch):
+    # binding row u0 + u1 <= 0 on agents 0 and 1 (one group); agent 2 (a model of its
+    # own) adds nothing to the row and holds a share of 2 of its slack, so its
+    # multiplier row stays at 0 for the first iterations and its first solve serves them
+    def group(agent, Pu, index):
+        return agent_group(agent, synthesize(agent), tighten_local_sets(agent, 2),
+                           [np.zeros((1, 1))] * len(index), [Pu] * len(index), 2, index=index)
+
+    ocps = [condense(group(scalar_agent(), np.ones((1, 1)), [0, 1]), [[-3.0], [-3.0]],
+                     b_share=np.full(2, -1.0)),
+            condense(group(scalar_agent(a=0.4), np.zeros((1, 1)), [2]), [1.0],
+                     b_share=np.full(2, 2.0))]
+    calls = recorded_solves(monkeypatch)
+    params = SolverParams(rho=1.0, gamma=1.0, max_iter=2000, tol_primal=1e-6, tol_dual=1e-6)
+    sols, state, converged = run_admm(ocps, params)
+    assert converged and np.all(state.lambdas > 0)
+    idle = [lam for lam in calls if lam.shape[0] == 1]
+    assert len(calls) - len(idle) == state.iteration + 1  # the pulled group moves every time
+    assert len(idle) <= state.iteration - 1  # two skipped solves at least
+    np.testing.assert_array_equal(idle[0], 0.0)
+    assert idle[1].any()
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(idle, idle[1:]))
+    for ocp, sol in zip(ocps, sols):
+        fresh = solve_inner(ocp, state.lambdas[ocp.agents]).solution
+        np.testing.assert_allclose(sol.u_star, fresh.u_star, rtol=0, atol=1e-12)
 
 
 def test_run_admm_kept_answers_are_those_at_the_final_multiplier(monkeypatch):
@@ -325,3 +354,58 @@ def test_user_tau_below_floor_rejected():
     params = SolverParams(rho=1.0, tau=0.5)  # below rho * sigma_max(E'E) = 2
     with pytest.raises(ValueError, match="tau"):
         run_admm(ocps, params)
+
+
+@st.composite
+def certificate_cases(draw):
+    """Fleets of one to five agents over two scalar models in random order, their
+    states (|x0| >= 0.1, so that the cost is not about 0), random coupled rows, and
+    each row's right-hand side as an offset from its value at lambda = 0, kept off 0
+    (the certificate holds where every offset is > 0)."""
+    models = [scalar_agent(a=draw(st.floats(0.3, 1.2)), inp=draw(st.floats(1.0, 5.0)))
+              for _ in range(2)]
+    labels = draw(st.lists(st.integers(0, 1), min_size=1, max_size=5))
+    N, p = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    coef = st.floats(-1.0, 1.0)
+    agents = tuple(models[k] for k in labels)
+    coupling = CouplingSpec(
+        Psi_x=tuple(np.array([[draw(coef)] for _ in range(p)]) for _ in agents),
+        Psi_u=tuple(np.array([[draw(coef)] for _ in range(p)]) for _ in agents), p=p)
+    sign = st.sampled_from([-1.0, 1.0])
+    x0 = tuple(np.array([draw(sign) * draw(st.floats(0.1, 1.5))]) for _ in agents)
+    offset = np.array([draw(st.floats(1e-6, 0.5)) for _ in range(N * p)])
+    if not draw(st.booleans()):  # a binding case: some rows, one at least, break
+        broken = draw(st.lists(st.integers(0, N * p - 1), min_size=1))
+        offset[broken] *= -1.0
+    return Scenario(agents=agents, coupling=coupling, N=N, T_run=1, x0=x0), offset
+
+
+@settings(max_examples=40, deadline=None)
+@given(certificate_cases())
+def test_run_admm_certifies_a_slack_row_at_lambda_zero(case):
+    # where the answers at lambda = 0 keep every row they are the coupled optimum, and
+    # run_admm returns them at iteration 0; a row they break makes it iterate
+    sc, offset = case
+    ings = [synthesize(agent) for agent in sc.agents]
+    tight = [tighten_local_sets(agent, sc.N) for agent in sc.agents]
+    groups = agent_groups(sc, ings, tight)
+    free = [solve_inner(condense(grp, [sc.x0[i] for i in grp.index.tolist()]),
+                        np.zeros((grp.index.size, sc.N * sc.coupling.p))) for grp in groups]
+    assume(all(flag == "converged" for res in free for flag in res.flags))
+    b = sum(res.ocp.coupling_values(res.u).sum(axis=0) for res in free) + offset
+    ocps = [dataclasses.replace(res.ocp, b_share=b / sc.M) for res in free]
+    sols, state, converged = run_admm(ocps, SolverParams(max_iter=3))
+    if np.all(offset > 0.0):
+        assert converged and state.iteration == 0
+        assert state.primal_residual == state.dual_residual == 0.0
+        np.testing.assert_array_equal(state.lambdas, 0.0)
+        np.testing.assert_array_equal(state.omega, 0.0)
+        assert np.all(state.coupling_excess <= 0.0)
+        for sol, res in zip(sols, free):
+            np.testing.assert_array_equal(sol.u_star, res.u)
+        sched = ToleranceSchedule(eps=np.zeros(sc.N + 1), b=b, p=sc.coupling.p)
+        _, central = solve_centralized(sc, ings, tight, sched, sc.x0)
+        total = sum(float(sol.J_star.sum()) for sol in sols)
+        assert abs(total - central) <= 5e-3 * abs(central)
+    else:
+        assert state.iteration >= 1

@@ -24,6 +24,7 @@ from tube_dmpc.simulator import (DisturbanceSampler, SimLog, VIOLATION_TOL, prep
 from tube_dmpc.synthesis import TerminalIngredients
 from tube_dmpc.tightening import tighten_local_sets
 
+from conftest import load_raw
 from test_simulator import hetero_raw
 
 ENTRIES = st.floats(-1.5, 1.5)
@@ -271,4 +272,23 @@ def test_plant_calls_per_group_step_agent_and_set(monkeypatch):
     log = run_closed_loop(sc, pipeline=pipe)
     assert calls == {"step_plant": 2 * sc.T_run, "sample": sc.M, "membership": 0}
     assert log.local_violations(sc) == 0
-    assert calls["membership"] == 2 * sc.M
+    assert calls["membership"] == 2 * len(pipe.groups)
+
+
+def test_grouped_local_violations_match_per_agent_count():
+    # mixed_six interleaves three groups; states and inputs pushed outside X and U at
+    # scattered (step, agent) cells count once each, as in a per-agent check
+    sc = validate_scenario(load_raw("mixed_six.yaml"))
+    log = run_closed_loop(sc)
+    assert len(log.groups) == 3 and log.local_violations(sc) == 0
+    for t, i in [(0, 0), (3, 4), (3, 5), (sc.T_run, 2)]:
+        log.states[t][i][:] = 1e3
+    for t, i in [(1, 1), (1, 3), (sc.T_run - 1, 5)]:
+        log.inputs[t][i][:] = -1e3
+    log.states[5][1][1] = 5.0 + 0.5 * VIOLATION_TOL  # on the boundary within tolerance
+    reference = sum(not membership(agent.X, log.states[t][i], tol=VIOLATION_TOL)
+                    for t in range(log.steps + 1) for i, agent in enumerate(sc.agents))
+    reference += sum(not membership(agent.U, log.inputs[t][i], tol=VIOLATION_TOL)
+                     for t in range(log.steps) for i, agent in enumerate(sc.agents))
+    assert reference == 7
+    assert log.local_violations(sc) == reference
