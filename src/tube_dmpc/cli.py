@@ -160,6 +160,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    if args.runs < 1:
+        print(f"error: --runs must be at least 1, got {args.runs}", file=sys.stderr)
+        return EXIT_USAGE
     scenario = load_scenario(args.scenario, _overrides(args))
     out = _outdir(args)
     pipeline = prepare(scenario)

@@ -11,6 +11,7 @@ import numpy as np
 from .model import AgentModel, Scenario, group_members
 from .synthesis import TerminalIngredients
 from .tightening import TightenedSets, ToleranceSchedule
+from .trigger import deviation_table, quad_form
 
 FEAS_TOL = 1e-6
 RELAXATION = 1.6  # classic over-relaxation factor for the splitting iteration
@@ -245,25 +246,28 @@ def polish(pol: PolishSetup, U0, CU0, b, active):
     scaled rows (0 off the guess), the row slacks C_r u - b, and whether
     mu >= 0, every row holds and every guessed row is tight (each to KKT_TOL
     relative to max(1, |b|)). No factorization or solve runs: every step is
-    a product with offline data.
+    a product with offline data. Where no column guesses a row, no CG step
+    runs: mu = 0, U = U0 and slack = CU0 - b exactly.
     """
-    res = np.where(active, CU0 - b, 0.0)
-    mu, p = np.zeros_like(res), res.copy()
-    rr = np.vecdot(res, res, axis=0)
-    # CG converges in at most rank(C_A H^-1 C_A') <= min(|A|, k) steps, plus one for rounding
-    steps = int(np.minimum(active.sum(axis=0), U0.shape[0]).max(initial=0)) + 1
-    for _ in range(steps):
-        Sp = pol.schur @ p
-        Sp *= active
-        pSp = np.vecdot(p, Sp, axis=0)
-        alpha = np.divide(rr, pSp, out=np.zeros_like(rr), where=pSp > 0)
-        mu += alpha * p
-        res -= alpha * Sp
-        rr_new = np.vecdot(res, res, axis=0)
-        p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
-        rr = rr_new
-    U = U0 - pol.CH_inv.T @ mu
-    slack = CU0 - pol.schur @ mu - b
+    if active.any():
+        res = np.where(active, CU0 - b, 0.0)
+        mu, p = np.zeros_like(res), res.copy()
+        rr = np.vecdot(res, res, axis=0)
+        # CG converges in at most rank(C_A H^-1 C_A') <= min(|A|, k) steps, +1 for rounding
+        steps = int(np.minimum(active.sum(axis=0), U0.shape[0]).max()) + 1
+        for _ in range(steps):
+            Sp = pol.schur @ p
+            Sp *= active
+            pSp = np.vecdot(p, Sp, axis=0)
+            alpha = np.divide(rr, pSp, out=np.zeros_like(rr), where=pSp > 0)
+            mu += alpha * p
+            res -= alpha * Sp
+            rr_new = np.vecdot(res, res, axis=0)
+            p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
+            rr = rr_new
+        U, slack = U0 - pol.CH_inv.T @ mu, CU0 - pol.schur @ mu - b
+    else:
+        mu, U, slack = np.zeros_like(CU0), U0, CU0 - b
     tol = KKT_TOL * np.maximum(1.0, np.abs(b))
     kkt = ((mu >= 0.0) & (slack <= tol) & (~active | (slack >= -tol))).all(axis=0)
     return U, mu, slack, kkt
@@ -275,10 +279,14 @@ class AgentGroup:
 
     Member j is agent index[j] (agent order). The members share `agent`, the
     terminal ingredients `ing` and the state-independent part of the condensed
-    OCP: `W[l - 1]` is the stage weight at step l (P at l = N), `q_maps[l - 1]`
-    = 2 Gamma[l]' W[l - 1], `rhs_G`/`rhs_h` are the tightened state sets
-    Z[1..N-1], `rhs_U` the input rows over the horizon, `ball_map` = L' with
-    P = L L', `split` the splitting solver's setup and `polish` its polish data.
+    OCP: the input rollout map `Gamma`, the Hessian H, the halfspace rows
+    `rows_C` (the tightened state sets Z[1..N-1], then the input rows over the
+    horizon), `ball_C` = L' Gamma[N] with P = L L', `split` the splitting
+    solver's setup and `polish` its polish data. Every x0-dependent term is
+    one stacked map of x0: `x0_map` x0 + `x0_const` holds, by rows, the
+    linear term q, the halfspace right-hand sides, the ball offset L'z(N)
+    and the input-free rollout z(0..N); `c0_form` is the constant cost's
+    quadratic form. `deviation` is the trigger's deviation table (d, d * d).
     Their coupling data are stacked along axis 0, one entry per member: the
     rows Psi_x and Psi_u, the coupling map F with its x0 part `f0_map`,
     `feedback_coupling` (x to the stacked coupling values (Psi_x + Psi_u K)
@@ -289,17 +297,14 @@ class AgentGroup:
     index: np.ndarray
     agent: AgentModel
     ing: TerminalIngredients
-    Phi: np.ndarray
     Gamma: np.ndarray
     H: np.ndarray
-    W: tuple
-    q_maps: tuple
     rows_C: np.ndarray
-    rhs_G: tuple
-    rhs_h: tuple
-    rhs_U: np.ndarray
-    ball_map: np.ndarray
     ball_C: np.ndarray
+    x0_map: np.ndarray
+    x0_const: np.ndarray
+    c0_form: np.ndarray
+    deviation: tuple
     Psi_x: np.ndarray
     Psi_u: np.ndarray
     F: np.ndarray
@@ -317,10 +322,12 @@ class AgentGroup:
         left, as the plan does once it has applied that many steps; the blocks
         that come free at its tail are guessed inactive.
         """
-        N, n_state = len(self.W), self.rows_C.shape[0] - self.rhs_U.size
+        N, n_input = self.Gamma.shape[0] - 1, self.agent.U.G.shape[0]
+        total = self.rows_C.shape[0]
+        n_state = total - N * n_input
         out = np.zeros_like(active)
         for start, stop, size in ((0, n_state, n_state // max(N - 1, 1)),
-                                  (n_state, self.rows_C.shape[0], self.rhs_U.size // N)):
+                                  (n_state, total, n_input)):
             cut = start + steps * size
             if cut < stop:
                 out[:, start:stop - steps * size] = active[:, cut:stop]
@@ -336,41 +343,41 @@ def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: Tightene
     """
     n, m = agent.n, agent.m
     Phi, Gamma = rollout_maps(agent.A, agent.B, N)
-    W = (np.array(agent.Q),) * (N - 1) + (np.array(ing.P),)
+    W = np.stack((agent.Q,) * (N - 1) + (ing.P,))  # stage weight at l = 1..N (P at l = N)
+    GW = 2.0 * Gamma[1:].transpose(0, 2, 1) @ W  # 2 Gamma[l]' W_l
+    H = (GW @ Gamma[1:]).sum(axis=0)
+    diag = np.arange(N)  # (l, l) blocks of an (N, rows, N, columns) view
+    H.reshape(N, m, N, m)[diag, :, diag] += 2.0 * agent.R
 
-    H = np.zeros((N * m, N * m))
-    q_maps = []
-    for l in range(1, N + 1):
-        H += 2.0 * Gamma[l].T @ W[l - 1] @ Gamma[l]
-        q_maps.append(2.0 * Gamma[l].T @ W[l - 1])
-    for l in range(N):
-        H[l * m:(l + 1) * m, l * m:(l + 1) * m] += 2.0 * agent.R
-
-    rows = [tightened.Z[l].G @ Gamma[l] for l in range(1, N)]
+    Z = tightened.Z[1:N]  # the tightened state sets of z(1..N-1)
     GU = agent.U.G
-    for l in range(N):
-        block = np.zeros((GU.shape[0], N * m))
-        block[:, l * m:(l + 1) * m] = GU
-        rows.append(block)
-    rows_C = np.vstack(rows)
+    inputs = np.zeros((N, GU.shape[0], N, m))
+    inputs[diag, :, diag] = GU
+    rows_C = np.vstack([Zl.G @ Gamma[l] for l, Zl in enumerate(Z, start=1)]
+                       + [inputs.reshape(-1, N * m)])
 
     L = np.linalg.cholesky(ing.P)  # P = L L', so ||z||_P = ||L' z||
-    ball_map = L.T
-    ball_C = ball_map @ Gamma[N]
+    ball_C = L.T @ Gamma[N]
     split = split_setup(H, rows_C, [ball_C], [ing.eps_r])
+    # rows of the x0 map: q = sum 2 Gamma[l]' W_l Phi[l] x0, the halfspace right-hand sides
+    # h_l - G_l Phi[l] x0 (constant on the input rows), L' Phi[N] x0 and Phi[0..N] x0
+    x0_map = np.vstack([(GW @ Phi[1:]).sum(axis=0)]
+                       + [-(Zl.G @ Phi[l]) for l, Zl in enumerate(Z, start=1)]
+                       + [np.zeros((N * GU.shape[0], n)), L.T @ Phi[N], Phi.reshape(-1, n)])
+    x0_const = np.concatenate([np.zeros(N * m)] + [Zl.h for Zl in Z] + [agent.U.h] * N
+                              + [np.zeros((N + 2) * n)])
 
     # coupling block l of member j: Psi_x[j] z(l) + Psi_u[j] u(l), from the same rollout
     Psi_x, Psi_u = np.stack(Psi_x), np.stack(Psi_u)
     size, p = Psi_x.shape[:2]
-    F = (Psi_x[:, None] @ Gamma[:N]).reshape(size, N * p, N * m) + np.kron(np.eye(N), Psi_u)
+    F = (Psi_x[:, None] @ Gamma[:N]).reshape(size, N * p, N * m)
+    F.reshape(size, N, p, N, m)[:, diag, :, diag] += Psi_u
     Phi_K, _ = rollout_maps(agent.A + agent.B @ ing.K, agent.B, N)
     group = AgentGroup(
         index=np.arange(size) if index is None else np.array(index), agent=agent, ing=ing,
-        Phi=Phi, Gamma=Gamma, H=H, W=W, q_maps=tuple(q_maps), rows_C=rows_C,
-        rhs_G=tuple(np.array(tightened.Z[l].G) for l in range(1, N)),
-        rhs_h=tuple(np.array(tightened.Z[l].h) for l in range(1, N)),
-        rhs_U=np.tile(agent.U.h, N), ball_map=ball_map, ball_C=ball_C,
-        Psi_x=Psi_x, Psi_u=Psi_u, F=F,
+        Gamma=Gamma, H=H, rows_C=rows_C, ball_C=ball_C, x0_map=x0_map, x0_const=x0_const,
+        c0_form=agent.Q + (Phi[1:].transpose(0, 2, 1) @ W @ Phi[1:]).sum(axis=0),
+        deviation=deviation_table(agent, ing, N), Psi_x=Psi_x, Psi_u=Psi_u, F=F,
         f0_map=(Psi_x[:, None] @ Phi[:N]).reshape(size, N * p, n),
         feedback_coupling=((Psi_x + Psi_u @ ing.K)[:, None] @ Phi_K[:N]).reshape(size, N * p, n),
         dual_curvature=np.linalg.norm(F @ np.linalg.solve(H, F.transpose(0, 2, 1)), 2,
@@ -401,7 +408,8 @@ class CondensedOcp:
     c0[j] over its stacked inputs, subject to the halfspace rows rows_C u <=
     rows_rhs[j] and the terminal ellipsoid ||ball_C u + ball_off[j]|| <= eps_r,
     with the affine coupling map f_j(u) = f0[j] + F[j] u and share b_share of
-    the tightened RHS. The state-independent matrices live in `group`.
+    the tightened RHS. `free[j]` is the input-free rollout z(0..N) from x0[j].
+    The state-independent matrices live in `group`.
     """
 
     group: AgentGroup
@@ -411,6 +419,7 @@ class CondensedOcp:
     c0: np.ndarray
     rows_rhs: np.ndarray
     ball_off: np.ndarray
+    free: np.ndarray
     f0: np.ndarray
     F: np.ndarray
     b_share: np.ndarray
@@ -421,8 +430,7 @@ class CondensedOcp:
 
     def trajectory(self, U) -> np.ndarray:
         """Nominal states z(0..N) under the input rows U, shape (rows, N + 1, n)."""
-        g = self.group
-        return (g.Phi @ self.x0[:, None, :, None] + g.Gamma @ U[:, None, :, None])[..., 0]
+        return self.free + (self.group.Gamma @ U[:, None, :, None])[..., 0]
 
     def cost(self, U) -> np.ndarray:
         return (((0.5 * U)[:, None, :] @ self.group.H @ U[:, :, None])[:, 0, 0]
@@ -456,29 +464,23 @@ class OcpSolution:
 def condense(group: AgentGroup, x0, slots=None, b_share=None) -> CondensedOcp:
     """The condensed OCPs of the members `slots` (default: all) at the state rows x0.
 
-    Only the x0-dependent terms are computed, one stacked product per plan step.
+    Only the x0-dependent terms are computed: one product of the group's x0
+    map with every state row (row j's values do not depend on the other rows)
+    and one quadratic form for c0.
     """
     g = group
     slots = np.arange(g.index.size) if slots is None else np.asarray(slots)
     X = np.asarray(x0, dtype=float).reshape(slots.size, -1)
     col = X[:, :, None]
-    free = [Phi_l @ col for Phi_l in g.Phi]  # input-free rollout z(l) = A^l x0, as columns
-    N = len(g.W)
-
-    q = np.zeros((slots.size, g.H.shape[0]))
-    c0 = (X[:, None, :] @ g.agent.Q @ col)[:, 0, 0]
-    for l in range(1, N + 1):
-        q += (g.q_maps[l - 1] @ free[l])[..., 0]
-        c0 += (X[:, None, :] @ g.Phi[l].T @ g.W[l - 1] @ g.Phi[l] @ col)[:, 0, 0]
-
-    rows_rhs = np.concatenate([h - (G @ free[l])[..., 0]
-                               for l, G, h in zip(range(1, N), g.rhs_G, g.rhs_h)]
-                              + [np.broadcast_to(g.rhs_U, (slots.size, g.rhs_U.size))], axis=1)
+    k, r = g.H.shape[0], g.rows_C.shape[0]
+    q, rows_rhs, ball_off, free = np.split((g.x0_map @ col)[..., 0] + g.x0_const,
+                                           [k, k + r, k + r + g.ball_C.shape[0]], axis=1)
     F = g.F[slots]
     if b_share is None:
         b_share = np.zeros(F.shape[1])
-    return CondensedOcp(group=g, slots=slots, x0=X, q=q, c0=c0, rows_rhs=rows_rhs,
-                        ball_off=(g.ball_map @ free[N])[..., 0],
+    return CondensedOcp(group=g, slots=slots, x0=X, q=q, c0=quad_form(X, g.c0_form),
+                        rows_rhs=rows_rhs, ball_off=ball_off,
+                        free=free.reshape(slots.size, -1, X.shape[1]),
                         f0=(g.f0_map[slots] @ col)[..., 0], F=F,
                         b_share=np.asarray(b_share, dtype=float))
 

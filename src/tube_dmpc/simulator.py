@@ -479,8 +479,10 @@ def write_trace_csv(log: SimLog, scenario: Scenario, path) -> None:
     """One row per step and agent: t, agent, x, u, w, the coupled row values and the mode.
 
     The bytes are those csv.writer writes for these fields (none needs
-    quoting): numbers as _fmt writes them, CRLF line ends. The text is one
-    %-format of a per-step template over a table with one row per step.
+    quoting): numbers as _fmt writes them, CRLF line ends. An agent with
+    fewer states or inputs than the widest leaves the rest of its x, u and w
+    columns empty. The text is one %-format of a per-step template over a
+    table with one row per step.
     """
     dims_n = max(agent.n for agent in scenario.agents)
     dims_m = max(agent.m for agent in scenario.agents)
@@ -495,7 +497,10 @@ def write_trace_csv(log: SimLog, scenario: Scenario, path) -> None:
     template, columns = [], []
     for i, (g, j) in enumerate(log.slots):
         values = np.hstack([log.x[g][:steps, j], log.u[g][:, j], log.w[g][:, j], log.coupling])
-        template.append(f"%d,{i}," + "%.17g," * values.shape[1] + "%s\r\n")
+        n, m = log.x[g].shape[2], log.u[g].shape[2]
+        fields = [(n, dims_n), (m, dims_m), (n, dims_n), (log.p, log.p)]
+        template.append(f"%d,{i}," + "".join("%.17g," * k + "," * (width - k)
+                                             for k, width in fields) + "%s\r\n")
         columns += [t, values.astype(object), log.modes[:, i:i + 1].astype(object)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AgentModel
-from .synthesis import error_gain
+from .synthesis import TerminalIngredients, error_gain
 
 
 def deviation_bound(agent: AgentModel, phi, l, Mk):
@@ -38,6 +38,20 @@ def stage_costs(agent: AgentModel, z, u) -> np.ndarray:
     return quad_form(z, agent.Q) + quad_form(u, agent.R)
 
 
+def deviation_table(agent: AgentModel, ing: TerminalIngredients,
+                    N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The deviation bounds of g_profile as (d, d * d), both (N, N).
+
+    d[M - 1, k - 1] is the deviation bound d(k - M, M) of plan step k
+    (weighted by Q, by P at k = N) after an M-step run, and 0 where k < M.
+    """
+    M = np.arange(1, N + 1)[:, None]  # rows: candidate interval M
+    k = np.arange(1, N + 1)  # columns: plan step k
+    lam_max = np.where(k == N, ing.lam_max_P, agent.lam_max_Q)
+    d = np.where(k >= M, _deviation_bound(agent, lam_max, np.maximum(k - M, 0), M), 0.0)
+    return d, d * d
+
+
 def g_profile(group, sol) -> tuple[np.ndarray, np.ndarray]:
     """Bound g(M) on the optimal-cost change after an M-step open-loop run, M = 1..N.
 
@@ -46,22 +60,19 @@ def g_profile(group, sol) -> tuple[np.ndarray, np.ndarray]:
     k = M..N-1, is perturbed by at most the deviation bound d(k - M, M), the
     appended terminal-feedback tail telescopes into the terminal weight
     (||z(N)||_P^2, offset N - M), and the realized stage costs of the M skipped
-    steps are subtracted. Returns (g, spent), both (plans, N): spent[:, M - 1]
+    steps are subtracted. The bounds d and d * d are the group's
+    `deviation_table`. Returns (g, spent), both (plans, N): spent[:, M - 1]
     is the sum of the first M stage costs.
     """
     agent, ing = group.agent, group.ing
     Z, U = sol.z_star, sol.u_star
     B, N = Z.shape[0], Z.shape[1] - 1
-    M = np.arange(1, N + 1)[:, None]  # rows: candidate interval M
-    k = np.arange(1, N + 1)  # columns: plan step k, the last one weighted by P
-    last = k == N
     zQ = quad_form(Z.reshape(-1, agent.n), agent.Q).reshape(B, N + 1)  # l = 0..N
-    norms = np.sqrt(np.where(last, quad_form(Z[:, N], ing.P)[:, None], zQ[:, 1:]))
-    lam_max = np.where(last, ing.lam_max_P, agent.lam_max_Q)
-    d = np.where(k >= M, _deviation_bound(agent, lam_max, np.maximum(k - M, 0), M), 0.0)
+    norms = np.sqrt(np.concatenate([zQ[:, 1:N], quad_form(Z[:, N], ing.P)[:, None]], axis=1))
     spent = np.cumsum(zQ[:, :N] + quad_form(U.reshape(-1, agent.m), agent.R).reshape(B, N),
                       axis=1)
-    return (2.0 * norms[:, None, :] * d + d * d).sum(axis=2) - spent, spent
+    d, dd = group.deviation
+    return (2.0 * norms[:, None, :] * d + dd).sum(axis=2) - spent, spent
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from tube_dmpc.local_solver import agent_group, condense, solve_inner
+from tube_dmpc.local_solver import agent_group, condense, rollout_maps, solve_inner
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare
 
@@ -17,6 +17,36 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 def one_agent(agent, ing, tightened, Psi_x, Psi_u, N, index=0):
     """The agent group of the single agent `index` with coupling rows Psi_x, Psi_u."""
     return agent_group(agent, ing, tightened, [Psi_x], [Psi_u], N, index=[index])
+
+
+def condense_reference(agent, ing, tightened, x0, N):
+    """One agent's x0-dependent condensed terms at x0, in the arithmetic order of condense.
+
+    The stacked x0 map is built from scratch, a plan step at a time, from
+    rollout_maps and the tightened sets, and then applied to x0 in one
+    product (a row's rounding can depend on its place in the matrix): q, the
+    halfspace right-hand sides, the terminal-ball offset L'z(N) with P = L L'
+    and the input-free rollout z(0..N); the constant c0 is a quadratic form.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n, k = agent.n, N * agent.m
+    Phi, Gamma = rollout_maps(agent.A, agent.B, N)
+    q_map, form = np.zeros((k, n)), np.zeros((n, n))
+    for l in range(1, N + 1):
+        W = ing.P if l == N else agent.Q
+        q_map += 2.0 * Gamma[l].T @ W @ Phi[l]
+        form += Phi[l].T @ W @ Phi[l]
+    Z = tightened.Z[1:N]
+    inputs = N * agent.U.G.shape[0]
+    L = np.linalg.cholesky(ing.P)
+    x0_map = np.vstack([q_map] + [-(Zl.G @ Phi[l]) for l, Zl in enumerate(Z, start=1)]
+                       + [np.zeros((inputs, n)), L.T @ Phi[N], Phi.reshape(-1, n)])
+    const = np.concatenate([np.zeros(k)] + [Zl.h for Zl in Z] + [agent.U.h] * N
+                           + [np.zeros((N + 2) * n)])
+    r = sum(Zl.h.size for Zl in Z) + inputs
+    q, rows_rhs, ball_off, free = np.split(x0_map @ x0 + const, [k, k + r, k + r + n])
+    return {"q": q, "c0": float(x0 @ (agent.Q + form) @ x0), "rows_rhs": rows_rhs,
+            "ball_off": ball_off, "free": free.reshape(N + 1, n)}
 
 
 def row(sol, j=0):

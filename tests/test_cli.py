@@ -206,6 +206,15 @@ def test_montecarlo_small_campaign(tmp_path):
     assert report["interval_histogram"]
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_montecarlo_without_runs_exits_two(tmp_path, capsys, runs):
+    out = tmp_path / "out"
+    assert main(["montecarlo", "--scenario", SCENARIO, "--out", str(out), "--runs", runs]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--runs" in err[0], err
+    assert not (out / "montecarlo.json").exists()
+
+
 def test_compare_reports_fewer_solves(tmp_path):
     code = main(["compare", "--scenario", SCENARIO, "--out", str(tmp_path)])
     assert code == 0

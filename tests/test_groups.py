@@ -5,9 +5,11 @@ replace, kept here as the oracle: condensing one agent at one state, its
 nominal trajectory and cost, its coupling maps, and its trigger bound g(M)
 with the stage costs of its plan. Random fleets draw their agents from a few
 models of one shape in interleaved order; a random subset of agents solves.
-Every group quantity must equal its reference bit for bit. Quadratic forms
-go through `trigger.quad_form`, whose value for a row does not depend on the
-other rows (an einsum over the rows does not have that property).
+Every group quantity must equal its reference bit for bit; the condensed
+terms also match their definitions along the plan-step recursion to 1e-12
+relative. Quadratic forms go through `trigger.quad_form`, whose value for a
+row does not depend on the other rows (an einsum over the rows does not have
+that property).
 """
 
 from types import SimpleNamespace
@@ -22,20 +24,13 @@ from tube_dmpc.synthesis import TerminalIngredients
 from tube_dmpc.tightening import tighten_local_sets
 from tube_dmpc.trigger import _deviation_bound, quad_form, g_profile, stage_costs
 
+from conftest import condense_reference, coupling_terms
 
-def reference_condense(group, j, x0):
+
+def reference_condense(group, tightened, j, x0):
     """Member j's condensed OCP terms at x0, one agent at a time."""
-    N = len(group.W)
-    free = [Phi_l @ x0 for Phi_l in group.Phi]
-    q = np.zeros(group.H.shape[0])
-    c0 = float(x0 @ group.agent.Q @ x0)
-    for l in range(1, N + 1):
-        q += group.q_maps[l - 1] @ free[l]
-        c0 += float(x0 @ group.Phi[l].T @ group.W[l - 1] @ group.Phi[l] @ x0)
-    rows_rhs = np.concatenate([h - G @ free[l]
-                               for l, G, h in zip(range(1, N), group.rhs_G, group.rhs_h)]
-                              + [group.rhs_U])
-    return {"q": q, "c0": c0, "rows_rhs": rows_rhs, "ball_off": group.ball_map @ free[N],
+    N = group.Gamma.shape[0] - 1
+    return {**condense_reference(group.agent, group.ing, tightened, x0, N),
             "f0": group.f0_map[j] @ x0}
 
 
@@ -109,8 +104,8 @@ def test_group_arithmetic_equals_per_agent_reference(case):
     scenario, ingredients, x0, plans, solving = case
     N, agents = scenario.N, scenario.agents
     members = group_members(agents)
-    groups = agent_groups(scenario, ingredients,
-                          [tighten_local_sets(agent, N) for agent in agents], members)
+    tightened = [tighten_local_sets(agent, N) for agent in agents]
+    groups = agent_groups(scenario, ingredients, tightened, members)
     assert sorted(np.concatenate(members).tolist()) == list(range(len(agents)))
     for grp in groups:
         for j, i in enumerate(grp.index.tolist()):
@@ -130,9 +125,10 @@ def test_group_arithmetic_equals_per_agent_reference(case):
         cost = ocp.cost(U)
         profiles, spent = g_profile(grp, SimpleNamespace(z_star=Z, u_star=U))
         for j, (i, slot) in enumerate(zip(ids.tolist(), slots.tolist())):
-            for name, value in reference_condense(grp, slot, x0[i]).items():
+            ref = reference_condense(grp, tightened[i], slot, x0[i])
+            for name, value in ref.items():
                 np.testing.assert_array_equal(getattr(ocp, name)[j], value, err_msg=name)
-            z = grp.Phi @ x0[i] + grp.Gamma @ U[j]
+            z = ref["free"] + grp.Gamma @ U[j]
             np.testing.assert_array_equal(Z[j], z)
             assert cost[j] == float(0.5 * U[j] @ grp.H @ U[j] + ocp.q[j] @ U[j] + ocp.c0[j])
             g, costs = reference_g_profile(grp.agent, grp.ing, z, U[j], N)
@@ -141,6 +137,53 @@ def test_group_arithmetic_equals_per_agent_reference(case):
             # the realized stage costs of the first M steps, as a per-agent sum (M < 8
             # keeps numpy's summation sequential, as the cumulated sum is)
             assert all(spent[j, M - 1] == costs[:M].sum() for M in range(1, N + 1))
+
+
+def assert_close(actual, ref, *terms):
+    """|actual - ref| <= 1e-12 (|ref| + scale), scale the largest magnitude among `terms`.
+
+    The floor is at least the smallest normal float: subnormal values (a cost of
+    x0 ~ 1e-157) keep no relative precision.
+    """
+    scale = max(float(np.abs(t).max(initial=0.0)) for t in terms)
+    np.testing.assert_allclose(actual, ref, rtol=1e-12,
+                               atol=max(1e-12 * scale, np.finfo(float).tiny))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fleets())
+def test_condensed_terms_match_step_rollout(case):
+    # the x0 map against the definitions along z(l + 1) = A z(l) + B u(l): the trajectory,
+    # the cost sum z'Qz + u'Ru + z(N)'P z(N), the state and input rows, the terminal-ball
+    # vector L'z(N) and the coupling values
+    scenario, ingredients, x0, plans, _ = case
+    N, agents = scenario.N, scenario.agents
+    tightened = [tighten_local_sets(agent, N) for agent in agents]
+    for grp in agent_groups(scenario, ingredients, tightened):
+        ocp = condense(grp, x0[grp.index])
+        U = plans[grp.index]
+        Z, cost = ocp.trajectory(U), ocp.cost(U)
+        L = np.linalg.cholesky(grp.ing.P)
+        for j, i in enumerate(grp.index.tolist()):
+            agent, u = agents[i], U[j].reshape(N, -1)
+            z = [x0[i]]
+            for l in range(N):
+                z.append(agent.A @ z[-1] + agent.B @ u[l])
+            z = np.array(z)
+            assert_close(Z[j], z, z, x0[i], u)
+            terms = [0.5 * U[j] @ grp.H @ U[j], ocp.q[j] @ U[j], ocp.c0[j]]
+            J = float(stage_costs(agent, z[:N], u).sum() + z[N] @ grp.ing.P @ z[N])
+            assert_close(cost[j], J, terms)
+            lhs = grp.rows_C @ U[j]
+            rows = ([tightened[i].Z[l].G @ z[l] - tightened[i].Z[l].h for l in range(1, N)]
+                    + [agent.U.G @ v - agent.U.h for v in u])
+            assert_close(lhs - ocp.rows_rhs[j], np.concatenate(rows), lhs, ocp.rows_rhs[j])
+            ball = grp.ball_C @ U[j]
+            assert_close(ball + ocp.ball_off[j], L.T @ z[N], ball, ocp.ball_off[j])
+            Fu = ocp.F[j] @ U[j]
+            assert_close(ocp.f0[j] + Fu, coupling_terms(agent, scenario.coupling.Psi_x[i],
+                                                        scenario.coupling.Psi_u[i], x0[i], U[j]),
+                         Fu, ocp.f0[j])
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tube_dmpc import dual_admm
-from tube_dmpc.local_solver import agent_group, condense, solve_inner, split_iterate
+from tube_dmpc.local_solver import (KKT_TOL, agent_group, condense, polish, solve_inner,
+                                    split_iterate)
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare, run_closed_loop
 
@@ -110,3 +111,44 @@ def test_polish_matches_tight_splitting(ball_groups, x1, x2, factor, lam):
         np.testing.assert_allclose(result.u[0], u_ref, rtol=0, atol=1e-5 * scale)
     if result.polished[0]:
         np.testing.assert_allclose(result.u[0], u_ref, rtol=0, atol=1e-11 * scale)
+
+
+def test_empty_guess_runs_no_cg_step(default_scenario, default_pipeline, monkeypatch):
+    group = default_pipeline.groups[0]
+    pol, rows = group.polish, group.polish.schur.shape[0]
+    rng = np.random.default_rng(4)
+    G, b = rng.normal(size=(group.H.shape[0], 3)), rng.normal(size=(rows, 3))
+    U0, CU0 = -(pol.H_inv @ G), -(pol.CH_inv @ G)
+    steps, vecdot = [], np.vecdot
+
+    def counting_vecdot(*args, **kwargs):  # every CG step takes two inner products
+        steps.append(1)
+        return vecdot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "vecdot", counting_vecdot)
+
+    empty = np.zeros((rows, 3), dtype=bool)
+    U, mu, slack, kkt = polish(pol, U0, CU0, b, empty)
+    assert not steps
+    assert np.all(mu == 0.0)
+    assert U.tobytes() == U0.tobytes()
+    assert slack.tobytes() == (CU0 - b).tobytes()
+    assert kkt.tolist() == (CU0 - b <= KKT_TOL * np.maximum(1.0, np.abs(b))).all(axis=0).tolist()
+
+    # one column guesses the first rows of the u(0) and u(1) blocks: CG runs, holds them
+    # tight with the multipliers of the direct solve, and leaves the empty columns as above
+    n_input = default_scenario.agents[0].U.G.shape[0]
+    first = rows - default_scenario.N * n_input
+    mixed = empty.copy()
+    mixed[[first, first + n_input], 1] = True
+    U, mu, slack, _ = polish(pol, U0, CU0, b, mixed)
+    assert steps
+    A = mixed[:, 1]
+    mu_ref = np.linalg.solve(pol.schur[np.ix_(A, A)], CU0[A, 1] - b[A, 1])
+    np.testing.assert_allclose(mu[A, 1], mu_ref, rtol=1e-9)
+    np.testing.assert_allclose(slack[A, 1], 0.0, atol=1e-9 * np.abs(b[A, 1]).max())
+    assert np.all(mu[~A, 1] == 0.0)
+    for j in (0, 2):
+        assert np.all(mu[:, j] == 0.0)
+        np.testing.assert_array_equal(U[:, j], U0[:, j])
+        np.testing.assert_array_equal(slack[:, j], CU0[:, j] - b[:, j])

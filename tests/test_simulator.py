@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 
@@ -359,6 +360,28 @@ def test_heterogeneous_fleet_end_to_end():
         assert converged
         total = sum(s.J_star.sum() for s in sols)
         assert abs(total - central) / central <= 5e-3
+
+
+def test_trace_rows_of_mixed_dimension_fleet_fill_the_header(tmp_path):
+    # agent 1 has one state and one input of the header's two: its x2, u2 and w2 stay empty
+    sc = validate_scenario(hetero_raw())
+    log = run_closed_loop(sc, pipeline=prepare(sc))
+    simulator.write_trace_csv(log, sc, tmp_path / "trace.csv")
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == log.steps * log.M
+    for fields in rows:
+        assert len(fields) == len(header)
+        rec = dict(zip(header, fields))
+        t, i = int(rec["t"]), int(rec["agent"])
+        for key, values in (("x", log.states[t][i]), ("u", log.inputs[t][i]),
+                            ("w", log.disturbances[t][i])):
+            width = sum(name.startswith(key) for name in header)
+            assert [float(rec[f"{key}{k + 1}"]) for k in range(values.size)] == values.tolist()
+            assert all(rec[f"{key}{k + 1}"] == "" for k in range(values.size, width))
+        assert ([float(rec[f"coupling_row_{r + 1}"]) for r in range(log.p)]
+                == log.coupling[t].tolist())
+        assert rec["mode"] == log.modes[t, i]
 
 
 def test_schedule_check_rejects_nonmonotone_terminal_entry():

@@ -12,7 +12,7 @@ from tube_dmpc.local_solver import condense, rollout_maps
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare, run_closed_loop
 
-from conftest import fleet_ocps
+from conftest import condense_reference, fleet_ocps
 
 
 def assemble(agent, ing, tightened, Psi_x, Psi_u, x0, N):
@@ -21,30 +21,20 @@ def assemble(agent, ing, tightened, Psi_x, Psi_u, x0, N):
     n, m, p = agent.n, agent.m, Psi_x.shape[0]
     Phi, Gamma = rollout_maps(agent.A, agent.B, N)
     H = np.zeros((N * m, N * m))
-    q = np.zeros(N * m)
-    c0 = float(x0 @ agent.Q @ x0)
     for l in range(1, N + 1):
         W = ing.P if l == N else agent.Q
         H += 2.0 * Gamma[l].T @ W @ Gamma[l]
-        q += 2.0 * Gamma[l].T @ W @ (Phi[l] @ x0)
-        c0 += float(x0 @ Phi[l].T @ W @ Phi[l] @ x0)
     for l in range(N):
         H[l * m:(l + 1) * m, l * m:(l + 1) * m] += 2.0 * agent.R
-    rows, rhs = [], []
-    for l in range(1, N):
-        Z = tightened.Z[l]
-        rows.append(Z.G @ Gamma[l])
-        rhs.append(Z.h - Z.G @ (Phi[l] @ x0))
+    rows = [tightened.Z[l].G @ Gamma[l] for l in range(1, N)]
     for l in range(N):
         block = np.zeros((agent.U.G.shape[0], N * m))
         block[:, l * m:(l + 1) * m] = agent.U.G
         rows.append(block)
-        rhs.append(agent.U.h)
     L = np.linalg.cholesky(ing.P)
     return {
-        "H": H, "q": q, "c0": c0,
-        "rows_C": np.vstack(rows), "rows_rhs": np.concatenate(rhs),
-        "ball_C": L.T @ Gamma[N], "ball_off": L.T @ (Phi[N] @ x0),
+        "H": H, "rows_C": np.vstack(rows), "ball_C": L.T @ Gamma[N],
+        **condense_reference(agent, ing, tightened, x0, N),
         "F": (Psi_x @ Gamma[:N]).reshape(N * p, N * m) + np.kron(np.eye(N), Psi_u),
         "f0": (Psi_x @ Phi[:N]).reshape(N * p, n) @ x0,
     }

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tube_dmpc.model import AgentModel, HPolytope
 from tube_dmpc.synthesis import NORM_ONE_TOL, TerminalIngredients, error_gain
-from tube_dmpc.trigger import deviation_bound, g_profile, select_Mk
+from tube_dmpc.trigger import deviation_bound, deviation_table, g_profile, select_Mk
 
 from conftest import plan, row
 
@@ -219,8 +219,9 @@ def trigger_cases(draw):
 @given(trigger_cases())
 def test_g_profile_equals_per_M_loop(case):
     agent, ing, sol, N = case
-    profiles, spent = g_profile(SimpleNamespace(agent=agent, ing=ing),
-                                SimpleNamespace(z_star=sol.z_star[None], u_star=sol.u_star[None]))
+    group = SimpleNamespace(agent=agent, ing=ing, deviation=deviation_table(agent, ing, N))
+    profiles, spent = g_profile(group, SimpleNamespace(z_star=sol.z_star[None],
+                                                       u_star=sol.u_star[None]))
     assert profiles.shape == spent.shape == (1, N)
     for M in range(1, N + 1):
         g0, ref_spent = cost_decrease_bound_g(agent, M, sol, ing)
