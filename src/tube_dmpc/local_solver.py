@@ -27,17 +27,23 @@ class OcpInfeasibleError(RuntimeError):
     """Raised by the centralized oracle when the stacked problem is infeasible."""
 
 
+def powers(A, count: int) -> np.ndarray:
+    """A^0, ..., A^(count - 1), each power A times the one before."""
+    out = np.empty((count,) + A.shape)
+    out[0] = np.eye(A.shape[0])
+    for l in range(1, count):
+        out[l] = A @ out[l - 1]
+    return out
+
+
 def rollout_maps(A, B, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Phi[l] = A^l and Gamma[l] with z(l) = Phi[l] x0 + Gamma[l] u, l = 0..N."""
     n, m = A.shape[0], B.shape[1]
-    Phi = np.zeros((N + 1, n, n))
     Gamma = np.zeros((N + 1, n, N * m))
-    Phi[0] = np.eye(n)
     for l in range(N):
-        Phi[l + 1] = A @ Phi[l]
         Gamma[l + 1] = A @ Gamma[l]
         Gamma[l + 1][:, l * m:(l + 1) * m] += B
-    return Phi, Gamma
+    return powers(A, N + 1), Gamma
 
 
 def _read_only(obj):
@@ -247,29 +253,39 @@ def polish(pol: PolishSetup, U0, CU0, b, active):
     mu >= 0, every row holds and every guessed row is tight (each to KKT_TOL
     relative to max(1, |b|)). No factorization or solve runs: every step is
     a product with offline data. Where no column guesses a row, no CG step
-    runs: mu = 0, U = U0 and slack = CU0 - b exactly.
+    runs: mu = 0, U = U0 and slack = CU0 - b exactly. A column whose
+    guessed rows are (nearly) dependent and inconsistent has a singular
+    masked system on which CG diverges; where its values overflow, it is
+    refused with mu = 0, U = U0 and slack = CU0 - b.
     """
+    lost = None
     if active.any():
         res = np.where(active, CU0 - b, 0.0)
         mu, p = np.zeros_like(res), res.copy()
-        rr = np.vecdot(res, res, axis=0)
-        # CG converges in at most rank(C_A H^-1 C_A') <= min(|A|, k) steps, +1 for rounding
-        steps = int(np.minimum(active.sum(axis=0), U0.shape[0]).max()) + 1
-        for _ in range(steps):
-            Sp = pol.schur @ p
-            Sp *= active
-            pSp = np.vecdot(p, Sp, axis=0)
-            alpha = np.divide(rr, pSp, out=np.zeros_like(rr), where=pSp > 0)
-            mu += alpha * p
-            res -= alpha * Sp
-            rr_new = np.vecdot(res, res, axis=0)
-            p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
-            rr = rr_new
-        U, slack = U0 - pol.CH_inv.T @ mu, CU0 - pol.schur @ mu - b
+        with np.errstate(over="ignore", invalid="ignore"):
+            rr = np.vecdot(res, res, axis=0)
+            # CG converges in at most rank(C_A H^-1 C_A') <= min(|A|, k) steps, +1 for rounding
+            steps = int(np.minimum(active.sum(axis=0), U0.shape[0]).max()) + 1
+            for _ in range(steps):
+                Sp = pol.schur @ p
+                Sp *= active
+                pSp = np.vecdot(p, Sp, axis=0)
+                alpha = np.divide(rr, pSp, out=np.zeros_like(rr), where=pSp > 0)
+                mu += alpha * p
+                res -= alpha * Sp
+                rr_new = np.vecdot(res, res, axis=0)
+                p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
+                rr = rr_new
+            U, slack = U0 - pol.CH_inv.T @ mu, CU0 - pol.schur @ mu - b
+        lost = ~(np.isfinite(mu) & np.isfinite(slack)).all(axis=0) | ~np.isfinite(U).all(axis=0)
+        if lost.any():
+            mu[:, lost], U[:, lost], slack[:, lost] = 0.0, U0[:, lost], CU0[:, lost] - b[:, lost]
     else:
         mu, U, slack = np.zeros_like(CU0), U0, CU0 - b
     tol = KKT_TOL * np.maximum(1.0, np.abs(b))
     kkt = ((mu >= 0.0) & (slack <= tol) & (~active | (slack >= -tol))).all(axis=0)
+    if lost is not None:
+        kkt &= ~lost
     return U, mu, slack, kkt
 
 
@@ -372,14 +388,14 @@ def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: Tightene
     size, p = Psi_x.shape[:2]
     F = (Psi_x[:, None] @ Gamma[:N]).reshape(size, N * p, N * m)
     F.reshape(size, N, p, N, m)[:, diag, :, diag] += Psi_u
-    Phi_K, _ = rollout_maps(agent.A + agent.B @ ing.K, agent.B, N)
+    Phi_K = powers(agent.A + agent.B @ ing.K, N)  # (A + BK)^l, l < N
     group = AgentGroup(
         index=np.arange(size) if index is None else np.array(index), agent=agent, ing=ing,
         Gamma=Gamma, H=H, rows_C=rows_C, ball_C=ball_C, x0_map=x0_map, x0_const=x0_const,
         c0_form=agent.Q + (Phi[1:].transpose(0, 2, 1) @ W @ Phi[1:]).sum(axis=0),
         deviation=deviation_table(agent, ing, N), Psi_x=Psi_x, Psi_u=Psi_u, F=F,
         f0_map=(Psi_x[:, None] @ Phi[:N]).reshape(size, N * p, n),
-        feedback_coupling=((Psi_x + Psi_u @ ing.K)[:, None] @ Phi_K[:N]).reshape(size, N * p, n),
+        feedback_coupling=((Psi_x + Psi_u @ ing.K)[:, None] @ Phi_K).reshape(size, N * p, n),
         dual_curvature=np.linalg.norm(F @ np.linalg.solve(H, F.transpose(0, 2, 1)), 2,
                                       axis=(1, 2)),
         split=split, polish=polish_setup(H, split))
@@ -485,6 +501,26 @@ def condense(group: AgentGroup, x0, slots=None, b_share=None) -> CondensedOcp:
                         b_share=np.asarray(b_share, dtype=float))
 
 
+def feedback_guess(ocp: CondensedOcp) -> np.ndarray:
+    """The rows_C rows that the saturated terminal-feedback plan reaches, one mask per row.
+
+    From row j's x0 the plan applies u(l) = K z(l), scaled radially into U
+    (u / max(1, max_i (G_U u)_i / h_U,i), where validation keeps h_U > 0),
+    and z(l + 1) = A z(l) + B u(l). A row of rows_C is guessed active where
+    its slack under that plan is >= -KKT_TOL max(1, |rhs|).
+    """
+    g = ocp.group
+    A, B, K, U = g.agent.A, g.agent.B, g.ing.K, g.agent.U
+    z, plan = ocp.x0, []
+    for _ in range(g.Gamma.shape[0] - 1):
+        u = z @ K.T
+        u /= np.maximum(1.0, (u @ U.G.T / U.h).max(axis=1, keepdims=True))
+        plan.append(u)
+        z = z @ A.T + u @ B.T
+    slack = np.hstack(plan) @ g.rows_C.T - ocp.rows_rhs
+    return slack >= -KKT_TOL * np.maximum(1.0, np.abs(ocp.rows_rhs))
+
+
 def _solution_from(ocp: CondensedOcp, U, iters, rp, rd, flags) -> OcpSolution:
     feasible = ocp.feasible(U)
     flags = np.asarray(flags)
@@ -535,7 +571,8 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
 
     Row j of `lams` is row j's multiplier, `warm` the state a previous call
     returned for the same rows and row j of `guess` (a rows_C mask, as in
-    InnerResult.active; by default the empty set) row j's first guess of its
+    InnerResult.active; by default feedback_guess, the rows that the
+    saturated terminal-feedback plan reaches) row j's first guess of its
     active set. The rows run primal-dual active-set rounds: each round
     polishes every pending row on its guess and keeps the answers that pass
     the KKT test of the full problem: mu >= 0, every halfspace row feasible
@@ -587,12 +624,9 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
         active[:, j], polished[j] = guess_cols[:, ok], True
         return ok, mu + slack > 0.0
 
-    if guess is None:
-        guess = np.zeros((nrows, B), dtype=bool)
-    else:
-        guess = np.asarray(guess, dtype=bool).T
-        if split.zero is not None:
-            guess = guess[~split.zero]
+    guess = np.asarray(feedback_guess(ocp) if guess is None else guess, dtype=bool).T
+    if split.zero is not None:
+        guess = guess[~split.zero]
     dead = dead_columns(split, rhs)
     todo, left = np.flatnonzero(~dead), [np.flatnonzero(dead)]  # left: the columns to split
     guess = guess[:, todo]

@@ -1,18 +1,24 @@
 """Active-set rounds of the inner solves: a guess saves work and never moves an answer."""
 
+import copy
 import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tube_dmpc import local_solver
-from tube_dmpc.local_solver import agent_group, condense, solve_inner, split_iterate
-from tube_dmpc.model import AgentModel, HPolytope
+from tube_dmpc import dual_admm, local_solver
+from tube_dmpc.local_solver import (KKT_TOL, agent_group, agent_groups, condense, feedback_guess,
+                                    solve_inner, split_iterate)
+from tube_dmpc.model import AgentModel, HPolytope, validate_scenario
 from tube_dmpc.simulator import run_closed_loop
 from tube_dmpc.synthesis import TerminalIngredients
 from tube_dmpc.tightening import tighten_local_sets
+
+from conftest import load_raw
+from test_groups import fleets
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +207,96 @@ def test_runs_do_not_share_guesses(default_scenario, default_pipeline):
             for block_a, block_b in zip(blocks_a, blocks_b):
                 np.testing.assert_array_equal(block_a, block_b)
         assert [rec.total_cost for rec in a.triggers] == [rec.total_cost for rec in b.triggers]
+
+
+def replicated_raw(M: int, seed: int) -> dict:
+    """M agents, agent i a copy of default agent i mod 4 with a 0.05 disturbance box and x0
+    moved by up to (0.5, 0.3), under one relative row -x2 + 0.01 u <= 3.5 per agent."""
+    raw = load_raw("four_agent.yaml")
+    rng = np.random.default_rng(seed)
+    agents = [copy.deepcopy(raw["agents"][i % 4]) for i in range(M)]
+    for agent in agents:
+        agent["disturbance"] = {"box": [0.05, 0.05]}
+        agent["x0"] = (np.array(agent["x0"]) + rng.uniform([-0.5, -0.3], [0.5, 0.3])).tolist()
+    raw["agents"] = agents
+    raw["coupling"] = {"absolute": False, "psi_x": [[[0.0, -1.0]]] * M,
+                       "psi_u": [[[0.01]]] * M, "rhs": [3.5 * M]}
+    return raw
+
+
+@pytest.mark.parametrize("raw", [load_raw("four_agent.yaml"), load_raw("mixed_six.yaml"),
+                                 replicated_raw(64, 3)], ids=["four_agent", "mixed_six", "m64"])
+def test_first_instant_takes_one_round(raw, monkeypatch):
+    # at t = 0 every column starts from the saturated terminal-feedback plan's rows and is
+    # accepted in its first round, without a splitting iteration
+    sc = dataclasses.replace(validate_scenario(raw), T_run=1)
+    results, solve = [], dual_admm.solve_inner
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dual_admm, "solve_inner", recording)
+    log = run_closed_loop(sc)
+    assert log.triggers[0].t_k == 0 and results
+    assert sum(result.rounds.size for result in results) == len(log.triggers[0].ocp_agents)
+    for result in results:
+        assert result.rounds.tolist() == [1] * result.rounds.size
+        assert result.polished.all() and result.iterations == 0
+    assert log.counters["inner_iterations"] == 0
+    assert log.counters["active_set_rounds"] == len(log.triggers[0].ocp_agents)
+
+
+def reference_feedback_slack(group, tightened, x0) -> np.ndarray:
+    """The rows_C slacks of one state's saturated feedback plan, a plan step at a time."""
+    agent, K, N = group.agent, group.ing.K, group.Gamma.shape[0] - 1
+    z, states, inputs = np.asarray(x0, dtype=float), [], []
+    for l in range(N):
+        u = K @ z
+        u = u / max(1.0, float(np.max(agent.U.G @ u / agent.U.h)))
+        inputs.append(agent.U.G @ u - agent.U.h)
+        z = agent.A @ z + agent.B @ u
+        if l + 1 < N:
+            states.append(tightened.Z[l + 1].G @ z - tightened.Z[l + 1].h)
+    return np.concatenate(states + inputs)
+
+
+def test_feedback_guess_holds_the_rows_the_plan_reaches(default_scenario, default_pipeline,
+                                                        monkeypatch):
+    # near the origin the plan stays strictly inside every row and the guess is empty; from
+    # the scenario's states it saturates inputs, and the guess is the rows it reaches
+    (group,), tightened = default_pipeline.groups, default_pipeline.tightened[0]
+    inside = condense(group, [[0.0, 0.0], [0.4, -0.2], [-0.3, 0.1]], [0, 1, 2])
+    far = condense(group, default_scenario.x0)
+    for ocp in (inside, far):
+        slack = np.array([reference_feedback_slack(group, tightened, x) for x in ocp.x0])
+        np.testing.assert_array_equal(
+            feedback_guess(ocp), slack >= -KKT_TOL * np.maximum(1.0, np.abs(ocp.rows_rhs)))
+    assert (np.abs(group.ing.K @ inside.x0[1]) > 0).all()
+    assert not feedback_guess(inside).any() and feedback_guess(far).any(axis=1).all()
+    # solve_inner's default guess is that one: its first polish holds no row
+    seen = polish_guesses(monkeypatch)
+    result = solve_inner(inside, np.zeros((3, group.F.shape[1])))
+    assert not seen[0].any() and result.rounds.tolist() == [1, 1, 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(fleets(), st.data())
+def test_default_guess_keeps_answers_and_flags(case, data):
+    # the feedback-plan guess only changes where the rounds start: the flags are those from
+    # the empty guess, and so are the answers, to rounding where both are polished; a guess
+    # from which the rounds cycle falls back to splitting, whose answer is within the inner
+    # tolerance of the optimum
+    scenario, ingredients, x0, _, _ = case
+    tightened = [tighten_local_sets(agent, scenario.N) for agent in scenario.agents]
+    for group in agent_groups(scenario, ingredients, tightened):
+        ocp = condense(group, x0[group.index])
+        lams = data.draw(arrays(np.float64, (group.index.size, group.F.shape[1]),
+                                elements=st.floats(0.0, 3.0)))
+        cold = solve_inner(ocp, lams)
+        empty = solve_inner(ocp, lams, guess=np.zeros((group.index.size, group.rows_C.shape[0]),
+                                                      dtype=bool))
+        assert cold.flags == empty.flags
+        scale = np.maximum(1.0, np.abs(empty.u).max(axis=1))
+        level = np.where(cold.polished & empty.polished, 1e-12, 1e-5)
+        assert (np.abs(cold.u - empty.u).max(axis=1) <= level * scale).all()

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tube_dmpc.simulator as simulator
-from tube_dmpc.model import AgentModel, CouplingSpec, HPolytope, Scenario, membership, \
-    validate_scenario
+from tube_dmpc.model import AgentModel, CouplingSpec, HPolytope, Scenario, group_members, \
+    membership, validate_scenario
 from tube_dmpc.local_solver import agent_groups
 from tube_dmpc.simulator import (DisturbanceSampler, SimLog, VIOLATION_TOL, prepare,
                                  run_closed_loop, step_plant)
@@ -129,20 +129,43 @@ def test_sample_block_equals_single_draws(agents, seed, mode, steps):
             np.testing.assert_array_equal(rows[t], reference_draw(agent, single._rngs[i], mode))
 
 
+@settings(max_examples=60, deadline=None)
+@given(fleets(), st.integers(0, 2**32 - 1), st.sampled_from(["uniform", "extreme"]),
+       st.integers(0, 12))
+def test_group_block_equals_member_draws(agents, seed, mode, steps):
+    # any agents of one state dimension, in agent order: all-box sets take the block path,
+    # mixed sets (zero, box and ball streams) the member-by-member one
+    block = DisturbanceSampler(agents, seed, mode)
+    single = DisturbanceSampler(agents, seed, mode)
+    for n in sorted({agent.n for agent in agents}):
+        index = [i for i, agent in enumerate(agents) if agent.n == n]
+        rows = block.sample_group(index, steps)
+        assert rows.shape == (len(index), steps, n)
+        assert rows.tobytes() == np.stack([single.sample(i, steps) for i in index]).tobytes()
+
+
 @pytest.mark.parametrize("hw", [0.05, 0.3])
 def test_box_stream_equals_rng_uniform(hw):
     # the box stream is drawn with rng.uniform's arithmetic, not by rng.uniform:
-    # every seed must still give rng.uniform's bytes
+    # every seed must still give rng.uniform's bytes, agent by agent and group by group;
+    # agents 1 and 2 share w_bar and so one group, with different half-widths
     agents = tuple(AgentModel(A=0.5 * np.eye(2), B=np.ones((2, 1)), w_bar=float(np.hypot(*box)),
                               X=HPolytope.box([1.0, 1.0]), U=HPolytope.box([1.0]), Q=np.eye(2),
                               R=np.eye(1), box_half_widths=np.array(box))
-                   for box in ([hw, hw], [hw, 0.7 * hw]))
+                   for box in ([hw, hw], [hw, 0.7 * hw], [0.7 * hw, hw]))
+    members = [idx.tolist() for idx in group_members(agents)]
+    assert members == [[0], [1, 2]]
     for seed in range(200):
-        sampler, reference = DisturbanceSampler(agents, seed), DisturbanceSampler(agents, seed)
-        for i, agent in enumerate(agents):
-            half = agent.box_half_widths
-            expected = reference._rngs[i].uniform(-half, half, size=(30, agent.n))
-            assert sampler.sample(i, 30).tobytes() == expected.tobytes()
+        sampler, grouped = DisturbanceSampler(agents, seed), DisturbanceSampler(agents, seed)
+        reference = DisturbanceSampler(agents, seed)
+        expected = [reference._rngs[i].uniform(-agent.box_half_widths, agent.box_half_widths,
+                                               size=(30, agent.n))
+                    for i, agent in enumerate(agents)]
+        for i in range(len(agents)):
+            assert sampler.sample(i, 30).tobytes() == expected[i].tobytes()
+        for index in members:
+            assert (grouped.sample_group(index, 30).tobytes()
+                    == np.stack([expected[i] for i in index]).tobytes())
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,7 +280,7 @@ def test_run_trajectory_matches_per_agent_steps(case, default_raw, monkeypatch):
 def test_plant_calls_per_group_step_agent_and_set(monkeypatch):
     sc = validate_scenario(hetero_raw())
     pipe = prepare(sc)
-    calls = {"step_plant": 0, "sample": 0, "membership": 0}
+    calls = {"step_plant": 0, "sample": 0, "sample_group": 0, "membership": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -266,11 +289,14 @@ def test_plant_calls_per_group_step_agent_and_set(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(simulator, "step_plant", counted("step_plant", simulator.step_plant))
-    monkeypatch.setattr(simulator.DisturbanceSampler, "sample",
-                        counted("sample", simulator.DisturbanceSampler.sample))
+    for name in ("sample", "sample_group"):
+        monkeypatch.setattr(simulator.DisturbanceSampler, name,
+                            counted(name, getattr(simulator.DisturbanceSampler, name)))
     monkeypatch.setattr(simulator, "membership", counted("membership", simulator.membership))
     log = run_closed_loop(sc, pipeline=pipe)
-    assert calls == {"step_plant": 2 * sc.T_run, "sample": sc.M, "membership": 0}
+    # both groups draw uniform boxes: one block per group, no per-agent draw
+    assert calls == {"step_plant": 2 * sc.T_run, "sample": 0, "sample_group": len(pipe.groups),
+                     "membership": 0}
     assert log.local_violations(sc) == 0
     assert calls["membership"] == 2 * len(pipe.groups)
 

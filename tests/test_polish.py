@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tube_dmpc import dual_admm
-from tube_dmpc.local_solver import (KKT_TOL, agent_group, condense, polish, solve_inner,
-                                    split_iterate)
+from tube_dmpc.local_solver import (KKT_TOL, PolishSetup, agent_group, condense, polish,
+                                    solve_inner, split_iterate)
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare, run_closed_loop
 
@@ -152,3 +152,23 @@ def test_empty_guess_runs_no_cg_step(default_scenario, default_pipeline, monkeyp
         assert np.all(mu[:, j] == 0.0)
         np.testing.assert_array_equal(U[:, j], U0[:, j])
         np.testing.assert_array_equal(slack[:, j], CU0[:, j] - b[:, j])
+
+
+def test_overflowing_guess_is_refused_without_warning():
+    # H^-1 = diag(1, 1e-310) with C_r = I: guessing both rows, column 0's CG step divides by
+    # a subnormal curvature and overflows; it is refused as unguessed (mu = 0, U = U0), and
+    # column 1, whose guess holds row 0 only, keeps the answer it gets alone (pytest turns a
+    # RuntimeWarning into an error)
+    H_inv = np.diag([1.0, 1e-310])
+    pol = PolishSetup(H_inv=H_inv, CH_inv=H_inv, schur=H_inv)
+    U0 = np.array([[0.0, 3.0], [2.0, 0.5]])
+    b = np.array([[0.0, 1.0], [1.0, 1.0]])
+    active = np.array([[True, True], [True, False]])
+    U, mu, slack, kkt = polish(pol, U0, U0, b, active)
+    assert kkt.tolist() == [False, True]
+    assert np.all(mu[:, 0] == 0.0) and U[:, 0].tolist() == U0[:, 0].tolist()
+    assert slack[:, 0].tolist() == (U0 - b)[:, 0].tolist()
+    alone = polish(pol, U0[:, 1:], U0[:, 1:], b[:, 1:], active[:, 1:])
+    for full, single in zip((U, mu, slack, kkt), alone):
+        assert full[..., 1:].tobytes() == single.tobytes()
+    np.testing.assert_allclose(U[:, 1], [1.0, 0.5])

@@ -150,10 +150,21 @@ TINY_PSI = Scenario(
     coupling=CouplingSpec(Psi_x=(np.zeros((1, 1)),), Psi_u=(np.ones((1, 1)),), p=1),
     N=1, T_run=1, x0=(np.zeros(1),))
 
+# B ~ 5.4e-6 gives a P of condition number ~1.4e10: a reference point built with inv(P) misses
+# the terminal radius by 4.8e-7 relative
+ILL_CONDITIONED_P = Scenario(
+    agents=(AgentModel(A=np.array([[0.0, 1.0], [1.0, 0.5]]),
+                       B=np.array([[0.0], [5.43983023e-06]]), w_bar=0.0,
+                       X=HPolytope.box([1.0, 1.0]), U=HPolytope.box([1.0]), Q=np.eye(2),
+                       R=np.eye(1)),),
+    coupling=CouplingSpec(Psi_x=(np.zeros((1, 2)),), Psi_u=(np.ones((1, 1)),), p=1),
+    N=1, T_run=1, x0=(np.zeros(2),))
+
 
 @FEW
 @given(one_agent_scenarios())
 @example(TINY_PSI)
+@example(ILL_CONDITIONED_P)
 def test_terminal_row_support_covers_the_worst_terminal_point(scenario):
     # on {||z||_P <= r}, psi z peaks at z = r P^-1 psi' / ||psi||_{P^-1}; the certificate's
     # terminal support (read back from its margin) must cover that value for every row
@@ -167,14 +178,15 @@ def test_terminal_row_support_covers_the_worst_terminal_point(scenario):
     support = 1.0 - report.terminal_sum_margin - eps[-1]
 
     Psi_N = scenario.coupling.Psi_x[0] + scenario.coupling.Psi_u[0] @ ing.K
-    P_inv = np.linalg.inv(ing.P)
+    L = np.linalg.cholesky(ing.P)  # P = L L': no inverse of an ill-conditioned P
     worst = 0.0
     for psi in Psi_N:
         scale = np.abs(psi).max()
         if scale > 0:
             # from psi / ||psi||_inf: psi' P^-1 psi itself can be subnormal and lose bits
             phi = psi / scale
-            z = ing.r * P_inv @ phi / np.sqrt(phi @ P_inv @ phi)
+            y = np.linalg.solve(L, phi)  # z = r L^-T y / ||y|| = r P^-1 phi / ||phi||_P^-1
+            z = ing.r * np.linalg.solve(L.T, y) / np.linalg.norm(y)
             assert ing.p_norm(z) <= ing.r * (1 + 1e-9)
             worst = max(worst, scale * float(phi @ z))
     assert worst <= support + 1e-9 * max(1.0, support)
