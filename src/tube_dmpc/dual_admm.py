@@ -100,103 +100,115 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams, trace_path=None,
     stacked in agent order, and each group is solved in lockstep. Returns one
     OcpSolution per entry of `ocps`. Convergence requires the consensus
     residual, the per-agent multiplier change and the aggregate coupling
-    violation to fall below tolerance. When the answers at lambda = 0 all
-    converged and keep every coupled row (excess <= 0), they are returned at
-    iteration 0 with zero residuals. When trace_path is given, one CSV row
-    (iter, primal_res, dual_res, total_cost) is appended per iteration.
-    `guess` holds one active-set guess (see solve_inner) or None per entry
-    of `ocps` for its first solve; each later solve of a group is guessed
-    from the active sets of the one before.
+    violation to fall below tolerance. A user tau is checked first. Then
+    every group is solved at lambda = 0: when those answers all converged
+    and keep every coupled row (excess <= 0), they are returned at iteration
+    0 with zero residuals, before any consensus state is built. When
+    trace_path is given, one CSV row (iter, primal_res, dual_res,
+    total_cost) is appended per iteration after a header. `guess` holds one
+    active-set guess (see solve_inner) or None per entry of `ocps` for its
+    first solve; each later solve of a group is guessed from the active sets
+    of the one before.
     """
-    agents = np.sort(np.concatenate([ocp.agents for ocp in ocps]))
-    rows = [np.searchsorted(agents, ocp.agents) for ocp in ocps]  # each group's rows
-    M, d = agents.size, ocps[0].F.shape[1]
-    b_shares = np.empty((M, d))
-    for ocp, r in zip(ocps, rows):
-        b_shares[r] = ocp.b_share
-    tau = params.tau if params.tau is not None else default_tau(ocps, params.rho, M)
-    if tau < params.rho * consensus_gain(M):
+    M, d = sum(ocp.slots.size for ocp in ocps), ocps[0].F.shape[1]
+    if params.tau is not None and params.tau < params.rho * consensus_gain(M):
         raise ValueError("tau below rho * sigma_max(E'E); proximal step would not majorize")
-
-    state = AdmmState(lambdas=np.zeros((M, d)), omega=np.zeros((M - 1, d)),
-                      coupling_excess=np.full(d, np.inf))
     results = [None] * len(ocps)  # each group's latest InnerResult
     guess = [None] * len(ocps) if guess is None else list(guess)
     solved_at = [None] * len(ocps)  # the multiplier rows of that solve, as bytes
+    inner_iterations = active_set_rounds = 0  # summed over every solve
 
-    def inner(lambdas) -> np.ndarray:
-        """One lockstep solve per group; returns the coupling values, one row per agent.
+    def inner(lams) -> None:
+        """One lockstep solve per group k at its multiplier rows lams[k].
 
         A group whose multiplier rows equal those of its last solve bit for bit
         keeps that solve's result: its answers are the optimum at those
         multipliers (to inner_tol where the polish fell back to splitting).
         """
-        f_values = np.empty((M, d))
+        nonlocal inner_iterations, active_set_rounds
         infeasible = []
-        for k, (ocp, r) in enumerate(zip(ocps, rows)):
-            lam = lambdas[r]
-            if lam.tobytes() != solved_at[k]:
-                warm = results[k].warm if results[k] is not None else None
-                results[k] = solve_inner(ocp, lam, warm, tol=params.inner_tol,
+        for k, (ocp, lam) in enumerate(zip(ocps, lams)):
+            key = lam.tobytes()
+            if key != solved_at[k]:
+                results[k] = solve_inner(ocp, lam, results[k], tol=params.inner_tol,
                                          max_iter=params.inner_max_iter, guess=guess[k])
-                guess[k] = results[k].active
-                solved_at[k] = lam.tobytes()
-                state.total_inner_iterations += results[k].iterations
-                state.total_active_set_rounds += int(results[k].rounds.sum())
-            f_values[r] = ocp.coupling_values(results[k].u)
+                guess[k], solved_at[k] = results[k].active, key
+                inner_iterations += results[k].iterations
+                active_set_rounds += int(results[k].rounds.sum())
             # flagged infeasible with an infeasible final iterate
-            bad = np.asarray(results[k].flags) == "infeasible"
-            if bad.any():
-                infeasible += ocp.agents[bad & ~ocp.feasible(results[k].u)].tolist()
+            if "infeasible" in results[k].flags and "infeasible" in results[k].status:
+                infeasible += [i for i, status in zip(ocp.agents.tolist(), results[k].status)
+                               if status == "infeasible"]
         if infeasible:
             i = min(infeasible)
             raise AdmmError(f"inner problem infeasible for agent {i}", agent_index=i)
-        return f_values
 
-    def solutions() -> list:
-        return [result.solution for result in results]
-
-    f_values = inner(state.lambdas)
-    b_total = b_shares.sum(axis=0)
-    state.coupling_excess = f_values.sum(axis=0) - b_total
+    inner([np.zeros((ocp.slots.size, d)) for ocp in ocps])
     # the dual is differentiable (strictly convex inner problems), so answers at
     # lambda = 0 that keep every coupled row are the exact coupled optimum
-    converged = (bool(np.all(state.coupling_excess <= 0.0))
+    excess = (sum(result.coupling.sum(axis=0) for result in results)
+              - sum(ocp.slots.size * ocp.b_share for ocp in ocps))
+    converged = (bool((excess <= 0.0).all())
                  and all(flag == "converged" for result in results for flag in result.flags))
-    if converged:
-        state.primal_residual = state.dual_residual = 0.0
-    iterations = 0 if converged else params.max_iter
-
+    state = AdmmState(lambdas=np.zeros((M, d)), omega=np.zeros((M - 1, d)),
+                      coupling_excess=excess)
     trace = open(trace_path, "w") if trace_path is not None else None
     if trace is not None:
         trace.write("iter,primal_res,dual_res,total_cost\n")
-
     try:
-        for k in range(1, iterations + 1):
-            new_lambdas = lambda_update(state.lambdas, f_values, b_shares,
-                                        state.omega, params.rho, tau)
-            f_values = inner(new_lambdas)
-            state.omega = omega_update(state.omega, new_lambdas, params.rho, params.gamma)
-
-            state.primal_residual = float(np.linalg.norm(consensus_diff(new_lambdas)))
-            state.dual_residual = float(np.linalg.norm(new_lambdas - state.lambdas,
-                                                       axis=1).max())
-            state.coupling_excess = f_values.sum(axis=0) - b_total
-            state.lambdas = new_lambdas
-            state.iteration = k
-            if trace is not None:
-                total_cost = sum(float(sol.J_star.sum()) for sol in solutions())
-                trace.write(f"{k},{state.primal_residual:.17g},"
-                            f"{state.dual_residual:.17g},{total_cost:.17g}\n")
-
-            if (state.primal_residual <= params.tol_primal
-                    and state.dual_residual <= params.tol_dual
-                    and state.coupling_violation <= params.tol_primal):
-                converged = True
-                break
+        if converged:
+            state.primal_residual = state.dual_residual = 0.0
+        else:
+            converged = _consensus(ocps, params, state, results, inner, trace)
     finally:
         if trace is not None:
             trace.close()
-
+    state.total_inner_iterations = inner_iterations
+    state.total_active_set_rounds = active_set_rounds
     state.active = [result.active for result in results]
-    return solutions(), state, converged
+    return [result.solution for result in results], state, converged
+
+
+def _consensus(ocps, params, state: AdmmState, results, inner, trace) -> bool:
+    """The ADMM iterations of run_admm from its solves at lambda = 0; returns convergence."""
+    agents = np.sort(np.concatenate([ocp.agents for ocp in ocps]))
+    rows = [np.searchsorted(agents, ocp.agents) for ocp in ocps]  # each group's rows
+    b_shares = np.empty(state.lambdas.shape)
+    for ocp, r in zip(ocps, rows):
+        b_shares[r] = ocp.b_share
+    b_total = b_shares.sum(axis=0)
+    tau = (params.tau if params.tau is not None
+           else default_tau(ocps, params.rho, state.lambdas.shape[0]))
+
+    def coupling_rows() -> np.ndarray:
+        """The latest coupling values, one row per agent."""
+        f_values = np.empty(state.lambdas.shape)
+        for r, result in zip(rows, results):
+            f_values[r] = result.coupling
+        return f_values
+
+    f_values = coupling_rows()
+    state.coupling_excess = f_values.sum(axis=0) - b_total
+    for k in range(1, params.max_iter + 1):
+        new_lambdas = lambda_update(state.lambdas, f_values, b_shares,
+                                    state.omega, params.rho, tau)
+        inner([new_lambdas[r] for r in rows])
+        f_values = coupling_rows()
+        state.omega = omega_update(state.omega, new_lambdas, params.rho, params.gamma)
+
+        state.primal_residual = float(np.linalg.norm(consensus_diff(new_lambdas)))
+        state.dual_residual = float(np.linalg.norm(new_lambdas - state.lambdas,
+                                                   axis=1).max())
+        state.coupling_excess = f_values.sum(axis=0) - b_total
+        state.lambdas = new_lambdas
+        state.iteration = k
+        if trace is not None:
+            total_cost = sum(float(result.solution.J_star.sum()) for result in results)
+            trace.write(f"{k},{state.primal_residual:.17g},"
+                        f"{state.dual_residual:.17g},{total_cost:.17g}\n")
+
+        if (state.primal_residual <= params.tol_primal
+                and state.dual_residual <= params.tol_dual
+                and state.coupling_violation <= params.tol_primal):
+            return True
+    return False

@@ -253,40 +253,39 @@ def polish(pol: PolishSetup, U0, CU0, b, active):
     mu >= 0, every row holds and every guessed row is tight (each to KKT_TOL
     relative to max(1, |b|)). No factorization or solve runs: every step is
     a product with offline data. Where no column guesses a row, no CG step
-    runs: mu = 0, U = U0 and slack = CU0 - b exactly. A column whose
+    runs: mu = 0, U is U0 itself and slack = CU0 - b exactly. A column whose
     guessed rows are (nearly) dependent and inconsistent has a singular
     masked system on which CG diverges; where its values overflow, it is
     refused with mu = 0, U = U0 and slack = CU0 - b.
     """
-    lost = None
-    if active.any():
-        res = np.where(active, CU0 - b, 0.0)
-        mu, p = np.zeros_like(res), res.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            rr = np.vecdot(res, res, axis=0)
-            # CG converges in at most rank(C_A H^-1 C_A') <= min(|A|, k) steps, +1 for rounding
-            steps = int(np.minimum(active.sum(axis=0), U0.shape[0]).max()) + 1
-            for _ in range(steps):
-                Sp = pol.schur @ p
-                Sp *= active
-                pSp = np.vecdot(p, Sp, axis=0)
-                alpha = np.divide(rr, pSp, out=np.zeros_like(rr), where=pSp > 0)
-                mu += alpha * p
-                res -= alpha * Sp
-                rr_new = np.vecdot(res, res, axis=0)
-                p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
-                rr = rr_new
-            U, slack = U0 - pol.CH_inv.T @ mu, CU0 - pol.schur @ mu - b
-        lost = ~(np.isfinite(mu) & np.isfinite(slack)).all(axis=0) | ~np.isfinite(U).all(axis=0)
-        if lost.any():
-            mu[:, lost], U[:, lost], slack[:, lost] = 0.0, U0[:, lost], CU0[:, lost] - b[:, lost]
-    else:
-        mu, U, slack = np.zeros_like(CU0), U0, CU0 - b
     tol = KKT_TOL * np.maximum(1.0, np.abs(b))
+    if not active.any():
+        slack = CU0 - b
+        return U0, np.zeros_like(slack), slack, (slack <= tol).all(axis=0)
+    # F order (a gathered batch's) whatever the inputs' layout: the CG's products then round
+    # the same for a column of a whole batch and of a gathered one
+    res = np.asfortranarray(np.where(active, CU0 - b, 0.0))
+    mu, p = np.zeros_like(res), res.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rr = np.vecdot(res, res, axis=0)
+        # CG converges in at most rank(C_A H^-1 C_A') <= min(|A|, k) steps, +1 for rounding
+        steps = int(np.minimum(active.sum(axis=0), U0.shape[0]).max()) + 1
+        for _ in range(steps):
+            Sp = pol.schur @ p
+            Sp *= active
+            pSp = np.vecdot(p, Sp, axis=0)
+            alpha = np.divide(rr, pSp, out=np.zeros_like(rr), where=pSp > 0)
+            mu += alpha * p
+            res -= alpha * Sp
+            rr_new = np.vecdot(res, res, axis=0)
+            p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
+            rr = rr_new
+        U, slack = U0 - pol.CH_inv.T @ mu, CU0 - pol.schur @ mu - b
+    lost = ~(np.isfinite(mu) & np.isfinite(slack)).all(axis=0) | ~np.isfinite(U).all(axis=0)
+    if lost.any():
+        mu[:, lost], U[:, lost], slack[:, lost] = 0.0, U0[:, lost], CU0[:, lost] - b[:, lost]
     kkt = ((mu >= 0.0) & (slack <= tol) & (~active | (slack >= -tol))).all(axis=0)
-    if lost is not None:
-        kkt &= ~lost
-    return U, mu, slack, kkt
+    return U, mu, slack, kkt & ~lost
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,8 +471,6 @@ class OcpSolution:
     z_star: np.ndarray
     J_star: np.ndarray
     status: tuple  # per row: optimal | infeasible | iteration-cap
-    residual_primal: np.ndarray
-    residual_dual: np.ndarray
     iterations: np.ndarray
 
 
@@ -489,8 +486,9 @@ def condense(group: AgentGroup, x0, slots=None, b_share=None) -> CondensedOcp:
     X = np.asarray(x0, dtype=float).reshape(slots.size, -1)
     col = X[:, :, None]
     k, r = g.H.shape[0], g.rows_C.shape[0]
-    q, rows_rhs, ball_off, free = np.split((g.x0_map @ col)[..., 0] + g.x0_const,
-                                           [k, k + r, k + r + g.ball_C.shape[0]], axis=1)
+    e = k + r + g.ball_C.shape[0]
+    terms = (g.x0_map @ col)[..., 0] + g.x0_const
+    q, rows_rhs, ball_off, free = terms[:, :k], terms[:, k:k + r], terms[:, k + r:e], terms[:, e:]
     F = g.F[slots]
     if b_share is None:
         b_share = np.zeros(F.shape[1])
@@ -521,35 +519,37 @@ def feedback_guess(ocp: CondensedOcp) -> np.ndarray:
     return slack >= -KKT_TOL * np.maximum(1.0, np.abs(ocp.rows_rhs))
 
 
-def _solution_from(ocp: CondensedOcp, U, iters, rp, rd, flags) -> OcpSolution:
-    feasible = ocp.feasible(U)
-    flags = np.asarray(flags)
-    status = np.where((flags == "converged") & feasible, "optimal",
-                      np.where((flags == "infeasible") & ~feasible, "infeasible", "iteration-cap"))
-    return OcpSolution(u_star=U, z_star=ocp.trajectory(U), J_star=ocp.cost(U),
-                       status=tuple(status.tolist()), residual_primal=rp, residual_dual=rd,
-                       iterations=iters)
+def _status(flags, feasible) -> tuple:
+    """Per row: optimal where its run converged to a feasible answer, infeasible where it
+    was flagged infeasible and its answer is infeasible, iteration-cap otherwise."""
+    return tuple("optimal" if flag == "converged" and ok
+                 else "infeasible" if flag == "infeasible" and not ok else "iteration-cap"
+                 for flag, ok in zip(flags, feasible))
 
 
 @dataclass(frozen=True, eq=False)
 class InnerResult:
     """Lockstep inner solve of the rows of one CondensedOcp.
 
-    Row j of `u` and entry j of the per-row arrays belong to row j of `ocp`.
-    `warm` is the splitting state, `polished` marks the rows whose answer the
-    polish gave, `active` holds each row's final active set (a mask over
-    rows_C: the rows the polish held tight, or the rows with a positive
-    splitting dual), `rounds` the active-set rounds each row ran and
-    `iterations` the splitting iterations summed over the rows. The
-    OcpSolution is assembled on first access to `solution`.
+    Row j of `u`, column j of `mu` and entry j of the per-row fields belong
+    to row j of `ocp`. `polished` marks the rows whose answer the polish
+    gave, and `mu` and `slack` hold their multipliers and slacks of the
+    scaled halfspace rows; `split_state` is the splitting state (S, Y) that
+    the split rows reached (None when no row split). `active` holds each
+    row's final active set (a mask over rows_C: the rows the polish held
+    tight, or the rows with a positive splitting dual), `rounds` the
+    active-set rounds each row ran and `iterations` the splitting iterations
+    summed over the rows. The warm state, the statuses, the coupling values
+    and the OcpSolution (trajectories and costs) are computed on first
+    access.
     """
 
     ocp: CondensedOcp
     u: np.ndarray
-    warm: tuple
+    mu: np.ndarray
+    slack: np.ndarray
+    split_state: tuple | None
     agent_iterations: np.ndarray
-    r_primal: np.ndarray
-    r_dual: np.ndarray
     flags: list
     polished: np.ndarray
     active: np.ndarray
@@ -560,89 +560,158 @@ class InnerResult:
         return int(self.agent_iterations.sum())
 
     @cached_property
+    def warm(self) -> tuple:
+        """The splitting state (S, Y), each (total, rows), that a later splitting run starts from.
+
+        A polished row's is the splitting iteration's fixed point at its answer:
+        S = C u, Y = mu / sigma on the halfspace rows and 0 on the ball rows.
+        """
+        split = self.ocp.group.split
+        S = split.C @ self.u.T
+        Y = np.zeros_like(S)
+        Y[:self.mu.shape[0]] = self.mu / split.sigma
+        if self.split_state is not None:
+            rest = ~self.polished
+            S[:, rest], Y[:, rest] = self.split_state[0][:, rest], self.split_state[1][:, rest]
+        return S, Y
+
+    @cached_property
+    def status(self) -> tuple:
+        """Each row's OcpSolution status.
+
+        A polished row's feasibility is its largest scaled slack divided by the
+        row's scale (its ball is strictly inactive, and no dropped row makes it
+        infeasible); a split row's is recomputed from rows_C u and the ball norm.
+        """
+        scale = self.ocp.group.split.row_scale[:, None]
+        feasible = (self.slack / scale).max(axis=0, initial=-np.inf) <= FEAS_TOL
+        if self.split_state is not None:
+            rest = ~self.polished
+            feasible[rest] = self.ocp.feasible(self.u)[rest]
+        return _status(self.flags, feasible.tolist())
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """The coupling values f_j(u_j), one row per row of `ocp`."""
+        return self.ocp.coupling_values(self.u)
+
+    @cached_property
     def solution(self) -> OcpSolution:
-        return _solution_from(self.ocp, self.u, self.agent_iterations, self.r_primal,
-                              self.r_dual, self.flags)
+        return OcpSolution(u_star=self.u, z_star=self.ocp.trajectory(self.u),
+                           J_star=self.ocp.cost(self.u), status=self.status,
+                           iterations=self.agent_iterations)
 
 
 def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
                 max_iter: int = 20000, guess=None) -> InnerResult:
     """Minimize J_j(u) + lam_j'(f_j(u) - b_share) for every row j of `ocp`.
 
-    Row j of `lams` is row j's multiplier, `warm` the state a previous call
-    returned for the same rows and row j of `guess` (a rows_C mask, as in
-    InnerResult.active; by default feedback_guess, the rows that the
-    saturated terminal-feedback plan reaches) row j's first guess of its
-    active set. The rows run primal-dual active-set rounds: each round
-    polishes every pending row on its guess and keeps the answers that pass
-    the KKT test of the full problem: mu >= 0, every halfspace row feasible
-    and the guessed rows tight to KKT_TOL, and the terminal ball strictly
-    inactive (its multiplier is zero). A kept answer counts no iteration, its
-    residuals are its largest row violation and 0, and its warm state is the
-    splitting iteration's fixed point at the answer. A refused row next
-    guesses the scaled rows with mu + (C_r u - b) > 0; it leaves the rounds
-    when that guess equals its last one or after ACTIVE_SET_ROUNDS rounds.
-    Those rows, and the rows that a row dropped by the setup makes infeasible
-    (they run no round, so the splitting run flags them), are split to the
-    residual max(tol, POLISH_LEVEL) and, if that converged, polished on the
-    halfspace rows with a positive splitting dual. A row refused again keeps
-    splitting to `tol` from the state it reached, within what is left of
-    `max_iter`, and its iterations add up.
+    Row j of `lams` is row j's multiplier, `warm` the InnerResult of a
+    previous call for the same rows (a splitting run starts from its warm
+    state) and row j of `guess` (a rows_C mask, as in InnerResult.active; by
+    default feedback_guess, the rows that the saturated terminal-feedback
+    plan reaches) row j's first guess of its active set. The rows run
+    primal-dual active-set rounds: each round polishes every pending row on
+    its guess and keeps the answers that pass the KKT test of the full
+    problem: mu >= 0, every halfspace row feasible and the guessed rows tight
+    to KKT_TOL, and the terminal ball strictly inactive (its multiplier is
+    zero). The first round takes every row on whole arrays. A kept answer
+    counts no iteration. A refused row next guesses the scaled rows with
+    mu + (C_r u - b) > 0; it leaves the rounds when that guess equals its
+    last one or after ACTIVE_SET_ROUNDS rounds. A row still refused after
+    ACTIVE_SET_ROUNDS rounds from a nonempty first guess (its rounds cycled)
+    runs them once more from the empty guess. The rows left, and the rows
+    that a row dropped by the setup makes infeasible (they run no round, so
+    the splitting run flags them), are split to the residual max(tol,
+    POLISH_LEVEL) and, if that converged, polished on the halfspace rows
+    with a positive splitting dual. A row refused again keeps splitting to
+    `tol` from the state it reached, within what is left of `max_iter`, and
+    its iterations add up.
     """
     lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
     if lams.shape[1] != ocp.F.shape[1]:
         raise ValueError(f"lambda has dim {lams.shape[1]}, expected {ocp.F.shape[1]}")
-    if np.any(lams < 0):
+    if (lams < 0).any():
         raise ValueError("lambda must be componentwise nonnegative")
     g, split, pol = ocp.group, ocp.group.split, ocp.group.polish
     G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]).T
     rhs, ball_off = ocp.rows_rhs.T, ocp.ball_off.T
-    (k, B), (total, nrows) = G.shape, (split.C.shape[0], split.row_scale.size)
-    S, Y = (np.zeros((total, B)), np.zeros((total, B))) if warm is None else map(np.copy, warm)
-    U = np.zeros((k, B))
-    iters, rp, rd = np.zeros(B, dtype=int), np.zeros(B), np.zeros(B)
-    flags = np.full(B, "converged", dtype=object)
-    active = np.zeros((nrows, B), dtype=bool)  # over the kept rows
-    polished = np.zeros(B, dtype=bool)
-    rounds = np.zeros(B, dtype=int)
+    B, nrows = G.shape[1], split.row_scale.size
     # the polish's products of g alone: u0 = -H^-1 g, C_r u0 and the scaled kept rows' b
     U0, CU0 = -(pol.H_inv @ G), -(pol.CH_inv @ G)
     b = (rhs if split.zero is None else rhs[~split.zero]) * split.row_scale[:, None]
 
-    def accept(cols, guess_cols):
-        """Polish the columns `cols` on their guesses and keep the passing answers.
+    def polish_round(cols, guess):
+        """Polish the columns `cols` on `guess`: (U, mu, slack, kept mask)."""
+        U_r, mu_r, slack_r, kkt = polish(pol, U0[:, cols], CU0[:, cols], b[:, cols], guess)
+        ball = np.hypot.reduce(g.ball_C @ U_r + ball_off[:, cols], axis=0)
+        return U_r, mu_r, slack_r, kkt & (ball < g.ing.eps_r)
+
+    def accept(cols, guess):
+        """Polish the columns `cols` (indices) on `guess` and keep the passing answers.
 
         Returns the mask of kept columns and every column's next guess.
         """
-        U_pol, mu, slack, kkt = polish(pol, U0[:, cols], CU0[:, cols], b[:, cols], guess_cols)
-        ok = kkt & (np.hypot.reduce(g.ball_C @ U_pol + ball_off[:, cols], axis=0) < g.ing.eps_r)
+        U_r, mu_r, slack_r, ok = polish_round(cols, guess)
         j = cols[ok]
-        U[:, j] = U_pol[:, ok]
-        S[:, j] = split.C @ U[:, j]  # the splitting fixed point: S = C u, Y = mu / sigma
-        Y[:nrows, j], Y[nrows:, j] = mu[:, ok] / split.sigma, 0.0
-        rp[j], rd[j] = np.maximum(slack[:, ok].max(axis=0, initial=0.0), 0.0), 0.0
-        active[:, j], polished[j] = guess_cols[:, ok], True
-        return ok, mu + slack > 0.0
+        U[:, j], mu[:, j], slack[:, j] = U_r[:, ok], mu_r[:, ok], slack_r[:, ok]
+        active[:, j], polished[j] = guess[:, ok], True
+        return ok, mu_r + slack_r > 0.0
 
-    guess = np.asarray(feedback_guess(ocp) if guess is None else guess, dtype=bool).T
+    def rounds_of(todo, guess, nxt, budget):
+        """At most `budget` more rounds of the columns `todo`, refused on `guess`.
+
+        `nxt` holds their next guesses. Returns the columns that stop on an
+        unchanged guess, the columns still refused after the last round and
+        the guesses these were refused on.
+        """
+        stuck = []
+        for _ in range(budget):
+            moved = (nxt != guess).any(axis=0)
+            stuck.append(todo[~moved])
+            todo, guess = todo[moved], nxt[:, moved]
+            if not todo.size:
+                break
+            rounds[todo] += 1
+            ok, nxt = accept(todo, guess)
+            todo, guess, nxt = todo[~ok], guess[:, ~ok], nxt[:, ~ok]
+        return stuck, todo, guess
+
+    active = np.array(feedback_guess(ocp) if guess is None else guess, dtype=bool).T
+    rounds, left = np.ones(B, dtype=int), []  # left: the columns to split
     if split.zero is not None:
-        guess = guess[~split.zero]
-    dead = dead_columns(split, rhs)
-    todo, left = np.flatnonzero(~dead), [np.flatnonzero(dead)]  # left: the columns to split
-    guess = guess[:, todo]
-    for _ in range(ACTIVE_SET_ROUNDS):
-        if not todo.size:
-            break
-        rounds[todo] += 1
-        ok, nxt = accept(todo, guess)
-        moved = ~ok & (nxt != guess).any(axis=0)
-        left.append(todo[~ok & ~moved])
-        todo, guess = todo[moved], nxt[:, moved]
-    todo = np.sort(np.concatenate(left + [todo]))
+        # a column that a dropped row makes infeasible runs no round; it guesses no row, so
+        # that it adds no CG step to the others' first round
+        active, dead = active[~split.zero], dead_columns(split, rhs)
+        active[:, dead], rounds[dead] = False, 0
+        left.append(np.flatnonzero(dead))
+    # round 1 polishes every column on whole arrays, with no gather or scatter: its answers
+    # start the outputs, and a refused column keeps its first guess in `active` until a
+    # later round or its splitting run replaces its entries
+    U, mu, slack, polished = polish_round(slice(None), active)
+    if split.zero is not None:
+        polished &= ~dead
+    if not polished.all():
+        todo = np.flatnonzero(~polished & (rounds > 0))
+        stuck, cycled, last = rounds_of(todo, active[:, todo],
+                                        mu[:, todo] + slack[:, todo] > 0.0,
+                                        ACTIVE_SET_ROUNDS - 1)
+        again = active[:, cycled].any(axis=0)  # a nonempty first guess
+        restuck, recycled, _ = rounds_of(cycled[again], last[:, again],
+                                         np.zeros_like(last[:, again]), ACTIVE_SET_ROUNDS)
+        left += stuck + restuck + [cycled[~again], recycled]
+
+    iters, flags, split_state = np.zeros(B, dtype=int), ["converged"] * B, None
+    todo = np.sort(np.concatenate(left)) if left else np.zeros(0, dtype=int)
     if todo.size:
-        U[:, todo], (S[:, todo], Y[:, todo]), iters[todo], rp[todo], rd[todo], flags[todo] = (
-            split_iterate(split, G[:, todo], rhs[:, todo], [ball_off[:, todo]],
-                          max(tol, POLISH_LEVEL), max_iter, warm=(S[:, todo], Y[:, todo])))
+        U = U.copy()  # round 1 may have returned U0 itself, which the polish below reads
+        total = split.C.shape[0]
+        S, Y = ((np.zeros((total, B)), np.zeros((total, B))) if warm is None
+                else map(np.copy, warm.warm))
+        flags = np.array(flags, dtype=object)
+        U[:, todo], (S[:, todo], Y[:, todo]), iters[todo], _, _, flags[todo] = split_iterate(
+            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], max(tol, POLISH_LEVEL),
+            max_iter, warm=(S[:, todo], Y[:, todo]))
         active[:, todo] = Y[:nrows, todo] > 0
         todo = todo[flags[todo] == "converged"]
         ok, _ = accept(todo, active[:, todo])
@@ -652,17 +721,19 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
         if redo.size and budget == 0:
             flags[redo] = "iteration-cap"
         elif redo.size:
-            U[:, redo], (S[:, redo], Y[:, redo]), more, rp[redo], rd[redo], flags[redo] = (
-                split_iterate(split, G[:, redo], rhs[:, redo], [ball_off[:, redo]], tol, budget,
-                              warm=(S[:, redo], Y[:, redo])))
+            U[:, redo], (S[:, redo], Y[:, redo]), more, _, _, flags[redo] = split_iterate(
+                split, G[:, redo], rhs[:, redo], [ball_off[:, redo]], tol, budget,
+                warm=(S[:, redo], Y[:, redo]))
             iters[redo] += more
             active[:, redo] = Y[:nrows, redo] > 0
+        flags, split_state = flags.tolist(), (S, Y)
     if split.zero is not None:
         kept, active = active, np.zeros((split.zero.size, B), dtype=bool)
         active[~split.zero] = kept
-    return InnerResult(ocp=ocp, u=np.ascontiguousarray(U.T), warm=(S, Y), agent_iterations=iters,
-                       r_primal=rp, r_dual=rd, flags=flags.tolist(), polished=polished,
-                       active=np.ascontiguousarray(active.T), rounds=rounds)
+    return InnerResult(ocp=ocp, u=np.ascontiguousarray(U.T), mu=mu, slack=slack,
+                       split_state=split_state, agent_iterations=iters, flags=flags,
+                       polished=polished, active=np.ascontiguousarray(active.T),
+                       rounds=rounds)
 
 
 def solve_centralized(scenario: Scenario, ingredients, tightened_list,
@@ -710,7 +781,7 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     rows_rhs = np.concatenate(rhs)
 
     setup = split_setup(H, rows_C, ball_Cs, [ocp.group.ing.eps_r for ocp, _ in rows_of])
-    U, _, iters, rp, rd, flags = split_iterate(
+    U, _, iters, _, _, flags = split_iterate(
         setup, g[:, None], rows_rhs[:, None], [ocp.ball_off[j][:, None] for ocp, j in rows_of],
         tol, max_iter)
     u, flag = U[:, 0], flags[0]
@@ -724,8 +795,9 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     solutions, first = [], 0
     for ocp in ocps:
         B, k = ocp.q.shape
-        solutions.append(_solution_from(ocp, u[first:first + B * k].reshape(B, k),
-                                        np.full(B, iters[0]), np.full(B, rp[0]),
-                                        np.full(B, rd[0]), [flag] * B))
+        U = u[first:first + B * k].reshape(B, k)
+        solutions.append(OcpSolution(u_star=U, z_star=ocp.trajectory(U), J_star=ocp.cost(U),
+                                     status=_status([flag] * B, ocp.feasible(U).tolist()),
+                                     iterations=np.full(B, iters[0])))
         first += B * k
     return solutions, float(sum(J for sol in solutions for J in sol.J_star.tolist()))

@@ -313,8 +313,8 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active) -> int
     """Solve the coupled problem of the OCP agents at t and record the instant.
 
     Each agent group condenses, solves and is bounded as one stack; the
-    per-agent records are kept in agent order. Writes the plans into the input
-    blocks and their active sets, moved on by the steps applied, into
+    per-agent records are put in agent order once. Writes the plans into the
+    input blocks and their active sets, moved on by the steps applied, into
     `active`; returns the steps they are applied.
     """
     N, T_run = scenario.N, scenario.T_run
@@ -322,11 +322,14 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active) -> int
     periodic = scenario.trigger_mode == "periodic"
 
     # the terminal-mode agents' nominal feedback plans take their part of b first
-    feedback = np.zeros((scenario.M, sched.b.shape[0]))
-    for grp, X in zip(pipeline.groups, log.x):
-        fb = terminal[grp.index]
-        feedback[grp.index[fb]] = (grp.feedback_coupling[fb] @ X[t, fb, :, None])[..., 0]
-    b_share = (sched.b - feedback[terminal].sum(axis=0)) / len(ocp_idx)
+    b_free = sched.b
+    if terminal.any():
+        feedback = np.zeros((scenario.M, sched.b.shape[0]))
+        for grp, X in zip(pipeline.groups, log.x):
+            fb = terminal[grp.index]
+            feedback[grp.index[fb]] = (grp.feedback_coupling[fb] @ X[t, fb, :, None])[..., 0]
+        b_free = sched.b - feedback[terminal].sum(axis=0)
+    b_share = b_free / len(ocp_idx)
 
     blocks, ocps = [], []  # (log block, OCP group problem) per group with OCP agents
     for g, (grp, X) in enumerate(zip(pipeline.groups, log.x)):
@@ -364,31 +367,31 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active) -> int
     log.counters["inner_iterations"] += admm_state.total_inner_iterations
     log.counters["active_set_rounds"] += admm_state.total_active_set_rounds
 
+    # one row per OCP agent, in agent order: g(1..N), the stage-cost sums of the first
+    # 1..N steps, the plan's cost and x0'Qx0
     order = np.argsort(np.concatenate([ocp.agents for ocp in ocps]))
-
-    def in_agent_order(parts) -> np.ndarray:
-        """Per-group arrays concatenated, rows rearranged into agent order."""
-        return np.concatenate(parts)[order]
-
-    profiles, spent = map(in_agent_order, zip(*(g_profile(ocp.group, sol)
-                                                for ocp, sol in zip(ocps, solutions))))
-    decision = select_Mk(profiles)
+    table = np.concatenate([
+        np.concatenate((*g_profile(ocp.group, sol), sol.J_star[:, None],
+                        quad_form(ocp.x0, ocp.group.agent.Q)[:, None]), axis=1)
+        for ocp, sol in zip(ocps, solutions)])[order]
+    decision = select_Mk(table[:, :N])
     Mk = 1 if periodic else decision.Mk
     Mk_applied = min(Mk, T_run - t)
 
     # the totals are Python sums in agent order: one rounding sequence for any grouping
-    g_tot = float(sum(profiles[:, Mk - 1].tolist()))
-    sumQ = in_agent_order([quad_form(ocp.x0, ocp.group.agent.Q) for ocp in ocps])
+    g_applied, spent, costs, sumQ = table[:, [Mk - 1, N + Mk - 1, 2 * N, 2 * N + 1]].T.tolist()
+    statuses = [status for sol in solutions for status in sol.status]
+    g_tot = sum(g_applied)
     log.triggers.append(TriggerRecord(
         t_k=t, Mk=Mk, Mk_applied=Mk_applied,
         ocp_agents=tuple(ocp_idx),
         Mk_per_agent=decision.Mk_per_agent,
-        statuses=tuple(in_agent_order([sol.status for sol in solutions]).tolist()),
-        total_cost=float(sum(in_agent_order([sol.J_star for sol in solutions]).tolist())),
+        statuses=tuple(statuses[i] for i in order.tolist()),
+        total_cost=float(sum(costs)),
         admm_iterations=admm_state.iteration,
         converged=converged, fallback=fallback,
-        g_applied_total=g_tot, g0_applied_total=g_tot + sum(spent[:, Mk - 1].tolist()),
-        sumQ_states=float(sum(sumQ.tolist()))))
+        g_applied_total=g_tot, g0_applied_total=g_tot + sum(spent),
+        sumQ_states=float(sum(sumQ))))
 
     for g, ocp, sol, answered in zip(blocks, ocps, solutions, admm_state.active):
         plans = sol.u_star.reshape(ocp.slots.size, N, -1)[:, :Mk_applied]

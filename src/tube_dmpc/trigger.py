@@ -85,9 +85,13 @@ class TriggerDecision:
 
 
 def select_Mk(g_profiles) -> TriggerDecision:
-    """Per agent: most negative g wins, ties to the larger M; min across agents."""
-    g = np.asarray(g_profiles, dtype=float)  # one row g(1..N) per agent
-    fallback = g.min(axis=1) >= 0
-    Mk = np.where(fallback, 1, g.shape[1] - np.argmin(g[:, ::-1], axis=1))
-    return TriggerDecision(Mk_per_agent=tuple(Mk.tolist()), Mk=int(Mk.min()),
-                           fallback=tuple(fallback.tolist()))
+    """Per agent: most negative g wins, ties to the larger M; min across agents.
+
+    One min and one argmin over the table reversed along M: the first
+    minimum from the right is the largest M among the ties.
+    """
+    g = np.asarray(g_profiles, dtype=float)[:, ::-1]  # one row g(N..1) per agent
+    N = g.shape[1]
+    fallback = (g.min(axis=1) >= 0).tolist()
+    Mk = [1 if fb else N - i for fb, i in zip(fallback, g.argmin(axis=1).tolist())]
+    return TriggerDecision(Mk_per_agent=tuple(Mk), Mk=min(Mk), fallback=tuple(fallback))

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from tube_dmpc.local_solver import agent_group, condense, rollout_maps, solve_inner
+from tube_dmpc.local_solver import (ACTIVE_SET_ROUNDS, POLISH_LEVEL, agent_group,
+                                    condense, dead_columns, feedback_guess, polish,
+                                    rollout_maps, solve_inner, split_iterate)
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare
 
@@ -71,6 +73,93 @@ def plan(group, x0, lam, slot=0):
 def solve_one(ocp, lam):
     """Inner solve of a one-row problem (a group of one): its row's solution."""
     return row(solve_inner(ocp, [lam]).solution)
+
+
+def reference_solve(ocp, lams, guess=None, tol=1e-8, max_iter=20000) -> dict:
+    """solve_inner's answers and carried fields, computed the straightforward way.
+
+    Each round gathers its pending columns and scatters the kept answers
+    into zero-filled outputs; a column still refused after ACTIVE_SET_ROUNDS
+    rounds from a nonempty first guess moves to the empty guess and runs
+    that many rounds again; the columns left split and are polished again.
+    The carried fields are recomputed from the answers by the CondensedOcp
+    methods: the status from `feasible` (rows_C u - rhs and the
+    terminal-ball norm), the trajectory (the free rollout plus Gamma u), the
+    cost (0.5 u'Hu + q'u + c0) and the coupling values (f0 + F u). Returns
+    one array or tuple per field.
+    """
+    g, split, pol = ocp.group, ocp.group.split, ocp.group.polish
+    lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
+    G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]).T
+    rhs, ball_off = ocp.rows_rhs.T, ocp.ball_off.T
+    (k, B), nrows, total = G.shape, split.row_scale.size, split.C.shape[0]
+    U, S, Y = np.zeros((k, B)), np.zeros((total, B)), np.zeros((total, B))
+    iters, flags = np.zeros(B, dtype=int), np.full(B, "converged", dtype=object)
+    active, polished = np.zeros((nrows, B), dtype=bool), np.zeros(B, dtype=bool)
+    rounds = np.zeros(B, dtype=int)
+    U0, CU0 = -(pol.H_inv @ G), -(pol.CH_inv @ G)
+    b = (rhs if split.zero is None else rhs[~split.zero]) * split.row_scale[:, None]
+
+    def accept(cols, guess_cols):
+        U_pol, mu, slack, kkt = polish(pol, U0[:, cols], CU0[:, cols], b[:, cols], guess_cols)
+        ok = kkt & (np.hypot.reduce(g.ball_C @ U_pol + ball_off[:, cols], axis=0) < g.ing.eps_r)
+        j = cols[ok]
+        U[:, j], active[:, j], polished[j] = U_pol[:, ok], guess_cols[:, ok], True
+        return ok, mu + slack > 0.0
+
+    def rounds_from(todo, guess):
+        """(columns left on an unchanged guess, refused in the last round, their guesses)."""
+        left = []
+        for r in range(ACTIVE_SET_ROUNDS):
+            if not todo.size:
+                break
+            rounds[todo] += 1
+            ok, nxt = accept(todo, guess)
+            if r == ACTIVE_SET_ROUNDS - 1:
+                return left, todo[~ok], guess[:, ~ok]
+            moved = ~ok & (nxt != guess).any(axis=0)
+            left.append(todo[~ok & ~moved])
+            todo, guess = todo[moved], nxt[:, moved]
+        return left, todo, guess
+
+    start = np.array(feedback_guess(ocp) if guess is None else guess, dtype=bool).T
+    if split.zero is not None:
+        start = start[~split.zero]
+    dead = dead_columns(split, rhs)
+    left, cycled, last = rounds_from(np.flatnonzero(~dead), start[:, ~dead])
+    again = start[:, cycled].any(axis=0) & last.any(axis=0)
+    more, recycled, _ = rounds_from(cycled[again],
+                                    np.zeros((nrows, int(again.sum())), dtype=bool))
+    todo = np.sort(np.concatenate([np.flatnonzero(dead), *left, cycled[~again], *more,
+                                   recycled]).astype(int))
+    if todo.size:
+        U[:, todo], (S[:, todo], Y[:, todo]), iters[todo], _, _, flags[todo] = split_iterate(
+            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], max(tol, POLISH_LEVEL),
+            max_iter)
+        active[:, todo] = Y[:nrows, todo] > 0
+        todo = todo[flags[todo] == "converged"]
+        ok, _ = accept(todo, active[:, todo])
+        redo = todo[~ok] if tol < POLISH_LEVEL else todo[:0]
+        budget = max_iter - int(iters[redo].max(initial=0))
+        if redo.size and budget == 0:
+            flags[redo] = "iteration-cap"
+        elif redo.size:
+            U[:, redo], (S[:, redo], Y[:, redo]), extra, _, _, flags[redo] = split_iterate(
+                split, G[:, redo], rhs[:, redo], [ball_off[:, redo]], tol, budget,
+                warm=(S[:, redo], Y[:, redo]))
+            iters[redo] += extra
+            active[:, redo] = Y[:nrows, redo] > 0
+    if split.zero is not None:
+        kept, active = active, np.zeros((split.zero.size, B), dtype=bool)
+        active[~split.zero] = kept
+
+    u = np.ascontiguousarray(U.T)
+    feasible = ocp.feasible(u)
+    status = np.where((flags == "converged") & feasible, "optimal",
+                      np.where((flags == "infeasible") & ~feasible, "infeasible", "iteration-cap"))
+    return {"u": u, "status": tuple(status.tolist()), "cost": ocp.cost(u),
+            "trajectory": ocp.trajectory(u), "coupling": ocp.coupling_values(u),
+            "active": active.T, "rounds": rounds, "flags": flags.tolist()}
 
 
 def coupling_terms(agent, Psi_x, Psi_u, x0, u):

@@ -48,11 +48,18 @@ def test_traced_run_spans_match_counters(spans, default_scenario, default_pipeli
     code = data["code"]
     inner = code == spans.CODE["local_solver.solve_inner"]
     assert int(data["payload"][inner].sum()) == log.counters["inner_iterations"]
-    # one condense span per agent group and instant (the default agents form one group)
-    condense = code == spans.CODE["local_solver.condense"]
+    # one condense, solve_inner, g_profile and select_Mk span per agent group and instant
+    # (the default agents form one group, and every instant is certified at iteration 0),
+    # so the bench's per-layer split keeps its meaning
     assert len(default_pipeline.groups) == 1
-    assert int(condense.sum()) == log.solve_instants()
-    assert int(spans.instant_ids(data).max()) + 1 == log.solve_instants()
+    ids = spans.instant_ids(data)
+    assert int(ids.max()) + 1 == log.solve_instants()
+    for name in ("local_solver.condense", "local_solver.solve_inner", "trigger.g_profile",
+                 "trigger.select_Mk"):
+        calls = code == spans.CODE[name]
+        assert int(calls.sum()) == log.solve_instants(), name
+        np.testing.assert_array_equal(np.bincount(ids[calls], minlength=log.solve_instants()),
+                                      1, err_msg=name)
 
 
 def replicated_eight(default_raw):
