@@ -130,7 +130,7 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams, trace_path=None,
         for k, (ocp, lam) in enumerate(zip(ocps, lams)):
             key = lam.tobytes()
             if key != solved_at[k]:
-                results[k] = solve_inner(ocp, lam, results[k], tol=params.inner_tol,
+                results[k] = solve_inner(ocp, lam, tol=params.inner_tol,
                                          max_iter=params.inner_max_iter, guess=guess[k])
                 guess[k], solved_at[k] = results[k].active, key
                 inner_iterations += results[k].iterations

@@ -17,7 +17,7 @@ FEAS_TOL = 1e-6
 RELAXATION = 1.6  # classic over-relaxation factor for the splitting iteration
 STALL_WINDOW = 2000
 STALL_LEVEL = 1e-3
-POLISH_LEVEL = 1e-1  # splitting residual at which solve_inner guesses the active set
+NEWTON_STEPS = 20  # Newton steps on the terminal ball's multiplier per polish
 ACTIVE_SET_ROUNDS = 8  # polish rounds per column before solve_inner falls back to splitting
 KKT_TOL = 1e-10  # slack allowed in the polish's feasibility and tightness checks
 SCALE_FLOOR = np.finfo(float).tiny  # a row or block normed below this cannot be rescaled
@@ -61,10 +61,11 @@ class SplitSetup:
 
     Rows of the halfspace block are scaled to unit norm; rows normed below
     SCALE_FLOOR (all-zero rows included) are dropped through `zero`. Each
-    ball block is scaled by 1/||C_ball||_2. `balls` holds one entry per run of
-    consecutive ball blocks of equal size, so that one array expression
-    projects them all: (rows, scales, scaled radii). With K = H + sigma C'C,
-    `solve_map` is K^-1 and `step_map` is sigma K^-1 C'.
+    ball block is scaled by 1/||C_ball||_2, or left unscaled where that norm
+    is below sqrt(SCALE_FLOOR) and its scaled offsets could overflow. `balls`
+    holds one entry per run of consecutive ball blocks of equal size, so that
+    one array expression projects them all: (rows, scales, scaled radii).
+    With K = H + sigma C'C, `solve_map` is K^-1 and `step_map` is sigma K^-1 C'.
     """
 
     zero: np.ndarray | None  # mask of the dropped halfspace rows, None when none is
@@ -91,7 +92,7 @@ def split_setup(H, rows_C, ball_Cs, ball_radii) -> SplitSetup:
     balls, offset = [], nrows  # one entry per run of consecutive equal-size ball blocks
     for size, run in groupby(zip(ball_Cs, ball_radii), key=lambda pair: pair[0].shape[0]):
         Cs, radii = zip(*run)
-        beta = np.array([1.0 / b if b >= SCALE_FLOOR else 1.0
+        beta = np.array([1.0 / b if b >= np.sqrt(SCALE_FLOOR) else 1.0
                          for b in (np.linalg.norm(C, 2) for C in Cs)])
         blocks += [C * b for C, b in zip(Cs, beta)]
         rows = slice(offset, offset + size * len(Cs))
@@ -118,40 +119,34 @@ def dead_columns(setup: SplitSetup, rows_rhs) -> np.ndarray:
     return (rows_rhs[setup.zero] < 0).any(axis=0)
 
 
-def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, warm=None):
+def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter):
     """ADMM splitting for min 0.5u'Hu + g'u s.t. rows and ball blocks, one problem per column.
 
     H and the constraint matrices are fixed by `setup`; column j of G (k, B),
     of rows_rhs (r, B) and of each ball's offset block (nb, B) is problem j's
-    linear term, halfspace right-hand sides and ball offset. One batched
-    iteration advances every problem still in the working set; a problem
-    leaves it at its own convergence, stall or iteration-cap test, and no
-    column reads another's data. Batched and single-column BLAS calls round
-    differently, so a column follows the iterates it would follow alone up to
-    rounding. Where its iterates are so large that their rounding approaches
-    `tol` (iterates near 1e8 at tol 1e-8), that rounding decides its residual
-    tests, and it can stop at another iteration than alone. `warm` is the
-    splitting state (S, Y), each (total, B). Returns (U, (S, Y), iterations,
-    r_primal, r_dual, flags), one column or entry per problem, with flags in
-    {converged, iteration-cap, infeasible}. A row dropped by the setup (all
-    coefficients zero, or too small to rescale) is ignored when its rhs is
-    >= 0 and makes the problem infeasible when its rhs is < 0.
+    linear term, halfspace right-hand sides and ball offset. Every problem
+    starts from zero. One batched iteration advances every problem still in
+    the working set; a problem leaves it at its own convergence, stall or
+    iteration-cap test, and no column reads another's data. Batched and
+    single-column BLAS calls round differently, so a column follows the
+    iterates it would follow alone up to rounding. Where its iterates are so
+    large that their rounding approaches `tol` (iterates near 1e8 at tol
+    1e-8), that rounding decides its residual tests, and it can stop at
+    another iteration than alone. Returns (U, Y, iterations, flags) per
+    column: Y (total, B) is the scaled splitting dual (positive on a clipped
+    row, nonzero on a clipped ball block), flags are in {converged,
+    iteration-cap, infeasible}. A row dropped by the setup is ignored when
+    its rhs is >= 0 and makes the problem infeasible when its rhs is < 0.
     """
     C, sigma, step_map = setup.C, setup.sigma, setup.step_map
     CT = C.T
     (k, B), total = G.shape, C.shape[0]
-    if warm is None:
-        warm = (np.zeros((total, B)), np.zeros((total, B)))
-    S_out, Y_out = warm[0].copy(), warm[1].copy()
-    U_out = np.zeros((k, B))
-    iterations = np.zeros(B, dtype=int)
-    r_prim_out, r_dual_out = np.zeros(B), np.zeros(B)
-    flags = np.full(B, "iteration-cap", dtype=object)
+    U_out, Y_out = np.zeros((k, B)), np.zeros((total, B))
+    iterations, flags = np.zeros(B, dtype=int), np.full(B, "iteration-cap", dtype=object)
 
     cols = np.arange(B)  # the working set
     if setup.zero is not None:
         dead = dead_columns(setup, rows_rhs)
-        r_prim_out[dead] = -rows_rhs[setup.zero][:, dead].min(axis=0)
         flags[dead] = "infeasible"
         cols = cols[~dead]
         rows_rhs = rows_rhs[~setup.zero]
@@ -166,7 +161,7 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, w
         balls.append((sl, off, rad_s[:, None, None]))
         first += beta.size
     KG = setup.solve_map @ G[:, cols]
-    S, Y = S_out[:, cols], Y_out[:, cols]
+    S, Y = np.zeros((total, cols.size)), np.zeros((total, cols.size))
     last_ok = np.zeros(cols.size, dtype=int)  # last iteration with r_prim <= STALL_LEVEL
 
     for it in range(1, max_iter + 1 if cols.size else 1):  # none if every problem failed
@@ -205,8 +200,7 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, w
         if not done.any():
             continue
         j = cols[done]
-        U_out[:, j], S_out[:, j], Y_out[:, j] = U[:, done], S[:, done], Y[:, done]
-        iterations[j], r_prim_out[j], r_dual_out[j] = it, r_prim[done], r_dual[done]
+        U_out[:, j], Y_out[:, j], iterations[j] = U[:, done], Y[:, done], it
         flags[j] = np.where(converged[done], "converged",
                             np.where(stalled[done], "infeasible", "iteration-cap"))
         keep = ~done
@@ -215,7 +209,7 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter, w
         cols, KG, upper, S, Y = cols[keep], KG[:, keep], upper[:, keep], S[:, keep], Y[:, keep]
         last_ok = last_ok[keep]
         balls = [(sl, off_s[:, :, keep], *radii) for sl, off_s, *radii in balls]
-    return U_out, (S_out, Y_out), iterations, r_prim_out, r_dual_out, flags.tolist()
+    return U_out, Y_out, iterations, flags.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,68 +218,117 @@ class PolishSetup:
 
     Over the scaled halfspace rows C_r of the setup (its dropped rows left
     out): `H_inv` = H^-1, `CH_inv` = C_r H^-1 and `schur` = C_r H^-1 C_r'.
+    Over the terminal ball's rows C_b, in the eigenbasis V of D = C_b H^-1
+    C_b' (D = V diag(`ball_eig`) V'): `ball_V` = V, `ball_H_inv` = V'C_b H^-1
+    and `ball_E` = C_r H^-1 C_b' V.
     """
 
     H_inv: np.ndarray
     CH_inv: np.ndarray
     schur: np.ndarray
+    ball_V: np.ndarray
+    ball_eig: np.ndarray
+    ball_H_inv: np.ndarray
+    ball_E: np.ndarray
 
 
-def polish_setup(H, split: SplitSetup) -> PolishSetup:
+def polish_setup(H, split: SplitSetup, ball_C) -> PolishSetup:
     C_r = split.C[:split.row_scale.size]
     H_inv = np.linalg.inv(H)
-    CH_inv = C_r @ H_inv
-    setup = PolishSetup(H_inv=H_inv, CH_inv=CH_inv, schur=CH_inv @ C_r.T)
+    CH_inv, CbH_inv = C_r @ H_inv, ball_C @ H_inv
+    eig, V = np.linalg.eigh(CbH_inv @ ball_C.T)
+    ball_H_inv = V.T @ CbH_inv
+    setup = PolishSetup(H_inv=H_inv, CH_inv=CH_inv, schur=CH_inv @ C_r.T, ball_V=V,
+                        ball_eig=np.maximum(eig, 0.0), ball_H_inv=ball_H_inv,
+                        ball_E=C_r @ ball_H_inv.T)
     _read_only(setup)
     return setup
 
 
-def polish(pol: PolishSetup, U0, CU0, b, active):
-    """Exact minimizers on guessed active sets of halfspace rows.
+def _masked_cg(pol: PolishSetup, active, res, w=None):
+    """mu = 0 off the mask A = `active` with (T mu)_A = res_A, by conjugate gradients per column.
 
-    Column j of U0 = -H^-1 g, CU0 = C_r U0, b (the scaled right-hand sides
-    of the setup's kept rows) and `active` (a mask over those rows) belongs
-    to problem j. The guessed rows are held as equalities: their multipliers
-    mu solve (C_A H^-1 C_A') mu = C_A u0 - b_A, by conjugate gradients on
-    the masked Schur matrix, every column at once, and then u = u0 - H^-1
-    C_r' mu. Returns (U, mu, slack, kkt): the answers, the multipliers of the
-    scaled rows (0 off the guess), the row slacks C_r u - b, and whether
-    mu >= 0, every row holds and every guessed row is tight (each to KKT_TOL
-    relative to max(1, |b|)). No factorization or solve runs: every step is
-    a product with offline data. Where no column guesses a row, no CG step
-    runs: mu = 0, U is U0 itself and slack = CU0 - b exactly. A column whose
-    guessed rows are (nearly) dependent and inconsistent has a singular
-    masked system on which CG diverges; where its values overflow, it is
-    refused with mu = 0, U = U0 and slack = CU0 - b.
+    T = C_r (H + nu C_b'C_b)^-1 C_r' = schur - ball_E diag(w) ball_E', w = nu / (1 + nu ball_eig)
+    (Woodbury; `schur` where w is None). min(|A|, k) >= rank(T_A) steps, +1 for rounding.
     """
-    tol = KKT_TOL * np.maximum(1.0, np.abs(b))
-    if not active.any():
-        slack = CU0 - b
-        return U0, np.zeros_like(slack), slack, (slack <= tol).all(axis=0)
     # F order (a gathered batch's) whatever the inputs' layout: the CG's products then round
     # the same for a column of a whole batch and of a gathered one
-    res = np.asfortranarray(np.where(active, CU0 - b, 0.0))
+    res = np.asfortranarray(res)
     mu, p = np.zeros_like(res), res.copy()
+    rr = np.vecdot(res, res, axis=0)
+    for _ in range(int(np.minimum(active.sum(axis=0), pol.H_inv.shape[0]).max()) + 1):
+        Sp = pol.schur @ p
+        if w is not None:
+            Sp -= pol.ball_E @ (w * (pol.ball_E.T @ p))
+        Sp *= active
+        pSp = np.vecdot(p, Sp, axis=0)
+        alpha = np.divide(rr, pSp, out=np.zeros_like(rr), where=pSp > 0)
+        mu += alpha * p
+        res -= alpha * Sp
+        rr_new = np.vecdot(res, res, axis=0)
+        p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
+        rr = rr_new
+    return mu
+
+
+def polish(pol: PolishSetup, U0, CU0, b, active, on=None, Y0=None, radius=None):
+    """Exact minimizers on guessed active sets of halfspace rows and of the terminal ball.
+
+    Column j of U0 = -H^-1 g, CU0 = C_r U0, b (the scaled kept rows' right-hand
+    sides), `active` (a mask over those rows) and Y0 = C_b U0 + off belongs to
+    problem j. The guessed rows are held as equalities, and where `on` is set
+    so is ||y|| = radius, y = C_b u + off. At a ball multiplier nu, with M =
+    (I + nu D)^-1, D = C_b H^-1 C_b' and E = C_r H^-1 C_b', _masked_cg gives
+    mu from (CU0 - b - nu E M Y0)_A; then y = M (Y0 - E'mu) and u = u0 - H^-1
+    (C_r'mu + nu C_b'y). Off the ball nu = 0. On it, Newton's method on the
+    concave 1/||y(nu)|| = 1/radius from 0, clamped at 0 (Moré & Sorensen
+    1983), stops once a step does not raise nu or after NEWTON_STEPS steps.
+    Returns (U, mu, slack = C_r u - b, nu, kkt): kkt is mu >= 0, every row
+    holding and every guessed row tight, each to KKT_TOL max(1, |b|) (the
+    ball's test is the caller's). With nothing guessed no CG step runs: mu =
+    0, U is U0 itself and slack = CU0 - b. A column whose guessed rows are
+    (nearly) dependent and inconsistent has a singular masked system on which
+    CG diverges; where its values overflow, it is refused as if it guessed
+    nothing: mu = 0, nu = 0, U = U0 and slack = CU0 - b.
+    """
+    tol = KKT_TOL * np.maximum(1.0, np.abs(b))
+    nu = np.zeros(U0.shape[1])
+    ball = on is not None and on.any()
+    if not (ball or active.any()):
+        slack = CU0 - b
+        return U0, np.zeros_like(slack), slack, nu, (slack <= tol).all(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        rr = np.vecdot(res, res, axis=0)
-        # CG converges in at most rank(C_A H^-1 C_A') <= min(|A|, k) steps, +1 for rounding
-        steps = int(np.minimum(active.sum(axis=0), U0.shape[0]).max()) + 1
-        for _ in range(steps):
-            Sp = pol.schur @ p
-            Sp *= active
-            pSp = np.vecdot(p, Sp, axis=0)
-            alpha = np.divide(rr, pSp, out=np.zeros_like(rr), where=pSp > 0)
-            mu += alpha * p
-            res -= alpha * Sp
-            rr_new = np.vecdot(res, res, axis=0)
-            p = res + np.divide(rr_new, rr, out=np.zeros_like(rr), where=rr > 0) * p
-            rr = rr_new
-        U, slack = U0 - pol.CH_inv.T @ mu, CU0 - pol.schur @ mu - b
+        if not ball:
+            mu = _masked_cg(pol, active, np.where(active, CU0 - b, 0.0))
+            U, slack = U0 - pol.CH_inv.T @ mu, CU0 - pol.schur @ mu - b
+        else:  # the ball's terms in D's eigenbasis, where M is diagonal
+            E, eig, y0, done = pol.ball_E, pol.ball_eig[:, None], pol.ball_V.T @ Y0, ~on
+            for step in range(NEWTON_STEPS + 1):
+                M = 1.0 / (1.0 + nu * eig)
+                mu = _masked_cg(pol, active, np.where(active, CU0 - b - E @ (nu * M * y0), 0.0),
+                                nu * M)
+                y = M * (y0 - E.T @ mu)
+                if done.all() or step == NEWTON_STEPS:
+                    break
+                norm = np.sqrt(np.vecdot(y, y, axis=0))
+                # on the guessed rows T d mu = -E M y, and dy = -M (D y + E' d mu)
+                dmu = _masked_cg(pol, active, np.where(active, -(E @ (M * y)), 0.0), nu * M)
+                slope = np.vecdot(y, -M * (eig * y + E.T @ dmu), axis=0)  # ||y|| d||y||/d nu
+                # the Newton step on 1/||y|| - 1/radius raises nu left of its root; a step that
+                # does not has converged, is clamped at 0 (an inactive ball) or cannot move it
+                nxt = np.maximum(nu + np.divide(norm * norm * (radius - norm), radius * slope,
+                                                out=np.zeros_like(nu), where=~done & (slope < 0)),
+                                 0.0)
+                done |= nxt <= nu
+                nu = nxt
+            U = U0 - pol.CH_inv.T @ mu - pol.ball_H_inv.T @ (nu * y)
+            slack = CU0 - pol.schur @ mu - E @ (nu * y) - b
     lost = ~(np.isfinite(mu) & np.isfinite(slack)).all(axis=0) | ~np.isfinite(U).all(axis=0)
     if lost.any():
         mu[:, lost], U[:, lost], slack[:, lost] = 0.0, U0[:, lost], CU0[:, lost] - b[:, lost]
+        nu[lost] = 0.0
     kkt = ((mu >= 0.0) & (slack <= tol) & (~active | (slack >= -tol))).all(axis=0)
-    return U, mu, slack, kkt & ~lost
+    return U, mu, slack, nu, kkt & ~lost
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +440,7 @@ def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: Tightene
         feedback_coupling=((Psi_x + Psi_u @ ing.K)[:, None] @ Phi_K).reshape(size, N * p, n),
         dual_curvature=np.linalg.norm(F @ np.linalg.solve(H, F.transpose(0, 2, 1)), 2,
                                       axis=(1, 2)),
-        split=split, polish=polish_setup(H, split))
+        split=split, polish=polish_setup(H, split, ball_C))
     _read_only(group)
     return group
 
@@ -531,24 +574,21 @@ def _status(flags, feasible) -> tuple:
 class InnerResult:
     """Lockstep inner solve of the rows of one CondensedOcp.
 
-    Row j of `u`, column j of `mu` and entry j of the per-row fields belong
-    to row j of `ocp`. `polished` marks the rows whose answer the polish
-    gave, and `mu` and `slack` hold their multipliers and slacks of the
-    scaled halfspace rows; `split_state` is the splitting state (S, Y) that
-    the split rows reached (None when no row split). `active` holds each
-    row's final active set (a mask over rows_C: the rows the polish held
-    tight, or the rows with a positive splitting dual), `rounds` the
-    active-set rounds each row ran and `iterations` the splitting iterations
-    summed over the rows. The warm state, the statuses, the coupling values
-    and the OcpSolution (trajectories and costs) are computed on first
-    access.
+    Row j of `u`, column j of `slack` and entry j of the other per-row fields
+    belong to row j of `ocp`. `polished` marks the rows whose answer the
+    polish gave, with their slacks of the scaled halfspace rows in `slack`
+    and their terminal-ball slack ||C_b u + off|| - eps_r in `ball`. `active`
+    holds each row's final active set (a mask over rows_C: the rows the
+    polish held tight, or the rows with a positive splitting dual), `rounds`
+    the active-set rounds each row ran and `iterations` the splitting
+    iterations summed over the rows. The statuses, the coupling values and
+    the OcpSolution (trajectories and costs) are computed on first access.
     """
 
     ocp: CondensedOcp
     u: np.ndarray
-    mu: np.ndarray
     slack: np.ndarray
-    split_state: tuple | None
+    ball: np.ndarray
     agent_iterations: np.ndarray
     flags: list
     polished: np.ndarray
@@ -560,34 +600,14 @@ class InnerResult:
         return int(self.agent_iterations.sum())
 
     @cached_property
-    def warm(self) -> tuple:
-        """The splitting state (S, Y), each (total, rows), that a later splitting run starts from.
-
-        A polished row's is the splitting iteration's fixed point at its answer:
-        S = C u, Y = mu / sigma on the halfspace rows and 0 on the ball rows.
-        """
-        split = self.ocp.group.split
-        S = split.C @ self.u.T
-        Y = np.zeros_like(S)
-        Y[:self.mu.shape[0]] = self.mu / split.sigma
-        if self.split_state is not None:
-            rest = ~self.polished
-            S[:, rest], Y[:, rest] = self.split_state[0][:, rest], self.split_state[1][:, rest]
-        return S, Y
-
-    @cached_property
     def status(self) -> tuple:
-        """Each row's OcpSolution status.
-
-        A polished row's feasibility is its largest scaled slack divided by the
-        row's scale (its ball is strictly inactive, and no dropped row makes it
-        infeasible); a split row's is recomputed from rows_C u and the ball norm.
-        """
+        """Each row's OcpSolution status: a polished row's feasibility from its scaled slacks
+        over the row scales and its ball slack, a split row's from rows_C u and the ball norm."""
         scale = self.ocp.group.split.row_scale[:, None]
-        feasible = (self.slack / scale).max(axis=0, initial=-np.inf) <= FEAS_TOL
-        if self.split_state is not None:
-            rest = ~self.polished
-            feasible[rest] = self.ocp.feasible(self.u)[rest]
+        feasible = (((self.slack / scale).max(axis=0, initial=-np.inf) <= FEAS_TOL)
+                    & (self.ball <= FEAS_TOL))
+        if not all(self.polished.tolist()):  # Python all beats ndarray.all over a few rows
+            feasible = np.where(self.polished, feasible, self.ocp.feasible(self.u))
         return _status(self.flags, feasible.tolist())
 
     @cached_property
@@ -602,31 +622,26 @@ class InnerResult:
                            iterations=self.agent_iterations)
 
 
-def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
-                max_iter: int = 20000, guess=None) -> InnerResult:
+def solve_inner(ocp: CondensedOcp, lams, tol: float = 1e-8, max_iter: int = 20000,
+                guess=None) -> InnerResult:
     """Minimize J_j(u) + lam_j'(f_j(u) - b_share) for every row j of `ocp`.
 
-    Row j of `lams` is row j's multiplier, `warm` the InnerResult of a
-    previous call for the same rows (a splitting run starts from its warm
-    state) and row j of `guess` (a rows_C mask, as in InnerResult.active; by
-    default feedback_guess, the rows that the saturated terminal-feedback
-    plan reaches) row j's first guess of its active set. The rows run
-    primal-dual active-set rounds: each round polishes every pending row on
-    its guess and keeps the answers that pass the KKT test of the full
-    problem: mu >= 0, every halfspace row feasible and the guessed rows tight
-    to KKT_TOL, and the terminal ball strictly inactive (its multiplier is
-    zero). The first round takes every row on whole arrays. A kept answer
-    counts no iteration. A refused row next guesses the scaled rows with
-    mu + (C_r u - b) > 0; it leaves the rounds when that guess equals its
-    last one or after ACTIVE_SET_ROUNDS rounds. A row still refused after
-    ACTIVE_SET_ROUNDS rounds from a nonempty first guess (its rounds cycled)
-    runs them once more from the empty guess. The rows left, and the rows
-    that a row dropped by the setup makes infeasible (they run no round, so
-    the splitting run flags them), are split to the residual max(tol,
-    POLISH_LEVEL) and, if that converged, polished on the halfspace rows
-    with a positive splitting dual. A row refused again keeps splitting to
-    `tol` from the state it reached, within what is left of `max_iter`, and
-    its iterations add up.
+    Row j of `lams` is row j's multiplier and row j of `guess` (a rows_C
+    mask, as in InnerResult.active; by default feedback_guess) its first
+    guess of the active rows; every row first guesses the terminal ball
+    inactive. The rows run primal-dual active-set rounds (Hintermüller, Ito
+    & Kunisch 2002): each round polishes every pending row on its guess and
+    keeps the answers that pass the KKT test: the polish's, and the ball
+    strictly inactive or, where guessed active, nu >= 0 and its norm within
+    KKT_TOL max(1, eps_r) of eps_r. The first round takes every row on whole
+    arrays. A kept answer counts no iteration. A refused row next guesses the
+    rows with mu + (C_r u - b) > 0 and the ball if nu + (||C_b u + off|| -
+    eps_r) > 0, and leaves the rounds when that guess equals its last one or
+    after ACTIVE_SET_ROUNDS rounds. A row still refused then, from a nonempty
+    first guess (its rounds cycled), runs them once more from the empty
+    guess. The rows left, and those that a row dropped by the setup makes
+    infeasible, are split from zero to `tol` within `max_iter` iterations
+    and, where that converged, polished once more on the splitting's support.
     """
     lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
     if lams.shape[1] != ocp.F.shape[1]:
@@ -635,35 +650,35 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
         raise ValueError("lambda must be componentwise nonnegative")
     g, split, pol = ocp.group, ocp.group.split, ocp.group.polish
     G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]).T
-    rhs, ball_off = ocp.rows_rhs.T, ocp.ball_off.T
+    rhs, ball_off, eps = ocp.rows_rhs.T, ocp.ball_off.T, g.ing.eps_r
     B, nrows = G.shape[1], split.row_scale.size
     # the polish's products of g alone: u0 = -H^-1 g, C_r u0 and the scaled kept rows' b
     U0, CU0 = -(pol.H_inv @ G), -(pol.CH_inv @ G)
     b = (rhs if split.zero is None else rhs[~split.zero]) * split.row_scale[:, None]
 
-    def polish_round(cols, guess):
-        """Polish the columns `cols` on `guess`: (U, mu, slack, kept mask)."""
-        U_r, mu_r, slack_r, kkt = polish(pol, U0[:, cols], CU0[:, cols], b[:, cols], guess)
-        ball = np.hypot.reduce(g.ball_C @ U_r + ball_off[:, cols], axis=0)
-        return U_r, mu_r, slack_r, kkt & (ball < g.ing.eps_r)
+    def polish_round(cols, guess, on=None):
+        """(U, mu, slack, nu, ball slack, kept mask) of `cols` on `guess`, ball tight at `on`."""
+        U0_r, off = U0[:, cols], ball_off[:, cols]
+        U_r, mu_r, slack_r, nu_r, kkt = polish(pol, U0_r, CU0[:, cols], b[:, cols], guess, on,
+                                               None if on is None else g.ball_C @ U0_r + off, eps)
+        ball = np.hypot.reduce(g.ball_C @ U_r + off, axis=0) - eps
+        ok = ball < 0.0 if on is None else np.where(
+            on, (nu_r >= 0.0) & (np.abs(ball) <= KKT_TOL * max(1.0, eps)), ball < 0.0)
+        return U_r, mu_r, slack_r, nu_r, ball, kkt & ok
 
     def accept(cols, guess):
-        """Polish the columns `cols` (indices) on `guess` and keep the passing answers.
-
-        Returns the mask of kept columns and every column's next guess.
-        """
-        U_r, mu_r, slack_r, ok = polish_round(cols, guess)
+        """Keep what passes of `cols` on `guess` (kept rows, then the ball): (kept, next)."""
+        U_r, mu_r, slack_r, nu_r, ball_r, ok = polish_round(cols, guess[:-1], guess[-1])
         j = cols[ok]
-        U[:, j], mu[:, j], slack[:, j] = U_r[:, ok], mu_r[:, ok], slack_r[:, ok]
-        active[:, j], polished[j] = guess[:, ok], True
-        return ok, mu_r + slack_r > 0.0
+        U[:, j], slack[:, j], ball[j] = U_r[:, ok], slack_r[:, ok], ball_r[ok]
+        active[:, j], polished[j] = guess[:-1, ok], True
+        return ok, np.vstack((mu_r + slack_r > 0.0, nu_r + ball_r > 0.0))
 
     def rounds_of(todo, guess, nxt, budget):
-        """At most `budget` more rounds of the columns `todo`, refused on `guess`.
+        """At most `budget` more rounds of `todo`, refused on `guess`, next guessing `nxt`.
 
-        `nxt` holds their next guesses. Returns the columns that stop on an
-        unchanged guess, the columns still refused after the last round and
-        the guesses these were refused on.
+        Returns the columns that stop on an unchanged guess, those still refused
+        after the last round and the guesses these were refused on.
         """
         stuck = []
         for _ in range(budget):
@@ -685,55 +700,39 @@ def solve_inner(ocp: CondensedOcp, lams, warm=None, tol: float = 1e-8,
         active, dead = active[~split.zero], dead_columns(split, rhs)
         active[:, dead], rounds[dead] = False, 0
         left.append(np.flatnonzero(dead))
-    # round 1 polishes every column on whole arrays, with no gather or scatter: its answers
-    # start the outputs, and a refused column keeps its first guess in `active` until a
-    # later round or its splitting run replaces its entries
-    U, mu, slack, polished = polish_round(slice(None), active)
+    # round 1 polishes every column on whole arrays, with the ball guessed inactive and no
+    # gather or scatter: its answers start the outputs, and a refused column keeps its first
+    # guess in `active` until a later round or its splitting run replaces its entries
+    U, mu, slack, _, ball, polished = polish_round(slice(None), active)
     if split.zero is not None:
         polished &= ~dead
     if not polished.all():
         todo = np.flatnonzero(~polished & (rounds > 0))
-        stuck, cycled, last = rounds_of(todo, active[:, todo],
-                                        mu[:, todo] + slack[:, todo] > 0.0,
-                                        ACTIVE_SET_ROUNDS - 1)
+        first = np.vstack((active[:, todo], np.zeros((1, todo.size), dtype=bool)))
+        stuck, cycled, last = rounds_of(
+            todo, first, np.vstack((mu[:, todo] + slack[:, todo] > 0.0, ball[todo] > 0.0)),
+            ACTIVE_SET_ROUNDS - 1)
         again = active[:, cycled].any(axis=0)  # a nonempty first guess
         restuck, recycled, _ = rounds_of(cycled[again], last[:, again],
                                          np.zeros_like(last[:, again]), ACTIVE_SET_ROUNDS)
         left += stuck + restuck + [cycled[~again], recycled]
 
-    iters, flags, split_state = np.zeros(B, dtype=int), ["converged"] * B, None
+    iters, flags = np.zeros(B, dtype=int), ["converged"] * B
     todo = np.sort(np.concatenate(left)) if left else np.zeros(0, dtype=int)
     if todo.size:
-        U = U.copy()  # round 1 may have returned U0 itself, which the polish below reads
-        total = split.C.shape[0]
-        S, Y = ((np.zeros((total, B)), np.zeros((total, B))) if warm is None
-                else map(np.copy, warm.warm))
-        flags = np.array(flags, dtype=object)
-        U[:, todo], (S[:, todo], Y[:, todo]), iters[todo], _, _, flags[todo] = split_iterate(
-            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], max(tol, POLISH_LEVEL),
-            max_iter, warm=(S[:, todo], Y[:, todo]))
-        active[:, todo] = Y[:nrows, todo] > 0
-        todo = todo[flags[todo] == "converged"]
-        ok, _ = accept(todo, active[:, todo])
-        refused = todo[~ok]
-        redo = refused if tol < POLISH_LEVEL else refused[:0]
-        budget = max_iter - int(iters[redo].max(initial=0))
-        if redo.size and budget == 0:
-            flags[redo] = "iteration-cap"
-        elif redo.size:
-            U[:, redo], (S[:, redo], Y[:, redo]), more, _, _, flags[redo] = split_iterate(
-                split, G[:, redo], rhs[:, redo], [ball_off[:, redo]], tol, budget,
-                warm=(S[:, redo], Y[:, redo]))
-            iters[redo] += more
-            active[:, redo] = Y[:nrows, redo] > 0
-        flags, split_state = flags.tolist(), (S, Y)
+        U, flags = U.copy(), np.array(flags, dtype=object)  # U may be U0, which accept reads
+        U[:, todo], Y, iters[todo], flags[todo] = split_iterate(
+            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], tol, max_iter)
+        active[:, todo] = Y[:nrows] > 0
+        conv = flags[todo] == "converged"
+        accept(todo[conv], np.vstack((Y[:nrows, conv] > 0, (Y[nrows:, conv] != 0.0).any(axis=0))))
+        flags = flags.tolist()
     if split.zero is not None:
         kept, active = active, np.zeros((split.zero.size, B), dtype=bool)
         active[~split.zero] = kept
-    return InnerResult(ocp=ocp, u=np.ascontiguousarray(U.T), mu=mu, slack=slack,
-                       split_state=split_state, agent_iterations=iters, flags=flags,
-                       polished=polished, active=np.ascontiguousarray(active.T),
-                       rounds=rounds)
+    return InnerResult(ocp=ocp, u=np.ascontiguousarray(U.T), slack=slack, ball=ball,
+                       agent_iterations=iters, flags=flags, polished=polished,
+                       active=np.ascontiguousarray(active.T), rounds=rounds)
 
 
 def solve_centralized(scenario: Scenario, ingredients, tightened_list,
@@ -781,7 +780,7 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     rows_rhs = np.concatenate(rhs)
 
     setup = split_setup(H, rows_C, ball_Cs, [ocp.group.ing.eps_r for ocp, _ in rows_of])
-    U, _, iters, _, _, flags = split_iterate(
+    U, _, iters, flags = split_iterate(
         setup, g[:, None], rows_rhs[:, None], [ocp.ball_off[j][:, None] for ocp, j in rows_of],
         tol, max_iter)
     u, flag = U[:, 0], flags[0]

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from tube_dmpc.local_solver import (ACTIVE_SET_ROUNDS, POLISH_LEVEL, agent_group,
-                                    condense, dead_columns, feedback_guess, polish,
-                                    rollout_maps, solve_inner, split_iterate)
+from tube_dmpc.local_solver import (ACTIVE_SET_ROUNDS, KKT_TOL, agent_group, condense,
+                                    dead_columns, feedback_guess, polish, rollout_maps,
+                                    solve_inner, split_iterate)
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare
 
@@ -78,77 +78,82 @@ def solve_one(ocp, lam):
 def reference_solve(ocp, lams, guess=None, tol=1e-8, max_iter=20000) -> dict:
     """solve_inner's answers and carried fields, computed the straightforward way.
 
-    Each round gathers its pending columns and scatters the kept answers
-    into zero-filled outputs; a column still refused after ACTIVE_SET_ROUNDS
-    rounds from a nonempty first guess moves to the empty guess and runs
-    that many rounds again; the columns left split and are polished again.
-    The carried fields are recomputed from the answers by the CondensedOcp
-    methods: the status from `feasible` (rows_C u - rhs and the
-    terminal-ball norm), the trajectory (the free rollout plus Gamma u), the
-    cost (0.5 u'Hu + q'u + c0) and the coupling values (f0 + F u). Returns
-    one array or tuple per field.
+    Each round always passes the polish a ball guess and scatters the kept
+    answers into zero-filled outputs; round 1 takes every column at once, as
+    solve_inner's does (a one-column batch can round differently), and every
+    later round gathers its pending columns. Every column first guesses the
+    terminal ball inactive; a column still refused after ACTIVE_SET_ROUNDS
+    rounds from a nonempty first guess moves to the empty guess (ball
+    inactive) and runs that many rounds again; the columns left split from
+    zero to `tol` and are polished once more on the splitting's support. The
+    carried fields are recomputed from the answers by the CondensedOcp
+    methods: the status from `feasible` (rows_C u - rhs and the terminal-ball
+    norm), the trajectory (the free rollout plus Gamma u), the cost (0.5 u'Hu
+    + q'u + c0) and the coupling values (f0 + F u). Returns one array or
+    tuple per field.
     """
-    g, split, pol = ocp.group, ocp.group.split, ocp.group.polish
+    g, split, pol, eps = ocp.group, ocp.group.split, ocp.group.polish, ocp.group.ing.eps_r
     lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
     G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]).T
     rhs, ball_off = ocp.rows_rhs.T, ocp.ball_off.T
-    (k, B), nrows, total = G.shape, split.row_scale.size, split.C.shape[0]
-    U, S, Y = np.zeros((k, B)), np.zeros((total, B)), np.zeros((total, B))
-    iters, flags = np.zeros(B, dtype=int), np.full(B, "converged", dtype=object)
+    (k, B), nrows = G.shape, split.row_scale.size
+    U, iters = np.zeros((k, B)), np.zeros(B, dtype=int)
+    flags = np.full(B, "converged", dtype=object)
     active, polished = np.zeros((nrows, B), dtype=bool), np.zeros(B, dtype=bool)
     rounds = np.zeros(B, dtype=int)
     U0, CU0 = -(pol.H_inv @ G), -(pol.CH_inv @ G)
     b = (rhs if split.zero is None else rhs[~split.zero]) * split.row_scale[:, None]
 
-    def accept(cols, guess_cols):
-        U_pol, mu, slack, kkt = polish(pol, U0[:, cols], CU0[:, cols], b[:, cols], guess_cols)
-        ok = kkt & (np.hypot.reduce(g.ball_C @ U_pol + ball_off[:, cols], axis=0) < g.ing.eps_r)
+    def accept(cols, guess_cols, on):
+        Y0 = g.ball_C @ U0[:, cols] + ball_off[:, cols]
+        U_pol, mu, slack, nu, kkt = polish(pol, U0[:, cols], CU0[:, cols], b[:, cols],
+                                           guess_cols, on, Y0, eps)
+        ball = np.hypot.reduce(g.ball_C @ U_pol + ball_off[:, cols], axis=0) - eps
+        tight = (nu >= 0.0) & (np.abs(ball) <= KKT_TOL * max(1.0, eps))
+        ok = kkt & np.where(on, tight, ball < 0.0) & ~dead[cols]
         j = cols[ok]
         U[:, j], active[:, j], polished[j] = U_pol[:, ok], guess_cols[:, ok], True
-        return ok, mu + slack > 0.0
+        return ok, mu + slack > 0.0, nu + ball > 0.0
 
-    def rounds_from(todo, guess):
+    def rounds_from(todo, guess, on, budget):
         """(columns left on an unchanged guess, refused in the last round, their guesses)."""
         left = []
-        for r in range(ACTIVE_SET_ROUNDS):
+        for r in range(budget):
             if not todo.size:
                 break
             rounds[todo] += 1
-            ok, nxt = accept(todo, guess)
-            if r == ACTIVE_SET_ROUNDS - 1:
-                return left, todo[~ok], guess[:, ~ok]
-            moved = ~ok & (nxt != guess).any(axis=0)
+            ok, nxt, nxt_on = accept(todo, guess, on)
+            if r == budget - 1:
+                return left, todo[~ok], guess[:, ~ok], on[~ok]
+            moved = ~ok & ((nxt != guess).any(axis=0) | (nxt_on != on))
             left.append(todo[~ok & ~moved])
-            todo, guess = todo[moved], nxt[:, moved]
-        return left, todo, guess
+            todo, guess, on = todo[moved], nxt[:, moved], nxt_on[moved]
+        return left, todo, guess, on
 
     start = np.array(feedback_guess(ocp) if guess is None else guess, dtype=bool).T
     if split.zero is not None:
         start = start[~split.zero]
+    # a column that a dropped row makes infeasible guesses no row in round 1, is never kept
+    # and runs no other round
     dead = dead_columns(split, rhs)
-    left, cycled, last = rounds_from(np.flatnonzero(~dead), start[:, ~dead])
-    again = start[:, cycled].any(axis=0) & last.any(axis=0)
-    more, recycled, _ = rounds_from(cycled[again],
-                                    np.zeros((nrows, int(again.sum())), dtype=bool))
-    todo = np.sort(np.concatenate([np.flatnonzero(dead), *left, cycled[~again], *more,
-                                   recycled]).astype(int))
+    start[:, dead], rounds[~dead] = False, 1
+    ok, nxt, nxt_on = accept(np.arange(B), start, np.zeros(B, dtype=bool))
+    todo = np.flatnonzero(~ok & ~dead)
+    moved = (nxt[:, todo] != start[:, todo]).any(axis=0) | nxt_on[todo]
+    left, cycled, last, last_on = rounds_from(todo[moved], nxt[:, todo[moved]],
+                                              nxt_on[todo[moved]], ACTIVE_SET_ROUNDS - 1)
+    again = start[:, cycled].any(axis=0) & (last.any(axis=0) | last_on)
+    more, recycled, _, _ = rounds_from(cycled[again],
+                                       np.zeros((nrows, int(again.sum())), dtype=bool),
+                                       np.zeros(int(again.sum()), dtype=bool), ACTIVE_SET_ROUNDS)
+    todo = np.sort(np.concatenate([np.flatnonzero(dead), todo[~moved], *left, cycled[~again],
+                                   *more, recycled]).astype(int))
     if todo.size:
-        U[:, todo], (S[:, todo], Y[:, todo]), iters[todo], _, _, flags[todo] = split_iterate(
-            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], max(tol, POLISH_LEVEL),
-            max_iter)
-        active[:, todo] = Y[:nrows, todo] > 0
-        todo = todo[flags[todo] == "converged"]
-        ok, _ = accept(todo, active[:, todo])
-        redo = todo[~ok] if tol < POLISH_LEVEL else todo[:0]
-        budget = max_iter - int(iters[redo].max(initial=0))
-        if redo.size and budget == 0:
-            flags[redo] = "iteration-cap"
-        elif redo.size:
-            U[:, redo], (S[:, redo], Y[:, redo]), extra, _, _, flags[redo] = split_iterate(
-                split, G[:, redo], rhs[:, redo], [ball_off[:, redo]], tol, budget,
-                warm=(S[:, redo], Y[:, redo]))
-            iters[redo] += extra
-            active[:, redo] = Y[:nrows, redo] > 0
+        U[:, todo], Y, iters[todo], flags[todo] = split_iterate(
+            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], tol, max_iter)
+        active[:, todo] = Y[:nrows] > 0
+        conv = flags[todo] == "converged"
+        accept(todo[conv], active[:, todo[conv]], (Y[nrows:, conv] != 0.0).any(axis=0))
     if split.zero is not None:
         kept, active = active, np.zeros((split.zero.size, B), dtype=bool)
         active[~split.zero] = kept

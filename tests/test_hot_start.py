@@ -71,60 +71,77 @@ def test_guess_never_moves_the_answer(ball_groups, problem):
 @settings(max_examples=40, deadline=None)
 @given(group_problems())
 def test_rounds_match_tight_splitting(ball_groups, problem):
-    # from every guess kind, a polished answer is the optimum to rounding: it matches an
-    # independent splitting solve run to 1e-13 without polish (the tolerance of
-    # test_polish_matches_tight_splitting); any other answer is a splitting answer
+    # from every guess kind, every column that has a reference is polished, on the
+    # terminal ball as off it, and matches an independent splitting solve run to 1e-13
+    # without polish (the tolerance of test_polish_matches_tight_splitting)
     factor, x0, lams, kind, rnd = problem
     group = ball_groups[factor]
     ocp = condense(group, x0, [0] * len(x0))
     result = solve_inner(ocp, lams, guess=guess_of(kind, solve_inner(ocp, lams), rnd))
     G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ np.array(lams)[:, :, None])[:, :, 0]).T
-    ref, _, _, _, _, flags = split_iterate(group.split, G, ocp.rows_rhs.T, [ocp.ball_off.T],
-                                           1e-13, 400000)
+    ref, _, _, flags = split_iterate(group.split, G, ocp.rows_rhs.T, [ocp.ball_off.T],
+                                     1e-13, 400000)
     for j, flag in enumerate(flags):
         if flag != "converged":
             continue  # no reference: the state has no feasible plan, or hardly one
         scale = max(1.0, np.abs(ref[:, j]).max())
-        level = 1e-11 if result.polished[j] else 1e-5
-        np.testing.assert_allclose(result.u[j], ref[:, j], rtol=0, atol=level * scale)
+        assert result.polished[j] and result.agent_iterations[j] == 0, j
+        np.testing.assert_allclose(result.u[j], ref[:, j], rtol=0, atol=1e-11 * scale)
 
 
 def polish_guesses(monkeypatch) -> list:
     """Record the guesses (one row per column) of every polish call that has columns."""
     seen, polish = [], local_solver.polish
 
-    def recording(pol, U0, CU0, b, active):
+    def recording(pol, U0, CU0, b, active, *ball):
         if active.shape[1]:
             seen.append(active.T.copy())
-        return polish(pol, U0, CU0, b, active)
+        return polish(pol, U0, CU0, b, active, *ball)
 
     monkeypatch.setattr(local_solver, "polish", recording)
     return seen
 
 
-@pytest.mark.parametrize("factor, x0, flag", [(1.0, [-15.0, -4.9], "infeasible"),
-                                              (0.1, [10.7, -3.4], "converged")])
-def test_stuck_guess_leaves_after_one_round(ball_groups, monkeypatch, factor, x0, flag):
-    # the state has no feasible plan, or its plan ends on the terminal ball: the rounds
-    # reach a guess that maps to itself and leave it to splitting, which keeps its flag
-    group = ball_groups[factor]
+def test_stuck_guess_leaves_to_splitting(ball_groups, monkeypatch):
+    # the state has no feasible plan: the rounds reach a guess that maps to itself and
+    # leave it to splitting, which flags it infeasible; started on that guess's rows, the
+    # rounds hold the ball inactive, then active (the answer lies outside it), and leave
+    group = ball_groups[1.0]
     assert group.split.zero is None  # a polish guess is a full rows_C mask
-    ocp, lam = condense(group, [x0]), np.zeros((1, group.F.shape[1]))
+    ocp, lam = condense(group, [[-15.0, -4.9]]), np.zeros((1, group.F.shape[1]))
     seen = polish_guesses(monkeypatch)
     first = solve_inner(ocp, lam)
-    assert first.flags == [flag] and not first.polished[0] and first.agent_iterations[0] > 0
+    assert first.flags == ["infeasible"] and not first.polished[0]
+    assert first.agent_iterations[0] > 0
     rounds = int(first.rounds[0])
     assert rounds < local_solver.ACTIVE_SET_ROUNDS  # it left on an unchanged guess
     stuck = seen[rounds - 1]
     seen.clear()
     again = solve_inner(ocp, lam, guess=stuck)
-    assert again.rounds.tolist() == [1] and again.flags == first.flags
-    assert not again.polished[0]
-    # one refused round, then (where the splitting run converged) the fallback's polish
-    assert len(seen) == (2 if flag == "converged" else 1)
-    np.testing.assert_array_equal(seen[0], stuck)
-    status = "optimal" if flag == "converged" else "infeasible"
-    assert again.solution.status == first.solution.status == (status,)
+    assert again.rounds.tolist() == [2] and again.flags == first.flags
+    assert not again.polished[0] and len(seen) == 2  # two refused rounds, then splitting
+    for guess in seen:
+        np.testing.assert_array_equal(guess, stuck)
+    assert again.solution.status == first.solution.status == ("infeasible",)
+
+
+def test_ball_column_is_polished_in_round_two(ball_groups, monkeypatch):
+    # this plan ends on the terminal ball: guessed its own rows, round 1 holds the ball
+    # inactive and is refused; round 2 keeps the rows and guesses the ball active, and is
+    # polished there, without a splitting iteration
+    group = ball_groups[0.1]
+    ocp, lam = condense(group, [[10.7, -3.4]]), np.zeros((1, group.F.shape[1]))
+    first = solve_inner(ocp, lam)
+    assert first.polished[0] and first.iterations == 0
+    assert abs(first.ball[0]) <= KKT_TOL * max(1.0, group.ing.eps_r)
+    seen = polish_guesses(monkeypatch)
+    again = solve_inner(ocp, lam, guess=first.active)
+    assert again.rounds.tolist() == [2] and again.polished[0] and again.iterations == 0
+    assert len(seen) == 2
+    for guess in seen:
+        np.testing.assert_array_equal(guess, first.active)
+    np.testing.assert_allclose(again.u, first.u, rtol=0, atol=1e-12 * np.abs(first.u).max())
+    assert again.solution.status == ("optimal",)
 
 
 def test_one_round_keeps_the_closed_loop(default_scenario, default_pipeline, monkeypatch):
@@ -318,17 +335,16 @@ def test_carried_fields_match_reference(case, data):
         mask = (group.index.size, group.rows_C.shape[0])
         guess = data.draw(st.sampled_from([None, np.zeros(mask, dtype=bool),
                                            data.draw(arrays(np.bool_, mask))]))
-        # where the inputs barely act, both sides overflow alike: near B = 1e-308 the splitting
-        # run scales the ball offsets by 1/||ball_C|| (about 1e308), and near B = 1e-158 an
-        # infeasible row's split answer runs to about 1e157 and its cost to inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = solve_inner(ocp, lams, guess=guess)
+        result = solve_inner(ocp, lams, guess=guess)
+        # near B = 1e-158 an infeasible row's split answer runs to about 1e157, and the cost
+        # u'Hu that both sides compute overflows to inf alike
+        with np.errstate(over="ignore"):
             sol, ref = result.solution, reference_solve(ocp, lams, guess)
-            assert result.flags == ref["flags"] and sol.status == ref["status"]
-            np.testing.assert_array_equal(result.active, ref["active"])
-            np.testing.assert_array_equal(result.rounds, ref["rounds"])
-            u = ref["u"]
-            assert_close(sol.u_star, u, u)
-            assert_close(sol.z_star, ref["trajectory"], ocp.free, group.Gamma @ u.T)
-            assert_close(sol.J_star, ref["cost"], ocp.c0, ocp.q * u, u @ group.H * u)
-            assert_close(result.coupling, ref["coupling"], ocp.f0, ocp.F @ u[:, :, None])
+        assert result.flags == ref["flags"] and sol.status == ref["status"]
+        np.testing.assert_array_equal(result.active, ref["active"])
+        np.testing.assert_array_equal(result.rounds, ref["rounds"])
+        u = ref["u"]
+        assert_close(sol.u_star, u, u)
+        assert_close(sol.z_star, ref["trajectory"], ocp.free, group.Gamma @ u.T)
+        assert_close(sol.J_star, ref["cost"], ocp.c0, ocp.q * u, u @ group.H * u)
+        assert_close(result.coupling, ref["coupling"], ocp.f0, ocp.F @ u[:, :, None])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tube_dmpc import dual_admm
-from tube_dmpc.local_solver import (KKT_TOL, PolishSetup, agent_group, condense, polish,
-                                    solve_inner, split_iterate)
+from tube_dmpc.local_solver import (KKT_TOL, PolishSetup, agent_group, condense,
+                                    feedback_guess, polish, solve_inner, split_iterate)
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare, run_closed_loop
 
@@ -91,26 +91,44 @@ BALL_ACTIVE = (10.7, -3.4, 0.1, [0.0] * 10)
        st.lists(st.floats(0.0, 3.0), min_size=10, max_size=10))
 @example(*BALL_ACTIVE)
 def test_polish_matches_tight_splitting(ball_groups, x1, x2, factor, lam):
-    # a polished answer is the optimum to rounding; an answer on the terminal ball
-    # is never polished: it comes from splitting on to the inner tolerance
+    # a polished answer is the optimum to rounding, on the terminal ball as off it
     group = ball_groups[factor]
     ocp = condense(group, [[x1, x2]])
     lam = np.array(lam)
     result = solve_inner(ocp, [lam])
     G = (ocp.q[0] + ocp.F[0].T @ lam)[:, None]
-    ref, _, _, _, _, flags = split_iterate(group.split, G, ocp.rows_rhs.T, [ocp.ball_off.T],
-                                           1e-13, 400000)
+    ref, _, _, flags = split_iterate(group.split, G, ocp.rows_rhs.T, [ocp.ball_off.T],
+                                     1e-13, 400000)
     if flags != ["converged"]:
         return  # no reference: the state has no feasible plan, or hardly one
     u_ref = ref[:, 0]
     scale = max(1.0, np.abs(u_ref).max())
     on_ball = np.linalg.norm(group.ball_C @ u_ref + ocp.ball_off[0]) >= group.ing.eps_r - 1e-9
     if on_ball:
-        assert not result.polished[0]
-        assert result.flags == ["converged"]
-        np.testing.assert_allclose(result.u[0], u_ref, rtol=0, atol=1e-5 * scale)
-    if result.polished[0]:
-        np.testing.assert_allclose(result.u[0], u_ref, rtol=0, atol=1e-11 * scale)
+        assert abs(result.ball[0]) <= 1e-9
+    assert result.polished[0] and result.iterations == 0
+    assert result.flags == ["converged"]
+    np.testing.assert_allclose(result.u[0], u_ref, rtol=0, atol=1e-11 * scale)
+
+
+def test_ball_guess_on_an_inside_answer_stays_at_zero(default_scenario, ball_groups):
+    # the scenario's states at multiplier 0, on their feedback-plan rows, end their plans
+    # inside the terminal ball; guessing the ball active there, the Newton step on nu is
+    # clamped at 0 and the polish returns the answers of the halfspace case
+    group = ball_groups[1.0]
+    pol, eps = group.polish, group.ing.eps_r
+    ocp = condense(group, default_scenario.x0, [0] * len(default_scenario.x0))
+    G, guess = ocp.q.T, feedback_guess(ocp).T
+    U0, CU0 = -(pol.H_inv @ G), -(pol.CH_inv @ G)
+    b = ocp.rows_rhs.T * group.split.row_scale[:, None]
+    Y0 = group.ball_C @ U0 + ocp.ball_off.T
+    halfspace = polish(pol, U0, CU0, b, guess)
+    assert guess.any() and halfspace[4].all()
+    assert (np.linalg.norm(group.ball_C @ halfspace[0] + ocp.ball_off.T, axis=0) < eps).all()
+    on_ball = polish(pol, U0, CU0, b, guess, np.ones(G.shape[1], dtype=bool), Y0, eps)
+    assert on_ball[3].tolist() == [0.0] * G.shape[1]
+    for single, both in zip(halfspace, on_ball):
+        np.testing.assert_array_equal(both, single)
 
 
 def test_empty_guess_runs_no_cg_step(default_scenario, default_pipeline, monkeypatch):
@@ -128,9 +146,9 @@ def test_empty_guess_runs_no_cg_step(default_scenario, default_pipeline, monkeyp
     monkeypatch.setattr(np, "vecdot", counting_vecdot)
 
     empty = np.zeros((rows, 3), dtype=bool)
-    U, mu, slack, kkt = polish(pol, U0, CU0, b, empty)
+    U, mu, slack, nu, kkt = polish(pol, U0, CU0, b, empty)
     assert not steps
-    assert np.all(mu == 0.0)
+    assert np.all(mu == 0.0) and np.all(nu == 0.0)
     assert U.tobytes() == U0.tobytes()
     assert slack.tobytes() == (CU0 - b).tobytes()
     assert kkt.tolist() == (CU0 - b <= KKT_TOL * np.maximum(1.0, np.abs(b))).all(axis=0).tolist()
@@ -141,7 +159,7 @@ def test_empty_guess_runs_no_cg_step(default_scenario, default_pipeline, monkeyp
     first = rows - default_scenario.N * n_input
     mixed = empty.copy()
     mixed[[first, first + n_input], 1] = True
-    U, mu, slack, _ = polish(pol, U0, CU0, b, mixed)
+    U, mu, slack, _, _ = polish(pol, U0, CU0, b, mixed)
     assert steps
     A = mixed[:, 1]
     mu_ref = np.linalg.solve(pol.schur[np.ix_(A, A)], CU0[A, 1] - b[A, 1])
@@ -160,15 +178,56 @@ def test_overflowing_guess_is_refused_without_warning():
     # column 1, whose guess holds row 0 only, keeps the answer it gets alone (pytest turns a
     # RuntimeWarning into an error)
     H_inv = np.diag([1.0, 1e-310])
-    pol = PolishSetup(H_inv=H_inv, CH_inv=H_inv, schur=H_inv)
+    pol = PolishSetup(H_inv=H_inv, CH_inv=H_inv, schur=H_inv, ball_V=np.eye(1),
+                      ball_eig=np.zeros(1), ball_H_inv=np.zeros((1, 2)),
+                      ball_E=np.zeros((2, 1)))
     U0 = np.array([[0.0, 3.0], [2.0, 0.5]])
     b = np.array([[0.0, 1.0], [1.0, 1.0]])
     active = np.array([[True, True], [True, False]])
-    U, mu, slack, kkt = polish(pol, U0, U0, b, active)
+    U, mu, slack, nu, kkt = polish(pol, U0, U0, b, active)
     assert kkt.tolist() == [False, True]
     assert np.all(mu[:, 0] == 0.0) and U[:, 0].tolist() == U0[:, 0].tolist()
     assert slack[:, 0].tolist() == (U0 - b)[:, 0].tolist()
     alone = polish(pol, U0[:, 1:], U0[:, 1:], b[:, 1:], active[:, 1:])
-    for full, single in zip((U, mu, slack, kkt), alone):
+    for full, single in zip((U, mu, slack, nu, kkt), alone):
         assert full[..., 1:].tobytes() == single.tobytes()
     np.testing.assert_allclose(U[:, 1], [1.0, 0.5])
+
+
+@pytest.fixture(scope="module")
+def binding_group():
+    """A binding instance: four copies of the default agent with R = 30 and a 0.02
+    disturbance box, under one relative row psi_x = (-0.7354, 0.6776), psi_u = 0.8952,
+    rhs 21.61, whose dual optimum is about 1,499 in block 0. Returns its group and x0."""
+    raw = load_raw("four_agent.yaml")
+    x0s = [[-5.7069, 1.7742], [-0.9765, -1.4787], [-7.4991, 2.5735], [-7.3273, 2.1779]]
+    raw["agents"] = [dict(raw["agents"][0], R=[[30.0]], disturbance={"box": [0.02, 0.02]},
+                          x0=x0) for x0 in x0s]
+    raw["coupling"] = {"absolute": False, "psi_x": [[[-0.7354, 0.6776]]] * 4,
+                       "psi_u": [[[0.8952]]] * 4, "rhs": [21.61]}
+    sc = validate_scenario(raw)
+    (group,) = prepare(sc).groups
+    return group, sc.x0
+
+
+@pytest.mark.parametrize("lam0", [1000.0, 1500.0])
+def test_binding_instance_is_polished_on_the_ball(binding_group, lam0):
+    # near the dual optimum agents 2 and 3 end their plans on the terminal ball: round 1
+    # refuses them, round 2 guesses the ball active and polishes them; nothing splits,
+    # and every answer is the optimum of a splitting solve run to 1e-13
+    group, x0 = binding_group
+    ocp = condense(group, x0)
+    lams = np.zeros((4, group.F.shape[1]))
+    lams[:, 0] = lam0
+    result = solve_inner(ocp, lams)
+    assert result.polished.all() and result.iterations == 0
+    assert result.rounds.tolist() == [1, 1, 2, 2]
+    assert (result.ball[:2] < 0.0).all()
+    assert np.abs(result.ball[2:]).max() <= KKT_TOL * max(1.0, group.ing.eps_r)
+    assert result.solution.status == ("optimal",) * 4
+    G = (ocp.q + (ocp.F.transpose(0, 2, 1) @ lams[:, :, None])[:, :, 0]).T
+    ref, _, _, flags = split_iterate(group.split, G, ocp.rows_rhs.T, [ocp.ball_off.T],
+                                     1e-13, 400000)
+    assert flags == ["converged"] * 4
+    scale = np.maximum(1.0, np.abs(ref).max(axis=0))
+    assert (np.abs(result.u - ref.T).max(axis=1) <= 1e-11 * scale).all()
