@@ -46,11 +46,11 @@ def rollout_maps(A, B, N: int) -> tuple[np.ndarray, np.ndarray]:
     return powers(A, N + 1), Gamma
 
 
-def _read_only(obj):
-    """Clear the write flag of every array field of a setup or group (tuples included)."""
+def read_only(obj):
+    """Clear the write flag of every array field of a dataclass (tuples and lists included)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        for arr in value if isinstance(value, tuple) else (value,):
+        for arr in value if isinstance(value, (tuple, list)) else (value,):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
 
@@ -108,7 +108,7 @@ def split_setup(H, rows_C, ball_Cs, ball_radii) -> SplitSetup:
     solve_map = np.linalg.inv(H + sigma * (C.T @ C))
     setup = SplitSetup(zero=zero, row_scale=scale, C=C, sigma=sigma, solve_map=solve_map,
                        step_map=(sigma * solve_map) @ C.T, balls=tuple(balls))
-    _read_only(setup)
+    read_only(setup)
     return setup
 
 
@@ -241,7 +241,7 @@ def polish_setup(H, split: SplitSetup, ball_C) -> PolishSetup:
     setup = PolishSetup(H_inv=H_inv, CH_inv=CH_inv, schur=CH_inv @ C_r.T, ball_V=V,
                         ball_eig=np.maximum(eig, 0.0), ball_H_inv=ball_H_inv,
                         ball_E=C_r @ ball_H_inv.T)
-    _read_only(setup)
+    read_only(setup)
     return setup
 
 
@@ -441,7 +441,7 @@ def agent_group(agent: AgentModel, ing: TerminalIngredients, tightened: Tightene
         dual_curvature=np.linalg.norm(F @ np.linalg.solve(H, F.transpose(0, 2, 1)), 2,
                                       axis=(1, 2)),
         split=split, polish=polish_setup(H, split, ball_C))
-    _read_only(group)
+    read_only(group)
     return group
 
 

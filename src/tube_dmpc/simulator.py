@@ -12,7 +12,7 @@ import numpy as np
 from .model import Scenario, group_members, membership, per_agent
 from .synthesis import certify, synthesize
 from .tightening import tolerance_schedule, tighten_local_sets
-from .local_solver import agent_groups, condense
+from .local_solver import agent_groups, condense, read_only
 from .dual_admm import AdmmError, run_admm
 from .trigger import g_profile, quad_form, select_Mk
 
@@ -42,6 +42,8 @@ class Pipeline:
     `groups` holds one AgentGroup per distinct agent model: the plant, the
     condensed OCPs, the dual iteration and the trigger read it. `ingredients`
     and `tightened` hold one entry per agent (shared within a group).
+    `replay` is empty or holds one t = 0 coupled solve and its key (see
+    _first_solve); a run fills it, `prepare` does not.
     """
 
     ingredients: tuple
@@ -49,6 +51,7 @@ class Pipeline:
     tightened: tuple
     certificate: object
     groups: tuple
+    replay: list = field(default_factory=list, compare=False, repr=False)
 
 
 def prepare(scenario: Scenario) -> Pipeline:
@@ -289,7 +292,12 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
         ocp_idx = np.flatnonzero(~terminal).tolist()
         if ocp_idx:
             try:
-                span = _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active)
+                if t == 0:
+                    solved, converged = _first_solve(scenario, pipeline, log, terminal, ocp_idx)
+                else:
+                    solved, converged = _solve(scenario, pipeline, log, t, terminal, ocp_idx,
+                                               active)
+                span = _apply(scenario, pipeline, log, t, ocp_idx, active, solved, converged)
             except SimulationAborted:
                 log.close(t)
                 raise
@@ -309,17 +317,14 @@ def run_closed_loop(scenario: Scenario, pipeline: Pipeline | None = None,
     return log
 
 
-def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active) -> int:
-    """Solve the coupled problem of the OCP agents at t and record the instant.
+def _solve(scenario, pipeline, log, t, terminal, ocp_idx, active) -> tuple:
+    """Condense and solve the coupled problem of the OCP agents at t, one stack per group.
 
-    Each agent group condenses, solves and is bounded as one stack; the
-    per-agent records are put in agent order once. Writes the plans into the
-    input blocks and their active sets, moved on by the steps applied, into
-    `active`; returns the steps they are applied.
+    Returns ((blocks, ocps, solutions, admm_state), converged): per group
+    with OCP agents its log block, condensed problem and solution, and the
+    dual iteration's final state.
     """
-    N, T_run = scenario.N, scenario.T_run
     sched = pipeline.schedule
-    periodic = scenario.trigger_mode == "periodic"
 
     # the terminal-mode agents' nominal feedback plans take their part of b first
     b_free = sched.b
@@ -347,6 +352,43 @@ def _solve_instant(scenario, pipeline, log, t, terminal, ocp_idx, active) -> int
                 f"initial infeasibility: agent {exc.agent_index}: {exc}") from exc
         raise SimulationAborted(
             f"feasibility lost at t = {t} (agent {exc.agent_index}): {exc}", log=log) from exc
+    return (blocks, ocps, solutions, admm_state), converged
+
+
+def _first_solve(scenario, pipeline, log, terminal, ocp_idx) -> tuple:
+    """_solve at t = 0, replayed from the pipeline when it holds the same problem.
+
+    Every slot starts cold at t = 0, so the solve depends only on the
+    states X[0] of every group, the terminal mask and the solver settings:
+    their bytes are the key. A converged solve is made read-only and
+    replaces the stored one; one that raises or does not converge is not
+    stored.
+    """
+    key = ([X[0].tobytes() for X in log.x], terminal.tobytes(), scenario.solver)
+    if pipeline.replay and pipeline.replay[0] == key:
+        return pipeline.replay[1], True
+    solved, converged = _solve(scenario, pipeline, log, 0, terminal, ocp_idx, None)
+    if converged:
+        _, ocps, solutions, admm_state = solved
+        for obj in (*ocps, *solutions, admm_state):
+            read_only(obj)
+        pipeline.replay[:] = (key, solved)
+    return solved, converged
+
+
+def _apply(scenario, pipeline, log, t, ocp_idx, active, solved, converged) -> int:
+    """Record the solve instant at t and apply its plans; returns the steps applied.
+
+    Checks an unconverged dual iterate against the headroom, counts the
+    solve's work, selects Mk and appends the TriggerRecord (the per-agent
+    records are put in agent order once). Writes the plans into the input
+    blocks and their active sets, moved on by the steps applied, into
+    `active`.
+    """
+    N, T_run = scenario.N, scenario.T_run
+    sched = pipeline.schedule
+    periodic = scenario.trigger_mode == "periodic"
+    blocks, ocps, solutions, admm_state = solved
 
     fallback = False
     if not converged:

@@ -213,6 +213,14 @@ def default_pipeline(default_scenario):
     return prepare(default_scenario)
 
 
+@pytest.fixture
+def fresh_pipeline(default_scenario):
+    """The default scenario's pipeline for one test alone: no earlier run filled its replay
+    slot, so its first run solves t = 0 and a solver patched by the test stores nothing
+    that other tests replay."""
+    return prepare(default_scenario)
+
+
 @pytest.fixture(scope="session")
 def nominal_scenario(default_raw):
     """Default scenario with the disturbance switched off."""

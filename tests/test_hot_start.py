@@ -144,13 +144,14 @@ def test_ball_column_is_polished_in_round_two(ball_groups, monkeypatch):
     assert again.solution.status == ("optimal",)
 
 
-def test_one_round_keeps_the_closed_loop(default_scenario, default_pipeline, monkeypatch):
+def test_one_round_keeps_the_closed_loop(default_scenario, default_pipeline, fresh_pipeline,
+                                         monkeypatch):
     # with a single round most columns fall back to splitting and polish; the answers
     # stay the optimum, so the closed loop moves by rounding only
     sc = dataclasses.replace(default_scenario, trigger_mode="periodic")
     rounds = run_closed_loop(sc, pipeline=default_pipeline)
     monkeypatch.setattr(local_solver, "ACTIVE_SET_ROUNDS", 1)
-    one = run_closed_loop(sc, pipeline=default_pipeline)
+    one = run_closed_loop(sc, pipeline=fresh_pipeline)
     assert one.counters["inner_iterations"] > rounds.counters["inner_iterations"]
     for blocks_a, blocks_b in ((rounds.u, one.u), (rounds.x, one.x)):
         for block_a, block_b in zip(blocks_a, blocks_b):

@@ -87,7 +87,7 @@ def test_default_run_invariants(default_scenario, default_pipeline):
     assert all(st == "optimal" for rec in log.triggers for st in rec.statuses)
 
 
-def test_applied_inputs_equal_stored_segments(default_scenario, default_pipeline,
+def test_applied_inputs_equal_stored_segments(default_scenario, fresh_pipeline,
                                               monkeypatch):
     original = simulator.run_admm
     solved = []  # the (group problem, solution) pairs of every instant, in order
@@ -98,7 +98,7 @@ def test_applied_inputs_equal_stored_segments(default_scenario, default_pipeline
         return result
 
     monkeypatch.setattr(simulator, "run_admm", capturing)
-    log = run_closed_loop(default_scenario, pipeline=default_pipeline)
+    log = run_closed_loop(default_scenario, pipeline=fresh_pipeline)
     assert len(solved) == len(log.triggers)
     for rec, pairs in zip(log.triggers, solved):
         assert sorted(i for ocp, _ in pairs for i in ocp.agents.tolist()) == list(rec.ocp_agents)
@@ -250,10 +250,10 @@ def test_coupled_violation_clears_recursive_feasible(default_scenario, default_p
     assert report.as_dict()["recursive_feasible_all"] is False
 
 
-def test_admm_fallback_accepts_small_violation(default_scenario, default_pipeline,
+def test_admm_fallback_accepts_small_violation(default_scenario, fresh_pipeline,
                                                monkeypatch):
     real_run = simulator.run_admm
-    sched = default_pipeline.schedule
+    sched = fresh_pipeline.schedule
     headroom = np.repeat(sched.eps[:-1] / 2.0, sched.p)  # per row of b
 
     def flaky(ocps, params, **kw):
@@ -262,14 +262,14 @@ def test_admm_fallback_accepts_small_violation(default_scenario, default_pipelin
         return sols, state, False  # below headroom: usable last iterate
 
     monkeypatch.setattr(simulator, "run_admm", flaky)
-    log = run_closed_loop(default_scenario, pipeline=default_pipeline)
+    log = run_closed_loop(default_scenario, pipeline=fresh_pipeline)
     assert log.counters["fallback_steps"] == log.solve_instants() > 0
 
 
-def test_admm_failure_aborts_with_partial_log(default_scenario, default_pipeline,
+def test_admm_failure_aborts_with_partial_log(default_scenario, fresh_pipeline,
                                               monkeypatch):
     real_run = simulator.run_admm
-    sched = default_pipeline.schedule
+    sched = fresh_pipeline.schedule
     headroom = np.repeat(sched.eps[:-1] / 2.0, sched.p)  # per row of b
 
     def broken(ocps, params, **kw):
@@ -279,15 +279,15 @@ def test_admm_failure_aborts_with_partial_log(default_scenario, default_pipeline
 
     monkeypatch.setattr(simulator, "run_admm", broken)
     with pytest.raises(simulator.SimulationAborted, match="did not converge") as exc:
-        run_closed_loop(default_scenario, pipeline=default_pipeline)
+        run_closed_loop(default_scenario, pipeline=fresh_pipeline)
     assert exc.value.log is not None  # partial log attached for diagnostics
 
 
-def test_aborted_log_covers_the_steps_made(default_scenario, default_pipeline,
+def test_aborted_log_covers_the_steps_made(default_scenario, fresh_pipeline,
                                           monkeypatch, tmp_path):
     # the second instant fails: the partial log holds exactly the steps before it
     real_run = simulator.run_admm
-    sched = default_pipeline.schedule
+    sched = fresh_pipeline.schedule
     calls = []
 
     def second_fails(ocps, params, **kw):
@@ -300,7 +300,7 @@ def test_aborted_log_covers_the_steps_made(default_scenario, default_pipeline,
 
     monkeypatch.setattr(simulator, "run_admm", second_fails)
     with pytest.raises(simulator.SimulationAborted) as exc:
-        run_closed_loop(default_scenario, pipeline=default_pipeline)
+        run_closed_loop(default_scenario, pipeline=fresh_pipeline)
     log = exc.value.log
     steps = log.triggers[0].Mk_applied
     assert 0 < steps == log.steps < log.T_run

@@ -105,7 +105,7 @@ def test_identical_agents_share_one_template(default_raw):
     assert pipe.groups[1].split is not pipe.groups[0].split
 
 
-def test_closed_loop_after_prepare_factors_nothing(default_scenario, default_pipeline,
+def test_closed_loop_after_prepare_factors_nothing(default_scenario, fresh_pipeline,
                                                    monkeypatch):
     norm = np.linalg.norm
 
@@ -122,7 +122,7 @@ def test_closed_loop_after_prepare_factors_nothing(default_scenario, default_pip
     monkeypatch.setattr(np.linalg, "norm", vector_norm_only)
     for mode in ("self-triggered", "periodic"):
         log = run_closed_loop(replace(default_scenario, trigger_mode=mode),
-                              pipeline=default_pipeline)
+                              pipeline=fresh_pipeline)
         assert log.solve_instants() > 0
 
 

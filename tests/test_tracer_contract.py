@@ -36,12 +36,12 @@ def test_every_wrapped_name_resolves(spans):
         assert callable(getattr(owner, attr, None)), name
 
 
-def test_traced_run_spans_match_counters(spans, default_scenario, default_pipeline):
+def test_traced_run_spans_match_counters(spans, default_scenario, fresh_pipeline):
     tracer = spans.Tracer(tube_dmpc)
     tracer.install()
     try:
         tracer.run = 0
-        log = simulator.run_closed_loop(default_scenario, pipeline=default_pipeline)
+        log = simulator.run_closed_loop(default_scenario, pipeline=fresh_pipeline)
     finally:
         tracer.uninstall()
     data = tracer.arrays()
@@ -51,7 +51,7 @@ def test_traced_run_spans_match_counters(spans, default_scenario, default_pipeli
     # one condense, solve_inner, g_profile and select_Mk span per agent group and instant
     # (the default agents form one group, and every instant is certified at iteration 0),
     # so the bench's per-layer split keeps its meaning
-    assert len(default_pipeline.groups) == 1
+    assert len(fresh_pipeline.groups) == 1
     ids = spans.instant_ids(data)
     assert int(ids.max()) + 1 == log.solve_instants()
     for name in ("local_solver.condense", "local_solver.solve_inner", "trigger.g_profile",
@@ -60,6 +60,39 @@ def test_traced_run_spans_match_counters(spans, default_scenario, default_pipeli
         assert int(calls.sum()) == log.solve_instants(), name
         np.testing.assert_array_equal(np.bincount(ids[calls], minlength=log.solve_instants()),
                                       1, err_msg=name)
+
+
+def test_second_traced_run_replays_the_first_instant(spans, default_scenario, fresh_pipeline):
+    # the second run on one pipeline replays the t = 0 coupled solve: it opens no condense,
+    # run_admm or solve_inner span before its first g_profile span, one fewer of each in
+    # all, and ends with the first run's counters
+    tracer = spans.Tracer(tube_dmpc)
+    tracer.install()
+    try:
+        logs = []
+        for run in (0, 1):
+            tracer.run = run
+            logs.append(simulator.run_closed_loop(default_scenario, pipeline=fresh_pipeline))
+    finally:
+        tracer.uninstall()
+    first, second = logs
+    assert second.counters == first.counters
+    data = tracer.arrays()
+    code, run = data["code"], data["run"]
+    solve_codes = [spans.CODE[name] for name in ("local_solver.condense", "dual_admm.run_admm",
+                                                 "local_solver.solve_inner")]
+    instants = first.solve_instants()
+    for r, solved in ((0, instants), (1, instants - 1)):
+        for name in ("local_solver.condense", "dual_admm.run_admm", "local_solver.solve_inner"):
+            assert int(((code == spans.CODE[name]) & (run == r)).sum()) == solved, (r, name)
+        assert int(((code == spans.CODE["trigger.g_profile"]) & (run == r)).sum()) == instants
+    mine = np.flatnonzero(run == 1)
+    first_bound = mine[code[mine] == spans.CODE["trigger.g_profile"]][0]
+    assert not np.isin(code[mine[mine < first_bound]], solve_codes).any()
+    # the traced splitting iterations miss only the replayed instant's
+    inner = (code == spans.CODE["local_solver.solve_inner"]) & (run == 1)
+    replayed = fresh_pipeline.replay[1][3].total_inner_iterations
+    assert int(data["payload"][inner].sum()) + replayed == second.counters["inner_iterations"]
 
 
 def replicated_eight(default_raw):
@@ -73,11 +106,11 @@ def replicated_eight(default_raw):
 
 
 @pytest.mark.parametrize("case", ["periodic", "replicated-8", "mixed-six", "one-round"])
-def test_traced_grouped_runs_match_counters(spans, default_scenario, default_pipeline,
+def test_traced_grouped_runs_match_counters(spans, default_scenario, fresh_pipeline,
                                             default_raw, monkeypatch, case):
     # one solve_inner span per group and ADMM iteration, its payload summed over the group
     if case in ("periodic", "one-round"):
-        scenario, pipeline = replace(default_scenario, trigger_mode="periodic"), default_pipeline
+        scenario, pipeline = replace(default_scenario, trigger_mode="periodic"), fresh_pipeline
         if case == "one-round":  # one active-set round leaves columns to the splitting fallback
             monkeypatch.setattr(local_solver, "ACTIVE_SET_ROUNDS", 1)
     else:
