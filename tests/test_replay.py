@@ -4,16 +4,22 @@ Every run of one pipeline from one x0 starts with the same t = 0 problem (the
 disturbances enter only after it), so the first run that converges there
 stores its condensed problems, solutions and dual state in the pipeline's one
 replay slot, and a later run with the same key skips `condense` and
-`run_admm` at t = 0. Its outputs are those of a fresh pipeline.
+`run_admm` at t = 0. Its outputs are those of a fresh pipeline. A run in
+which `condense` or the inner solve is rebound (a span tracer, a spy) solves
+t = 0 every time, so the calls here are counted by a profile hook instead.
 """
 
 import copy
 import dataclasses
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tube_dmpc.cli as cli
+import tube_dmpc.dual_admm as dual_admm
+import tube_dmpc.local_solver as local_solver
 import tube_dmpc.simulator as simulator
 from tube_dmpc.cli import main
 from tube_dmpc.model import validate_scenario
@@ -39,18 +45,23 @@ def outputs(scenario, log, path) -> dict:
             for name in ("trace.csv", "triggers.csv", "summary.json")}
 
 
-def spy(monkeypatch) -> dict:
-    """Count the calls of simulator.condense and simulator.run_admm."""
-    calls = {"condense": 0, "run_admm": 0}
-    for name in calls:
-        original = getattr(simulator, name)
+@pytest.fixture
+def calls():
+    """Calls of condense and run_admm during the test, counted by a profile hook.
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    The hook rebinds no name, so the replay stays on.
+    """
+    codes = {local_solver.condense.__code__: "condense", dual_admm.run_admm.__code__: "run_admm"}
+    counts = dict.fromkeys(codes.values(), 0)
 
-        monkeypatch.setattr(simulator, name, counted)
-    return calls
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    yield counts
+    sys.setprofile(previous)
 
 
 def solving_groups(pipeline, rec) -> int:
@@ -75,10 +86,9 @@ def test_second_run_writes_the_fresh_pipelines_bytes(tmp_path, name, mode):
 
 @pytest.mark.parametrize("mode", ["self-triggered", "periodic"])
 @pytest.mark.parametrize("name", ["four_agent.yaml", "mixed_six.yaml"])
-def test_second_run_skips_the_first_solve(monkeypatch, name, mode):
+def test_second_run_skips_the_first_solve(calls, name, mode):
     sc = scenario_of(name, mode)
     pipe = prepare(sc)
-    calls = spy(monkeypatch)
     first = run_closed_loop(sc, pipeline=pipe)
     assert first.triggers[0].t_k == 0
     assert calls == {"condense": sum(solving_groups(pipe, rec) for rec in first.triggers),
@@ -111,12 +121,11 @@ def first_solves(calls, scenario, pipeline) -> int:
 
 
 @pytest.mark.parametrize("change", ["x0", "solver", "terminal-mask"])
-def test_a_changed_key_solves_again_and_replaces_the_slot(monkeypatch, default_raw, change):
+def test_a_changed_key_solves_again_and_replaces_the_slot(calls, default_raw, change):
     raw = copy.deepcopy(default_raw)
     raw["agents"][2]["x0"] = [0.05, 0.05]  # inside its terminal set at t = 0
     sc = validate_scenario(raw)
     pipe = prepare(sc)
-    calls = spy(monkeypatch)
     assert first_solves(calls, sc, pipe) == 1
     key, stored = pipe.replay
     assert first_solves(calls, sc, pipe) == 0
@@ -141,7 +150,6 @@ def test_initial_infeasibility_raises_on_every_run_and_stores_nothing():
         assert pipe.replay == []
 
 
-
 def test_a_fallback_instant_is_not_stored(monkeypatch, default_scenario):
     # an unconverged dual iterate within the headroom is applied as a fallback, not stored
     pipe = prepare(default_scenario)
@@ -155,6 +163,54 @@ def test_a_fallback_instant_is_not_stored(monkeypatch, default_scenario):
     log = run_closed_loop(default_scenario, pipeline=pipe)
     assert log.triggers[0].fallback and pipe.replay == []
 
+
+def same(x, y) -> bool:
+    """Equal values, with arrays compared element by element and sequences by type."""
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    if isinstance(x, (tuple, list)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(same, x, y))
+    return x == y
+
+
+def test_a_later_run_leaves_the_stored_solve_as_it_was(default_scenario):
+    # the mutable parts of the stored solve (dual state, solutions) are shared by every
+    # later run: its sequences are tuples, and replaying them changes no field
+    pipe = prepare(default_scenario)
+    run_closed_loop(default_scenario, pipeline=pipe)
+    blocks, ocps, solutions, state = stored = pipe.replay[1]
+    assert all(isinstance(seq, tuple) for seq in (blocks, ocps, solutions, state.active))
+    before = copy.deepcopy((blocks, solutions, state))
+    for seed in (default_scenario.seed, default_scenario.seed + 1):
+        run_closed_loop(default_scenario, pipeline=pipe, seed=seed)
+    assert pipe.replay[1] is stored
+    assert blocks == before[0]
+    for old, new in zip((*before[1], before[2]), (*solutions, state)):
+        for f in dataclasses.fields(old):
+            assert same(getattr(old, f.name), getattr(new, f.name)), f.name
+
+
+@pytest.mark.parametrize("owner,name", [(simulator, "condense"), (dual_admm, "solve_inner")])
+def test_a_rebound_solver_solves_the_first_instant_every_run(monkeypatch, default_scenario,
+                                                             owner, name):
+    # a wrapper around condense or the inner solve (a span tracer) sees the t = 0 solve
+    # of every run; the slot a plain run filled is neither read nor replaced
+    pipe = prepare(default_scenario)
+    run_closed_loop(default_scenario, pipeline=pipe)
+    stored = pipe.replay[1]
+    original, seen = getattr(owner, name), []
+
+    def wrapped(*args, **kwargs):
+        seen.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    for _ in range(2):
+        seen.clear()
+        log = run_closed_loop(default_scenario, pipeline=pipe)
+        assert len(seen) == log.solve_instants() and pipe.replay[1] is stored
+
+
 def fresh_pipeline_per_run(monkeypatch, module):
     """Make module.run_closed_loop prepare a new pipeline for every run."""
     run = simulator.run_closed_loop
@@ -166,12 +222,11 @@ def fresh_pipeline_per_run(monkeypatch, module):
 
 
 @pytest.mark.parametrize("command", ["montecarlo", "compare"])
-def test_campaigns_write_the_bytes_of_fresh_pipelines(tmp_path, monkeypatch, command):
+def test_campaigns_write_the_bytes_of_fresh_pipelines(tmp_path, monkeypatch, calls, command):
     args = [command, "--scenario", str(SCENARIOS / "four_agent.yaml")]
     if command == "montecarlo":
         args += ["--runs", "5"]
     name = "montecarlo.json" if command == "montecarlo" else "comparison.json"
-    calls = spy(monkeypatch)
     assert main(args + ["--out", str(tmp_path / "shared")]) == 0
     shared = calls["run_admm"]
     calls["run_admm"] = 0
