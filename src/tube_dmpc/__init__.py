@@ -1,8 +1,7 @@
 """Robust self-triggered distributed MPC for disturbed linear multi-agent systems."""
 
 from .model import (AgentModel, CouplingSpec, HPolytope, Scenario, ScenarioError,
-                    SolverParams, group_members, membership, validate_scenario,
-                    scenario_to_dict)
+                    SolverParams, group_members, membership, validate_scenario)
 from .synthesis import (CertificateReport, TerminalIngredients, certify,
                         lqr_gain, synthesize, terminal_radii, terminal_weight)
 from .tightening import TightenedSets, ToleranceSchedule, tighten_local_sets, tolerance_schedule
@@ -16,7 +15,7 @@ from .simulator import (DisturbanceSampler, MonteCarloReport, Pipeline, SimLog,
 
 __all__ = [
     "AgentModel", "CouplingSpec", "HPolytope", "Scenario", "ScenarioError",
-    "SolverParams", "membership", "validate_scenario", "scenario_to_dict",
+    "SolverParams", "membership", "validate_scenario",
     "CertificateReport", "TerminalIngredients", "certify", "lqr_gain",
     "synthesize", "terminal_radii", "terminal_weight",
     "TightenedSets", "ToleranceSchedule", "tighten_local_sets", "tolerance_schedule",

@@ -21,6 +21,8 @@ NEWTON_STEPS = 20  # Newton steps on the terminal ball's multiplier per polish
 ACTIVE_SET_ROUNDS = 8  # polish rounds per column before solve_inner falls back to splitting
 KKT_TOL = 1e-10  # slack allowed in the polish's feasibility and tightness checks
 SCALE_FLOOR = np.finfo(float).tiny  # a row or block normed below this cannot be rescaled
+ORACLE_TOL = 1e-8  # splitting tolerance and iteration cap of the centralized oracle
+ORACLE_MAX_ITER = 20000
 
 
 class OcpInfeasibleError(RuntimeError):
@@ -315,9 +317,11 @@ def polish(pol: PolishSetup, U0, CU0, b, active, on=None, Y0=None, radius=None):
                 dmu = _masked_cg(pol, active, np.where(active, -(E @ (M * y)), 0.0), nu * M)
                 slope = np.vecdot(y, -M * (eig * y + E.T @ dmu), axis=0)  # ||y|| d||y||/d nu
                 # the Newton step on 1/||y|| - 1/radius raises nu left of its root; a step that
-                # does not has converged, is clamped at 0 (an inactive ball) or cannot move it
-                nxt = np.maximum(nu + np.divide(norm * norm * (radius - norm), radius * slope,
-                                                out=np.zeros_like(nu), where=~done & (slope < 0)),
+                # does not has converged, is clamped at 0 (an inactive ball) or cannot move it.
+                # The mask is on den: a subnormal slope times radius can round to -0
+                den = radius * slope
+                nxt = np.maximum(nu + np.divide(norm * norm * (radius - norm), den,
+                                                out=np.zeros_like(nu), where=~done & (den < 0)),
                                  0.0)
                 done |= nxt <= nu
                 nu = nxt
@@ -735,54 +739,48 @@ def solve_inner(ocp: CondensedOcp, lams, tol: float = 1e-8, max_iter: int = 2000
                        active=np.ascontiguousarray(active.T), rounds=rounds)
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """The matrices `blocks` in order along the diagonal of one zero matrix."""
+    corners = np.cumsum([(0, 0)] + [b.shape for b in blocks], axis=0)
+    out = np.zeros(corners[-1])
+    for b, (r, c) in zip(blocks, corners):
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+    return out
+
+
 def solve_centralized(scenario: Scenario, ingredients, tightened_list,
-                      schedule: ToleranceSchedule, x0_all,
-                      tol: float = 1e-8, max_iter: int = 20000):
+                      schedule: ToleranceSchedule, x0_all):
     """Stacked solve with the coupling rows as hard constraints.
 
     Ground-truth oracle for the distributed path, built from the same agent
     groups; the stacked inputs run over the groups and, within each, its
-    members. It splits to `tol` without the polish of solve_inner, so it
-    stays an independent reference and builds no polish data for the stacked
-    problem. Returns (one OcpSolution per group, total cost).
+    members. H, the halfspace rows and the terminal-ball rows are each
+    group's matrices once per member along the diagonal, and the coupling
+    rows follow the halfspace rows. It splits to ORACLE_TOL without the
+    polish of solve_inner, so it stays an independent reference and builds
+    no polish data for the stacked problem. Returns (one OcpSolution per
+    group, total cost).
     """
     groups = agent_groups(scenario, ingredients, tightened_list)
     ocps = [condense(grp, [x0_all[i] for i in grp.index.tolist()]) for grp in groups]
-    rows_of = [(ocp, j) for ocp in ocps for j in range(ocp.slots.size)]
-    dims = [ocp.group.H.shape[0] for ocp, _ in rows_of]
-    total_dim = sum(dims)
-    starts = np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
-    H = np.zeros((total_dim, total_dim))
-    g = np.zeros(total_dim)
-    rows, rhs = [], []
-    ball_Cs = []
-    coupling_C = np.zeros((schedule.b.shape[0], total_dim))
+    def stacked(name):
+        return _block_diag([np.kron(np.eye(grp.index.size), getattr(grp, name))
+                            for grp in groups])
+
+    rows_C = np.vstack([stacked("rows_C"), np.hstack([F for ocp in ocps for F in ocp.F])])
     coupling_rhs = schedule.b.copy()
-    for i, (ocp, j) in enumerate(rows_of):
-        grp = ocp.group
-        sl = slice(starts[i], starts[i + 1])
-        H[sl, sl] = grp.H
-        g[sl] = ocp.q[j]
-        block = np.zeros((grp.rows_C.shape[0], total_dim))
-        block[:, sl] = grp.rows_C
-        rows.append(block)
-        rhs.append(ocp.rows_rhs[j])
-        ball_C = np.zeros((grp.ball_C.shape[0], total_dim))
-        ball_C[:, sl] = grp.ball_C
-        ball_Cs.append(ball_C)
-        coupling_C[:, sl] = ocp.F[j]
-        coupling_rhs -= ocp.f0[j]
-    rows.append(coupling_C)
-    rhs.append(coupling_rhs)
-    rows_C = np.vstack(rows)
-    del rows  # one stacked copy of the (large) halfspace block is enough
-    rows_rhs = np.concatenate(rhs)
+    for ocp in ocps:
+        for f0 in ocp.f0:  # one agent at a time: a sum of the f0 first would round otherwise
+            coupling_rhs -= f0
+    rows_rhs = np.concatenate([ocp.rows_rhs.ravel() for ocp in ocps] + [coupling_rhs])
 
-    setup = split_setup(H, rows_C, ball_Cs, [ocp.group.ing.eps_r for ocp, _ in rows_of])
+    ball_ends = np.cumsum([grp.ball_C.shape[0] for grp in groups for _ in grp.index])
+    setup = split_setup(stacked("H"), rows_C, np.split(stacked("ball_C"), ball_ends[:-1]),
+                        [grp.ing.eps_r for grp in groups for _ in grp.index])
     U, _, iters, flags = split_iterate(
-        setup, g[:, None], rows_rhs[:, None], [ocp.ball_off[j][:, None] for ocp, j in rows_of],
-        tol, max_iter)
+        setup, np.concatenate([ocp.q.ravel() for ocp in ocps])[:, None], rows_rhs[:, None],
+        [off[:, None] for ocp in ocps for off in ocp.ball_off], ORACLE_TOL, ORACLE_MAX_ITER)
     u, flag = U[:, 0], flags[0]
     if flag == "infeasible":
         viol = rows_C @ u - rows_rhs
@@ -791,12 +789,10 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
             f"stacked problem infeasible; most violated row {worst} "
             f"by {viol[worst]:.3e}")
 
-    solutions, first = [], 0
-    for ocp in ocps:
-        B, k = ocp.q.shape
-        U = u[first:first + B * k].reshape(B, k)
+    solutions = []
+    for ocp, U in zip(ocps, np.split(u, np.cumsum([ocp.q.size for ocp in ocps])[:-1])):
+        U, B = U.reshape(ocp.q.shape), ocp.q.shape[0]
         solutions.append(OcpSolution(u_star=U, z_star=ocp.trajectory(U), J_star=ocp.cost(U),
                                      status=_status([flag] * B, ocp.feasible(U).tolist()),
                                      iterations=np.full(B, iters[0])))
-        first += B * k
     return solutions, float(sum(J for sol in solutions for J in sol.J_star.tolist()))

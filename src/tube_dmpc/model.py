@@ -69,8 +69,8 @@ class HPolytope:
         eye = np.eye(hw.size)
         return cls(np.vstack([eye, -eye]), np.concatenate([hw, hw]))
 
-    def contains_origin_strictly(self, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(np.all(self.h > tol))
+    def contains_origin_strictly(self) -> bool:
+        return bool(np.all(self.h > MEMBERSHIP_TOL))
 
     def is_bounded(self) -> bool:
         """Boundedness of a nonempty set: its recession cone {d : G d <= 0} is {0}.
@@ -250,8 +250,7 @@ def _symmetrize_pd(mat, what) -> np.ndarray:
     return sym
 
 
-def _parse_agent(node, index, bounded: dict) -> AgentModel:
-    """One agent node; `bounded` caches is_bounded per polytope (G, h) bytes."""
+def _parse_agent(node, index) -> AgentModel:
     tag = f"agent {index}"
     A = np.atleast_2d(_get(node, "A", tag))
     n = A.shape[0]
@@ -273,12 +272,8 @@ def _parse_agent(node, index, bounded: dict) -> AgentModel:
     for what, poly, spec in (("state_set", X, X_node), ("input_set", U, U_node)):
         if not poly.contains_origin_strictly():
             raise ScenarioError(f"{tag}: origin not interior to {what}")
-        if "box" in spec:
-            continue  # a box is bounded by construction: no LP
-        key = (poly.G.shape, poly.G.tobytes(), poly.h.tobytes())
-        if key not in bounded:
-            bounded[key] = poly.is_bounded()
-        if not bounded[key]:
+        # a box is bounded by construction: no LP
+        if "box" not in spec and not poly.is_bounded():
             raise ScenarioError(f"{tag}: unbounded {what}")
 
     dist = _get(node, "disturbance", tag, dict, {})
@@ -380,11 +375,11 @@ def validate_scenario(raw: dict) -> Scenario:
         raise ScenarioError("every entry of 'agents' must be a mapping")
 
     # _parse_agent does not read x0: agents whose nodes agree elsewhere share one parse
-    bounded, parsed, agents = {}, {}, []
+    parsed, agents = {}, []
     for i, node in enumerate(agent_nodes):
         key = repr([(name, _exact(value)) for name, value in node.items() if name != "x0"])
         if key not in parsed:
-            parsed[key] = _parse_agent(node, i, bounded)
+            parsed[key] = _parse_agent(node, i)
         agents.append(parsed[key])
     agents = tuple(agents)
 
@@ -421,43 +416,3 @@ def validate_scenario(raw: dict) -> Scenario:
                     trigger_mode=mode, solver=solver,
                     name=str(raw.get("name", "scenario")))
 
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Serialize a Scenario back to the document structure (round-trips exactly)."""
-    agents = []
-    for agent, xi in zip(sc.agents, sc.x0):
-        node = {
-            "A": agent.A.tolist(),
-            "B": agent.B.tolist(),
-            "Q": agent.Q.tolist(),
-            "R": agent.R.tolist(),
-            "state_set": {"G": agent.X.G.tolist(), "h": agent.X.h.tolist()},
-            "input_set": {"G": agent.U.G.tolist(), "h": agent.U.h.tolist()},
-            "x0": xi.tolist(),
-        }
-        if agent.box_half_widths is not None:
-            node["disturbance"] = {"box": agent.box_half_widths.tolist()}
-        else:
-            node["disturbance"] = {"w_bar": agent.w_bar}
-        agents.append(node)
-    return {
-        "name": sc.name,
-        "horizon": sc.N,
-        "t_run": sc.T_run,
-        "seed": sc.seed,
-        "trigger_mode": sc.trigger_mode,
-        "agents": agents,
-        "coupling": {
-            "psi_x": [Px.tolist() for Px in sc.coupling.Psi_x],
-            "psi_u": [Pu.tolist() for Pu in sc.coupling.Psi_u],
-            "rhs": [1.0] * sc.coupling.p,
-        },
-        "solver": {
-            "rho": sc.solver.rho, "gamma": sc.solver.gamma,
-            "tau": sc.solver.tau,
-            "tol_primal": sc.solver.tol_primal, "tol_dual": sc.solver.tol_dual,
-            "max_iter": sc.solver.max_iter,
-            "inner_tol": sc.solver.inner_tol,
-            "inner_max_iter": sc.solver.inner_max_iter,
-        },
-    }

@@ -233,17 +233,17 @@ class SimLog:
     def solve_instants(self) -> int:
         return len(self.triggers)
 
-    def local_violations(self, scenario: Scenario, tol: float = VIOLATION_TOL) -> int:
+    def local_violations(self, scenario: Scenario) -> int:
         """Logged states outside X plus inputs outside U, one membership call per group and set."""
         count = 0
         for grp, X, U in zip(self.groups, self.x, self.u):
             agent = scenario.agents[grp.index[0]]  # the members share their sets
-            count += np.count_nonzero(~membership(agent.X, X.reshape(-1, agent.n), tol=tol))
-            count += np.count_nonzero(~membership(agent.U, U.reshape(-1, agent.m), tol=tol))
+            count += np.count_nonzero(~membership(agent.X, X.reshape(-1, agent.n), VIOLATION_TOL))
+            count += np.count_nonzero(~membership(agent.U, U.reshape(-1, agent.m), VIOLATION_TOL))
         return int(count)
 
-    def global_violations(self, tol: float = VIOLATION_TOL) -> int:
-        return int(np.count_nonzero(np.any(self.coupling > 1.0 + tol, axis=1)))
+    def global_violations(self) -> int:
+        return int(np.count_nonzero(np.any(self.coupling > 1.0 + VIOLATION_TOL, axis=1)))
 
     def recursive_feasible(self) -> bool:
         """Every inner problem solved to optimality and the coupled row never broken."""

@@ -9,6 +9,8 @@ import numpy as np
 from .model import AgentModel, Scenario, group_members
 
 NORM_ONE_TOL = 1e-9
+DOUBLING_TOL = 1e-12  # relative step that stops the Riccati and Lyapunov doubling iterations
+DOUBLING_MAX_ITER = 200
 
 
 class SynthesisError(RuntimeError):
@@ -49,7 +51,7 @@ class TerminalIngredients:
         return float(np.sqrt(z @ self.P @ z))
 
 
-def lqr_gain(A, B, Q, R, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+def lqr_gain(A, B, Q, R) -> np.ndarray:
     """Unconstrained LQ gain K with u = K z, via the doubling iteration.
 
     Returns K = -(R + B'SB)^{-1} B'SA for the stabilizing Riccati solution S.
@@ -66,7 +68,7 @@ def lqr_gain(A, B, Q, R, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
     Ak = A.copy()
     Gk = B @ np.linalg.solve(R, B.T)
     Hk = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(DOUBLING_MAX_ITER):
         W = eye + Gk @ Hk
         WiA = np.linalg.solve(W, Ak)
         WiG = np.linalg.solve(W, Gk)
@@ -78,16 +80,15 @@ def lqr_gain(A, B, Q, R, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
         if not np.isfinite(Hk).all() or np.linalg.norm(Hk, "fro") > 1e14:
             raise SynthesisError("Riccati doubling iteration diverged; "
                                  "(A, B) may not be stabilizable")
-        if step <= tol * max(1.0, np.linalg.norm(Hk, "fro")):
+        if step <= DOUBLING_TOL * max(1.0, np.linalg.norm(Hk, "fro")):
             break
     else:
         raise SynthesisError("Riccati doubling iteration did not converge "
-                             f"within {max_iter} iterations")
+                             f"within {DOUBLING_MAX_ITER} iterations")
 
     S = 0.5 * (Hk + Hk.T)
     K = -np.linalg.solve(R + B.T @ S @ B, B.T @ S @ A)
-    residual = A.T @ S @ A - S + Q + (A.T @ S @ B) @ np.linalg.solve(
-        R + B.T @ S @ B, -(B.T @ S @ A))
+    residual = A.T @ S @ A - S + Q + (A.T @ S @ B) @ K
     if np.linalg.norm(residual) > 1e-8 * max(1.0, np.linalg.norm(S)):
         raise SynthesisError("Riccati residual too large; data may be ill-conditioned")
     if max(abs(np.linalg.eigvals(A + B @ K))) >= 1.0:
@@ -95,7 +96,7 @@ def lqr_gain(A, B, Q, R, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
     return K
 
 
-def terminal_weight(A, B, K, Q, R, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+def terminal_weight(A, B, K, Q, R) -> np.ndarray:
     """Solve (A+BK)'P(A+BK) + Q + K'RK = P by the doubling series."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
@@ -106,19 +107,18 @@ def terminal_weight(A, B, K, Q, R, tol: float = 1e-12, max_iter: int = 200) -> n
     if max(abs(np.linalg.eigvals(Acl))) >= 1.0:
         raise SynthesisError("A + BK has spectral radius >= 1; Lyapunov series diverges")
 
-    P = np.atleast_2d(np.asarray(Q, dtype=float)) + K.T @ np.atleast_2d(np.asarray(R, dtype=float)) @ K
-    Mk = Acl.copy()
-    for _ in range(max_iter):
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    Qeff = np.atleast_2d(np.asarray(Q, dtype=float)) + K.T @ R @ K
+    P, Mk = Qeff, Acl
+    for _ in range(DOUBLING_MAX_ITER):
         increment = Mk.T @ P @ Mk
         P = P + increment
         Mk = Mk @ Mk
-        if np.linalg.norm(increment, "fro") <= tol * max(1.0, np.linalg.norm(P, "fro")):
+        if np.linalg.norm(increment, "fro") <= DOUBLING_TOL * max(1.0, np.linalg.norm(P, "fro")):
             break
     else:
         raise SynthesisError("Lyapunov doubling series did not converge")
     P = 0.5 * (P + P.T)
-
-    Qeff = np.atleast_2d(np.asarray(Q, dtype=float)) + K.T @ np.atleast_2d(np.asarray(R, dtype=float)) @ K
     residual = np.linalg.norm(Acl.T @ P @ Acl + Qeff - P)
     if residual > 1e-10 * max(1.0, np.linalg.norm(P)):
         raise SynthesisError(f"Lyapunov residual {residual:.3e} too large")

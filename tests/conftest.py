@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import settings
 
 from tube_dmpc.local_solver import (ACTIVE_SET_ROUNDS, KKT_TOL, agent_group, condense,
                                     dead_columns, feedback_guess, polish, rollout_maps,
@@ -14,6 +15,11 @@ from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# the default settings, but a failing example (one replayed from the example database too)
+# also prints a @reproduce_failure blob that rebuilds it exactly
+settings.register_profile("reproducible", print_blob=True)
+settings.load_profile("reproducible")
 
 
 def one_agent(agent, ing, tightened, Psi_x, Psi_u, N, index=0):
@@ -196,6 +202,19 @@ def w_bar_scaled(scenario, factor):
 def load_raw(name):
     with open(SCENARIO_DIR / name) as fh:
         return yaml.safe_load(fh)
+
+
+def binding_raw():
+    """A binding instance (instance A): four copies of the default agent with R = 30 and a
+    0.02 disturbance box, under one relative row psi_x = (-0.7354, 0.6776), psi_u =
+    0.8952, rhs 21.61, whose dual optimum is about 1,499 in block 0."""
+    raw = load_raw("four_agent.yaml")
+    x0s = [[-5.7069, 1.7742], [-0.9765, -1.4787], [-7.4991, 2.5735], [-7.3273, 2.1779]]
+    raw["agents"] = [dict(raw["agents"][0], R=[[30.0]], disturbance={"box": [0.02, 0.02]},
+                          x0=x0) for x0 in x0s]
+    raw["coupling"] = {"absolute": False, "psi_x": [[[-0.7354, 0.6776]]] * 4,
+                       "psi_u": [[[0.8952]]] * 4, "rhs": [21.61]}
+    return raw
 
 
 @pytest.fixture(scope="session")

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tube_dmpc.model import AgentModel, CouplingSpec, HPolytope, Scenario, SolverParams
+from tube_dmpc.model import (AgentModel, CouplingSpec, HPolytope, Scenario, SolverParams,
+                             validate_scenario)
 from tube_dmpc.synthesis import synthesize
 from tube_dmpc.tightening import ToleranceSchedule, tighten_local_sets
 from tube_dmpc import dual_admm
 from tube_dmpc.local_solver import (agent_group, agent_groups, condense, solve_centralized,
                                     solve_inner)
+from tube_dmpc.simulator import prepare, run_closed_loop
 from tube_dmpc.dual_admm import (AdmmError, consensus_adjoint, consensus_diff,
                                  consensus_gain, lambda_update, omega_update, run_admm)
 
-from conftest import fleet_ocps, one_agent, solve_one
+from conftest import binding_raw, fleet_ocps, one_agent, solve_one
 
 
 def scalar_agent(a=0.5, inp=5.0):
@@ -209,6 +211,36 @@ def test_run_admm_active_coupling_against_centralized():
     assert spread <= 10 * params.tol_primal
     f_total = sum(ocp.coupling_values(s.u_star).sum(axis=0) for ocp, s in zip(ocps, sols))
     assert np.all(f_total <= b + 1e-4)
+
+
+def test_binding_closed_loop_matches_the_oracle():
+    # instance A at rho = 3e-5: the coupled row binds in block 0 with lambda* ~ 1,499 on
+    # every copy, and the t = 0 dual solve of all four agents meets the stacked oracle;
+    # the closed loop (agent 1 starts in its terminal set) takes its dual iterations at
+    # t = 0 and keeps every constraint
+    raw = binding_raw()
+    raw["solver"] = dict(raw["solver"], rho=3e-5, max_iter=3000)
+    sc = validate_scenario(raw)
+    pipe = prepare(sc)
+    assert pipe.certificate.overall_ok
+    sols, state, converged = run_admm(fleet_ocps(sc, pipe, b_share=pipe.schedule.b / sc.M),
+                                      sc.solver)
+    assert converged and state.iteration == 196
+    np.testing.assert_allclose(state.lambdas[:, 0], 1499.43, atol=0.01)
+    assert np.all(state.lambdas[:, 1:] == 0.0)
+    assert all(status == "optimal" for sol in sols for status in sol.status)
+    cost = sum(float(sol.J_star.sum()) for sol in sols)
+    _, central = solve_centralized(sc, pipe.ingredients, pipe.tightened, pipe.schedule, sc.x0)
+    assert central == pytest.approx(992.275, abs=1e-3)
+    assert abs(cost - central) <= 1e-6 * central
+
+    log = run_closed_loop(sc, pipe)
+    first = log.triggers[0]
+    assert first.t_k == 0 and first.ocp_agents == (0, 2, 3)
+    assert first.admm_iterations == 175 and first.converged and not first.fallback
+    assert log.counters["fallback_steps"] == 0
+    assert log.local_violations(sc) == 0 and log.global_violations() == 0
+    assert log.recursive_feasible()
 
 
 def recorded_solves(monkeypatch):

@@ -2,10 +2,8 @@ import copy
 
 import numpy as np
 import pytest
-import yaml
 
-from tube_dmpc.model import (HPolytope, ScenarioError, membership,
-                             scenario_to_dict, validate_scenario)
+from tube_dmpc.model import HPolytope, ScenarioError, membership, validate_scenario
 
 
 def test_default_scenario_validates(default_scenario):
@@ -34,28 +32,16 @@ def test_coupling_normalization(default_scenario):
     np.testing.assert_allclose(Pu3, np.array([[0.04], [-0.04]]) / 10.0)
 
 
-def test_normalization_idempotent(default_scenario):
-    doc = scenario_to_dict(default_scenario)
-    again = validate_scenario(copy.deepcopy(doc))
-    for Pa, Pb in zip(default_scenario.coupling.Psi_x, again.coupling.Psi_x):
-        np.testing.assert_array_equal(Pa, Pb)
-
-
-def test_round_trip_bit_exact(default_scenario):
-    doc = scenario_to_dict(default_scenario)
-    dumped = yaml.safe_dump(doc)
-    again = validate_scenario(yaml.safe_load(dumped))
-    for a, b in zip(default_scenario.agents, again.agents):
-        np.testing.assert_array_equal(a.A, b.A)
-        np.testing.assert_array_equal(a.B, b.B)
-        np.testing.assert_array_equal(a.Q, b.Q)
-        np.testing.assert_array_equal(a.R, b.R)
-        np.testing.assert_array_equal(a.X.G, b.X.G)
-        np.testing.assert_array_equal(a.X.h, b.X.h)
-        assert a.w_bar == b.w_bar
-    for xa, xb in zip(default_scenario.x0, again.x0):
-        np.testing.assert_array_equal(xa, xb)
-    for Pa, Pb in zip(default_scenario.coupling.Psi_x, again.coupling.Psi_x):
+def test_normalization_idempotent(default_raw, default_scenario):
+    # a document holding the stored (normalized) rows with rhs ones stores them unchanged
+    raw = copy.deepcopy(default_raw)
+    coupling = default_scenario.coupling
+    raw["coupling"] = {"psi_x": [Px.tolist() for Px in coupling.Psi_x],
+                       "psi_u": [Pu.tolist() for Pu in coupling.Psi_u],
+                       "rhs": [1.0] * coupling.p}
+    again = validate_scenario(raw)
+    assert again.coupling.p == coupling.p
+    for Pa, Pb in zip(coupling.Psi_x + coupling.Psi_u, again.coupling.Psi_x + again.coupling.Psi_u):
         np.testing.assert_array_equal(Pa, Pb)
 
 
@@ -94,6 +80,26 @@ def test_unbounded_state_set_rejected(default_raw):
                                      "h": [20.0, 20.0, 5.0]}  # x2 unbounded below
     with pytest.raises(ScenarioError, match="unbounded"):
         validate_scenario(raw)
+
+
+def test_state_set_shared_by_differing_agents_is_checked_per_agent(default_raw):
+    # agents 0 and 1 differ in R, so each node is parsed on its own, with one G/h state set
+    def two_agents(state_set):
+        raw = copy.deepcopy(default_raw)
+        raw["agents"][1]["R"] = [[0.2]]
+        for node in raw["agents"][:2]:
+            node["state_set"] = copy.deepcopy(state_set)
+        return raw
+
+    box = {"G": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], "h": [20.0, 20.0, 5.0, 5.0]}
+    sc = validate_scenario(two_agents(box))
+    assert sc.agents[1] is not sc.agents[0]
+    for agent in sc.agents[:2]:
+        np.testing.assert_array_equal(agent.X.G, box["G"])
+        np.testing.assert_array_equal(agent.X.h, box["h"])
+    open_below = {"G": box["G"][:3], "h": box["h"][:3]}  # x2 unbounded below
+    with pytest.raises(ScenarioError, match="agent 0: unbounded state_set"):
+        validate_scenario(two_agents(open_below))
 
 
 def test_origin_not_interior_rejected(default_raw):

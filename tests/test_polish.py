@@ -10,10 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from tube_dmpc import dual_admm
 from tube_dmpc.local_solver import (KKT_TOL, PolishSetup, agent_group, condense,
                                     feedback_guess, polish, solve_inner, split_iterate)
-from tube_dmpc.model import validate_scenario
+from tube_dmpc.model import AgentModel, HPolytope, validate_scenario
 from tube_dmpc.simulator import prepare, run_closed_loop
+from tube_dmpc.synthesis import TerminalIngredients
+from tube_dmpc.tightening import tighten_local_sets
 
-from conftest import load_raw
+from conftest import binding_raw, load_raw
 
 KKT_LEVEL = 1e-9
 
@@ -194,18 +196,36 @@ def test_overflowing_guess_is_refused_without_warning():
     np.testing.assert_allclose(U[:, 1], [1.0, 0.5])
 
 
+def test_newton_step_on_an_underflowing_slope_is_skipped():
+    # from this state the inputs cannot steer z(2) into the terminal ball: guessing the ball
+    # active, nu climbs to about 5e107 and the slope of ||y(nu)|| underflows to about
+    # -1e-323, which times radius 0.1 rounds to -0; the step is skipped (no division by zero,
+    # which pytest turns into an error), and the column is flagged infeasible after its
+    # rounds and a split
+    agent = AgentModel(
+        A=np.array([[0.7834392969455922, 0.6930901328143817, 0.0],
+                    [5.724605557466005e-07, 0.0, 0.7384063120873312],
+                    [0.7169633226455507, 0.0, -0.09227998947593978]]),
+        B=np.array([[0.220703125], [-0.1953125], [-1.25]]), w_bar=0.03240100159528208,
+        X=HPolytope.box([3.0830187680720487, 3.0, 3.0]), U=HPolytope.box([1.5]),
+        Q=0.1 * np.eye(3), R=np.array([[0.1]]))
+    ing = TerminalIngredients(
+        K=np.zeros((1, 3)),
+        P=np.array([[0.46187744140625, -0.768402099609375, 0.0],
+                    [-0.768402099609375, 3.2169586181640626, 0.41362237039592414],
+                    [0.0, 0.41362237039592414, 0.21518045263573288]]),
+        r=1.0, eps_r=0.1, contraction=0.5)
+    group = agent_group(agent, ing, tighten_local_sets(agent, 2), [np.zeros((1, 3))],
+                        [np.zeros((1, 1))], 2)
+    result = solve_inner(condense(group, [[1.390625] * 3]), np.zeros((1, group.F.shape[1])))
+    assert result.flags == ["infeasible"] and result.rounds.tolist() == [3]
+    assert not result.polished.any() and result.solution.status == ("infeasible",)
+
+
 @pytest.fixture(scope="module")
 def binding_group():
-    """A binding instance: four copies of the default agent with R = 30 and a 0.02
-    disturbance box, under one relative row psi_x = (-0.7354, 0.6776), psi_u = 0.8952,
-    rhs 21.61, whose dual optimum is about 1,499 in block 0. Returns its group and x0."""
-    raw = load_raw("four_agent.yaml")
-    x0s = [[-5.7069, 1.7742], [-0.9765, -1.4787], [-7.4991, 2.5735], [-7.3273, 2.1779]]
-    raw["agents"] = [dict(raw["agents"][0], R=[[30.0]], disturbance={"box": [0.02, 0.02]},
-                          x0=x0) for x0 in x0s]
-    raw["coupling"] = {"absolute": False, "psi_x": [[[-0.7354, 0.6776]]] * 4,
-                       "psi_u": [[[0.8952]]] * 4, "rhs": [21.61]}
-    sc = validate_scenario(raw)
+    """The group and x0 of the binding instance (conftest.binding_raw)."""
+    sc = validate_scenario(binding_raw())
     (group,) = prepare(sc).groups
     return group, sc.x0
 
