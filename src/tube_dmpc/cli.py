@@ -41,7 +41,7 @@ import numpy as np
 import yaml
 
 from .model import ScenarioError, Scenario, group_members, per_agent, validate_scenario
-from .synthesis import certify, synthesize
+from .synthesis import SynthesisError, certify, synthesize
 from .simulator import (CertificationError, InitialInfeasibilityError,
                         SimulationAborted, monte_carlo, prepare,
                         run_closed_loop, write_summary_json, write_trace_csv,
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, TighteningError, FileNotFoundError,
+    except (ScenarioError, SynthesisError, TighteningError, FileNotFoundError,
             yaml.YAMLError, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

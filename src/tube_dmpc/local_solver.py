@@ -126,92 +126,66 @@ def split_iterate(setup: SplitSetup, G, rows_rhs, ball_offsets, tol, max_iter):
 
     H and the constraint matrices are fixed by `setup`; column j of G (k, B),
     of rows_rhs (r, B) and of each ball's offset block (nb, B) is problem j's
-    linear term, halfspace right-hand sides and ball offset. Every problem
-    starts from zero. One batched iteration advances every problem still in
-    the working set; a problem leaves it at its own convergence, stall or
-    iteration-cap test, and no column reads another's data. Batched and
-    single-column BLAS calls round differently, so a column follows the
-    iterates it would follow alone up to rounding. Where its iterates are so
-    large that their rounding approaches `tol` (iterates near 1e8 at tol
-    1e-8), that rounding decides its residual tests, and it can stop at
-    another iteration than alone. Returns (U, Y, iterations, flags) per
-    column: Y (total, B) is the scaled splitting dual (positive on a clipped
-    row, nonzero on a clipped ball block), flags are in {converged,
-    iteration-cap, infeasible}. A row dropped by the setup is ignored when
-    its rhs is >= 0 and makes the problem infeasible when its rhs is < 0.
+    linear term, halfspace right-hand sides and ball offset. Each problem is
+    split alone, from zero, so its answer does not depend on the other
+    columns. Returns (U, Y, iterations, flags) per column: Y (total, B) is
+    the scaled splitting dual (positive on a clipped row, nonzero on a
+    clipped ball block), flags are in {converged, iteration-cap, infeasible}.
+    A row dropped by the setup is ignored when its rhs is >= 0 and makes the
+    problem infeasible, at 0 iterations, when its rhs is < 0. max_iter >= 1.
     """
-    C, sigma, step_map = setup.C, setup.sigma, setup.step_map
-    CT = C.T
-    (k, B), total = G.shape, C.shape[0]
-    U_out, Y_out = np.zeros((k, B)), np.zeros((total, B))
-    iterations, flags = np.zeros(B, dtype=int), np.full(B, "iteration-cap", dtype=object)
-
-    cols = np.arange(B)  # the working set
+    (k, B), total = G.shape, setup.C.shape[0]
+    U, Y = np.zeros((k, B)), np.zeros((total, B))
+    iterations, flags = np.zeros(B, dtype=int), ["infeasible"] * B
+    live = np.flatnonzero(~dead_columns(setup, rows_rhs)).tolist()
     if setup.zero is not None:
-        dead = dead_columns(setup, rows_rhs)
-        flags[dead] = "infeasible"
-        cols = cols[~dead]
         rows_rhs = rows_rhs[~setup.zero]
-    nrows = rows_rhs.shape[0]
+    for j in live:
+        U[:, j], Y[:, j], iterations[j], flags[j] = _split_one(
+            setup, G[:, j], rows_rhs[:, j], [off[:, j] for off in ball_offsets], tol, max_iter)
+    return U, Y, iterations, flags
+
+
+def _split_one(setup: SplitSetup, g, rhs, offsets, tol, max_iter):
+    """split_iterate's problem with linear term g, kept rows' rhs and ball offsets: (u, y,
+    iterations, flag). It stops at its convergence, stall or iteration-cap test."""
+    C, CT, sigma, step_map = setup.C, setup.C.T, setup.sigma, setup.step_map
     # halfspace bounds, +inf on the ball rows so that one minimum clips every row
-    upper = np.full((total, cols.size), np.inf)
-    upper[:nrows] = rows_rhs[:, cols] * setup.row_scale[:, None]
-    # per run of equal-size balls: rows, scaled offsets (blocks, nb, columns), scaled radii
+    upper = np.full(C.shape[0], np.inf)
+    upper[:rhs.size] = rhs * setup.row_scale
+    # per run of equal-size balls: rows, scaled offsets (blocks, nb), scaled radii
     balls, first = [], 0
     for sl, beta, rad_s in setup.balls:
-        off = np.stack(ball_offsets[first:first + beta.size])[:, :, cols] * beta[:, None, None]
-        balls.append((sl, off, rad_s[:, None, None]))
+        off = np.stack(offsets[first:first + beta.size]) * beta[:, None]
+        balls.append((sl, off, rad_s[:, None]))
         first += beta.size
-    KG = setup.solve_map @ G[:, cols]
-    S, Y = np.zeros((total, cols.size)), np.zeros((total, cols.size))
-    last_ok = np.zeros(cols.size, dtype=int)  # last iteration with r_prim <= STALL_LEVEL
-
-    for it in range(1, max_iter + 1 if cols.size else 1):  # none if every problem failed
-        U = step_map @ (S - Y)
-        U -= KG
-        CU = C @ U
-        CU_rel = RELAXATION * CU + (1.0 - RELAXATION) * S
-        V = CU_rel + Y
-        S_new = np.minimum(V, upper)
+    Kg = setup.solve_map @ g
+    S, y = np.zeros(C.shape[0]), np.zeros(C.shape[0])
+    last_ok = 0  # last iteration with r_prim <= STALL_LEVEL
+    for it in range(1, max_iter + 1):
+        u = step_map @ (S - y)
+        u -= Kg
+        Cu = C @ u
+        v = RELAXATION * Cu + (1.0 - RELAXATION) * S + y
+        S_new = np.minimum(v, upper)
         for sl, off_s, rad_s in balls:  # project each block onto ||. + off_s|| <= rad_s
-            # only a block outside its ball moves (V + off - off would round V away where
-            # |off| >> |V|), and hypot cannot overflow where the sum of squares would
-            W = V[sl].reshape(off_s.shape) + off_s
-            norm = np.hypot.reduce(W, axis=1, keepdims=True)
+            # only a block outside its ball moves (v + off - off would round v away where
+            # |off| >> |v|), and hypot cannot overflow where the sum of squares would
+            w = v[sl].reshape(off_s.shape) + off_s
+            norm = np.hypot.reduce(w, axis=1, keepdims=True)
             outside = norm > rad_s
-            W *= np.divide(rad_s, norm, out=np.ones_like(norm), where=outside)
-            np.subtract(W, off_s, out=S_new[sl].reshape(off_s.shape), where=outside)
-        Y = V - S_new
-        P = CU - S_new
-        r_prim = np.maximum.reduce(np.abs(P, out=P))
-        r_list = r_prim.tolist()  # Python min/max beat ufunc reductions over a few columns
-        r_min = min(r_list)
-        if max(r_list) <= STALL_LEVEL:
-            last_ok.fill(it)
-        elif r_min <= STALL_LEVEL:
-            np.copyto(last_ok, it, where=r_prim <= STALL_LEVEL)
+            w *= np.divide(rad_s, norm, out=np.ones_like(norm), where=outside)
+            np.subtract(w, off_s, out=S_new[sl].reshape(off_s.shape), where=outside)
+        y = v - S_new
+        r_prim = np.abs(Cu - S_new).max()
+        if r_prim <= STALL_LEVEL:
+            last_ok = it
         S_old, S = S, S_new
-        if not (r_min < tol or it == max_iter
-                or (it >= STALL_WINDOW and it - np.minimum.reduce(last_ok) >= STALL_WINDOW)):
-            continue  # no column can leave: skip the dual residual
-
-        r_dual = sigma * np.maximum.reduce(np.abs(CT @ (S - S_old)))
-        converged = (r_prim < tol) & (r_dual < tol)
-        stalled = it - last_ok >= STALL_WINDOW
-        done = converged | stalled | (it == max_iter)
-        if not done.any():
-            continue
-        j = cols[done]
-        U_out[:, j], Y_out[:, j], iterations[j] = U[:, done], Y[:, done], it
-        flags[j] = np.where(converged[done], "converged",
-                            np.where(stalled[done], "infeasible", "iteration-cap"))
-        keep = ~done
-        if not keep.any():
-            break
-        cols, KG, upper, S, Y = cols[keep], KG[:, keep], upper[:, keep], S[:, keep], Y[:, keep]
-        last_ok = last_ok[keep]
-        balls = [(sl, off_s[:, :, keep], *radii) for sl, off_s, *radii in balls]
-    return U_out, Y_out, iterations, flags.tolist()
+        if r_prim < tol and sigma * np.abs(CT @ (S - S_old)).max() < tol:
+            return u, y, it, "converged"
+        if it - last_ok >= STALL_WINDOW:
+            return u, y, it, "infeasible"
+    return u, y, max_iter, "iteration-cap"
 
 
 @dataclass(frozen=True, eq=False)

@@ -383,10 +383,10 @@ def validate_scenario(raw: dict) -> Scenario:
         agents.append(parsed[key])
     agents = tuple(agents)
 
-    N = _get(raw, "horizon", "scenario", int, 0)
+    N = _get(raw, "horizon", "scenario", _integer)
     if N < 1:
         raise ScenarioError(f"horizon must be >= 1, got {N}")
-    T_run = _get(raw, "t_run", "scenario", int, 0)
+    T_run = _get(raw, "t_run", "scenario", _integer)
     if T_run < 1:
         raise ScenarioError(f"t_run must be >= 1, got {T_run}")
 
@@ -412,7 +412,7 @@ def validate_scenario(raw: dict) -> Scenario:
         raise ScenarioError(f"solver tau {solver.tau} below rho * sigma_max(E'E) = {floor}")
 
     return Scenario(agents=agents, coupling=coupling, N=N, T_run=T_run,
-                    x0=tuple(x0), seed=_get(raw, "seed", "scenario", int, 0),
+                    x0=tuple(x0), seed=_get(raw, "seed", "scenario", _integer, 0),
                     trigger_mode=mode, solver=solver,
                     name=str(raw.get("name", "scenario")))
 

@@ -108,6 +108,11 @@ MALFORMED = {
     "missing-rhs": (lambda raw: raw["coupling"].pop("rhs"), "'rhs'"),
     "text-entry": (lambda raw: raw["agents"][1]["B"][0].__setitem__(0, "x"), "'B'"),
     "text-horizon": (lambda raw: raw.update(horizon="five"), "'horizon'"),
+    "fractional-horizon": (lambda raw: raw.update(horizon=5.7), "'horizon'"),
+    "missing-horizon": (lambda raw: raw.pop("horizon"), "'horizon'"),
+    "fractional-t-run": (lambda raw: raw.update(t_run=30.5), "'t_run'"),
+    "missing-t-run": (lambda raw: raw.pop("t_run"), "'t_run'"),
+    "fractional-seed": (lambda raw: raw.update(seed=3.9), "'seed'"),
     "unknown-solver-key": (lambda raw: raw["solver"].update(foo=1), "'foo'"),
     "negative-tau": (lambda raw: raw["solver"].update(tau=-1), "tau"),
     "tau-below-floor": (lambda raw: raw["solver"].update(tau=0.5), "tau"),
@@ -127,6 +132,19 @@ def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, case
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err
+
+
+@pytest.mark.parametrize("command", ["run", "certify"])
+def test_failed_synthesis_exits_two_with_one_error_line(tmp_path, capsys, command):
+    # reachable to validation (controllability singular-value ratio 3.1e-8 > RANK_TOL),
+    # but the unstable x2 mode is driven only through B = 1e-6: the Riccati iteration diverges
+    def weak_input(raw):
+        for node in raw["agents"]:
+            node["A"], node["B"] = [[1.5, 0.0], [0.0, 1.4]], [[1.0], [1e-6]]
+    path = write_variant(tmp_path, weak_input)
+    assert main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Riccati" in err[0], err
 
 
 def test_solver_numbers_without_a_dot_are_converted(tmp_path):
