@@ -21,8 +21,7 @@ Scenario documents are YAML with the following layout (matrices row-major):
       psi_x: [[[0.08, 0.02]], ...]         # one p x n matrix per agent
       psi_u: [[[0.01]], ...]               # one p x m matrix per agent
       rhs: [10.0]                          # normalized to ones at ingestion
-    solver: {rho: 1.0, gamma: 1.0, tol_primal: 1.0e-5, tol_dual: 1.0e-5,
-             max_iter: 500}
+    solver: {rho: 1.0, tol: 1.0e-5, max_iter: 500}
 
 Exit codes: 0 success / all checks pass; 1 a reported check failed;
 2 parse or validation error; 3 initial infeasibility; 4 dual-solver failure.
@@ -76,9 +75,7 @@ def _overrides(args) -> dict:
         "trigger_mode": getattr(args, "mode", None),
         "_solver": {
             "rho": getattr(args, "rho", None),
-            "gamma": getattr(args, "gamma", None),
-            "tol_primal": getattr(args, "tol", None),
-            "tol_dual": getattr(args, "tol", None),
+            "tol": getattr(args, "tol", None),
             "max_iter": getattr(args, "max_iter", None),
         },
     }
@@ -236,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--mode", choices=["self-triggered", "periodic"], default=None)
         p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
         p.add_argument("--force", action="store_true",

@@ -74,13 +74,13 @@ def lambda_update(lambdas, f_values, b_shares, omega, rho: float, tau: float) ->
     return np.maximum(0.0, lambdas + step / tau)
 
 
-def omega_update(omega, lambdas, rho: float, gamma: float) -> np.ndarray:
+def omega_update(omega, lambdas, rho: float) -> np.ndarray:
     """Aggregate-multiplier step along the consensus residual.
 
     Sign note: the ascent direction consistent with the lambda step above is
-    +rho*gamma*E lam; the opposite sign makes the saddle iteration divergent.
+    +rho*E lam; the opposite sign makes the saddle iteration divergent.
     """
-    return omega + rho * gamma * consensus_diff(lambdas)
+    return omega + rho * consensus_diff(lambdas)
 
 
 def default_tau(ocps, rho: float, M: int) -> float:
@@ -92,7 +92,7 @@ def default_tau(ocps, rho: float, M: int) -> float:
     return rho * consensus_gain(M) + max(curv, 1e-8)
 
 
-def run_admm(ocps: list[CondensedOcp], params: SolverParams, trace_path=None,
+def run_admm(ocps: list[CondensedOcp], params: SolverParams,
              guess=None) -> tuple[list[OcpSolution], AdmmState, bool]:
     """Algorithm loop: lambda step, inner solves, omega step, until residuals pass.
 
@@ -100,19 +100,14 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams, trace_path=None,
     stacked in agent order, and each group is solved in lockstep. Returns one
     OcpSolution per entry of `ocps`. Convergence requires the consensus
     residual, the per-agent multiplier change and the aggregate coupling
-    violation to fall below tolerance. A user tau is checked first. Then
-    every group is solved at lambda = 0: when those answers all converged
-    and keep every coupled row (excess <= 0), they are returned at iteration
-    0 with zero residuals, before any consensus state is built. When
-    trace_path is given, one CSV row (iter, primal_res, dual_res,
-    total_cost) is appended per iteration after a header. `guess` holds one
-    active-set guess (see solve_inner) or None per entry of `ocps` for its
-    first solve; each later solve of a group is guessed from the active sets
-    of the one before.
+    violation to fall below params.tol. Every group is first solved at
+    lambda = 0: when those answers all converged and keep every coupled row
+    (excess <= 0), they are returned at iteration 0 with zero residuals,
+    before any consensus state is built. `guess` holds one active-set guess
+    (see solve_inner) or None per entry of `ocps` for its first solve; each
+    later solve of a group is guessed from the active sets of the one before.
     """
     M, d = sum(ocp.slots.size for ocp in ocps), ocps[0].F.shape[1]
-    if params.tau is not None and params.tau < params.rho * consensus_gain(M):
-        raise ValueError("tau below rho * sigma_max(E'E); proximal step would not majorize")
     results = [None] * len(ocps)  # each group's latest InnerResult
     guess = [None] * len(ocps) if guess is None else list(guess)
     solved_at = [None] * len(ocps)  # the multiplier rows of that solve, as bytes
@@ -123,15 +118,14 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams, trace_path=None,
 
         A group whose multiplier rows equal those of its last solve bit for bit
         keeps that solve's result: its answers are the optimum at those
-        multipliers (to inner_tol where the polish fell back to splitting).
+        multipliers (to SPLIT_TOL where the polish fell back to splitting).
         """
         nonlocal inner_iterations, active_set_rounds
         infeasible = []
         for k, (ocp, lam) in enumerate(zip(ocps, lams)):
             key = lam.tobytes()
             if key != solved_at[k]:
-                results[k] = solve_inner(ocp, lam, tol=params.inner_tol,
-                                         max_iter=params.inner_max_iter, guess=guess[k])
+                results[k] = solve_inner(ocp, lam, guess=guess[k])
                 guess[k], solved_at[k] = results[k].active, key
                 inner_iterations += results[k].iterations
                 active_set_rounds += int(results[k].rounds.sum())
@@ -152,24 +146,17 @@ def run_admm(ocps: list[CondensedOcp], params: SolverParams, trace_path=None,
                  and all(flag == "converged" for result in results for flag in result.flags))
     state = AdmmState(lambdas=np.zeros((M, d)), omega=np.zeros((M - 1, d)),
                       coupling_excess=excess)
-    trace = open(trace_path, "w") if trace_path is not None else None
-    if trace is not None:
-        trace.write("iter,primal_res,dual_res,total_cost\n")
-    try:
-        if converged:
-            state.primal_residual = state.dual_residual = 0.0
-        else:
-            converged = _consensus(ocps, params, state, results, inner, trace)
-    finally:
-        if trace is not None:
-            trace.close()
+    if converged:
+        state.primal_residual = state.dual_residual = 0.0
+    else:
+        converged = _consensus(ocps, params, state, results, inner)
     state.total_inner_iterations = inner_iterations
     state.total_active_set_rounds = active_set_rounds
     state.active = [result.active for result in results]
     return [result.solution for result in results], state, converged
 
 
-def _consensus(ocps, params, state: AdmmState, results, inner, trace) -> bool:
+def _consensus(ocps, params, state: AdmmState, results, inner) -> bool:
     """The ADMM iterations of run_admm from its solves at lambda = 0; returns convergence."""
     agents = np.sort(np.concatenate([ocp.agents for ocp in ocps]))
     rows = [np.searchsorted(agents, ocp.agents) for ocp in ocps]  # each group's rows
@@ -177,8 +164,7 @@ def _consensus(ocps, params, state: AdmmState, results, inner, trace) -> bool:
     for ocp, r in zip(ocps, rows):
         b_shares[r] = ocp.b_share
     b_total = b_shares.sum(axis=0)
-    tau = (params.tau if params.tau is not None
-           else default_tau(ocps, params.rho, state.lambdas.shape[0]))
+    tau = default_tau(ocps, params.rho, state.lambdas.shape[0])
 
     def coupling_rows() -> np.ndarray:
         """The latest coupling values, one row per agent."""
@@ -194,7 +180,7 @@ def _consensus(ocps, params, state: AdmmState, results, inner, trace) -> bool:
                                     state.omega, params.rho, tau)
         inner([new_lambdas[r] for r in rows])
         f_values = coupling_rows()
-        state.omega = omega_update(state.omega, new_lambdas, params.rho, params.gamma)
+        state.omega = omega_update(state.omega, new_lambdas, params.rho)
 
         state.primal_residual = float(np.linalg.norm(consensus_diff(new_lambdas)))
         state.dual_residual = float(np.linalg.norm(new_lambdas - state.lambdas,
@@ -202,13 +188,8 @@ def _consensus(ocps, params, state: AdmmState, results, inner, trace) -> bool:
         state.coupling_excess = f_values.sum(axis=0) - b_total
         state.lambdas = new_lambdas
         state.iteration = k
-        if trace is not None:
-            total_cost = sum(float(result.solution.J_star.sum()) for result in results)
-            trace.write(f"{k},{state.primal_residual:.17g},"
-                        f"{state.dual_residual:.17g},{total_cost:.17g}\n")
 
-        if (state.primal_residual <= params.tol_primal
-                and state.dual_residual <= params.tol_dual
-                and state.coupling_violation <= params.tol_primal):
+        if (state.primal_residual <= params.tol and state.dual_residual <= params.tol
+                and state.coupling_violation <= params.tol):
             return True
     return False

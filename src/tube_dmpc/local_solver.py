@@ -21,8 +21,8 @@ NEWTON_STEPS = 20  # Newton steps on the terminal ball's multiplier per polish
 ACTIVE_SET_ROUNDS = 8  # polish rounds per column before solve_inner falls back to splitting
 KKT_TOL = 1e-10  # slack allowed in the polish's feasibility and tightness checks
 SCALE_FLOOR = np.finfo(float).tiny  # a row or block normed below this cannot be rescaled
-ORACLE_TOL = 1e-8  # splitting tolerance and iteration cap of the centralized oracle
-ORACLE_MAX_ITER = 20000
+SPLIT_TOL = 1e-8  # splitting tolerance and iteration cap of the fallback and of the oracle
+SPLIT_MAX_ITER = 20000
 
 
 class OcpInfeasibleError(RuntimeError):
@@ -600,8 +600,7 @@ class InnerResult:
                            iterations=self.agent_iterations)
 
 
-def solve_inner(ocp: CondensedOcp, lams, tol: float = 1e-8, max_iter: int = 20000,
-                guess=None) -> InnerResult:
+def solve_inner(ocp: CondensedOcp, lams, guess=None) -> InnerResult:
     """Minimize J_j(u) + lam_j'(f_j(u) - b_share) for every row j of `ocp`.
 
     Row j of `lams` is row j's multiplier and row j of `guess` (a rows_C
@@ -618,8 +617,8 @@ def solve_inner(ocp: CondensedOcp, lams, tol: float = 1e-8, max_iter: int = 2000
     after ACTIVE_SET_ROUNDS rounds. A row still refused then, from a nonempty
     first guess (its rounds cycled), runs them once more from the empty
     guess. The rows left, and those that a row dropped by the setup makes
-    infeasible, are split from zero to `tol` within `max_iter` iterations
-    and, where that converged, polished once more on the splitting's support.
+    infeasible, are split from zero to SPLIT_TOL and, where that converged,
+    polished once more on the splitting's support.
     """
     lams = np.asarray(lams, dtype=float).reshape(ocp.q.shape[0], -1)
     if lams.shape[1] != ocp.F.shape[1]:
@@ -700,7 +699,7 @@ def solve_inner(ocp: CondensedOcp, lams, tol: float = 1e-8, max_iter: int = 2000
     if todo.size:
         U, flags = U.copy(), np.array(flags, dtype=object)  # U may be U0, which accept reads
         U[:, todo], Y, iters[todo], flags[todo] = split_iterate(
-            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], tol, max_iter)
+            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], SPLIT_TOL, SPLIT_MAX_ITER)
         active[:, todo] = Y[:nrows] > 0
         conv = flags[todo] == "converged"
         accept(todo[conv], np.vstack((Y[:nrows, conv] > 0, (Y[nrows:, conv] != 0.0).any(axis=0))))
@@ -730,7 +729,7 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
     groups; the stacked inputs run over the groups and, within each, its
     members. H, the halfspace rows and the terminal-ball rows are each
     group's matrices once per member along the diagonal, and the coupling
-    rows follow the halfspace rows. It splits to ORACLE_TOL without the
+    rows follow the halfspace rows. It splits to SPLIT_TOL without the
     polish of solve_inner, so it stays an independent reference and builds
     no polish data for the stacked problem. Returns (one OcpSolution per
     group, total cost).
@@ -754,7 +753,7 @@ def solve_centralized(scenario: Scenario, ingredients, tightened_list,
                         [grp.ing.eps_r for grp in groups for _ in grp.index])
     U, _, iters, flags = split_iterate(
         setup, np.concatenate([ocp.q.ravel() for ocp in ocps])[:, None], rows_rhs[:, None],
-        [off[:, None] for ocp in ocps for off in ocp.ball_off], ORACLE_TOL, ORACLE_MAX_ITER)
+        [off[:, None] for ocp in ocps for off in ocp.ball_off], SPLIT_TOL, SPLIT_MAX_ITER)
     u, flag = U[:, 0], flags[0]
     if flag == "infeasible":
         viol = rows_C @ u - rows_rhs

@@ -19,17 +19,22 @@ class ScenarioError(ValueError):
 def _get(node, key, what, convert=lambda v: np.asarray(v, dtype=float), default=None):
     """convert(node[key]), or `default` when the key is absent (required without one).
 
-    A missing required key, or a value that `convert` refuses (a non-numeric
-    entry, say), is a ScenarioError naming `what` and the key.
+    A missing required key, a value that `convert` refuses (a non-numeric
+    entry, say), or a float result (an array, or a list of arrays, included)
+    holding a NaN or an infinity is a ScenarioError naming `what` and the key.
     """
     if key not in node:
         if default is None:
             raise ScenarioError(f"{what}: missing '{key}'")
         return default
     try:
-        return convert(node[key])
+        value = convert(node[key])
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{what}: malformed '{key}' ({exc})") from None
+    if any(isinstance(v, (float, np.ndarray)) and not np.isfinite(v).all()
+           for v in (value if isinstance(value, list) else [value])):
+        raise ScenarioError(f"{what}: non-finite entry in '{key}'")
+    return value
 
 
 def _as_matrix(value, rows, cols, what):
@@ -160,30 +165,20 @@ class CouplingSpec:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Dual-ADMM and inner-splitting solver settings."""
+    """Dual-ADMM settings: penalty rho, dual iteration cap max_iter and stop
+    tolerance tol (on the consensus residual, the multiplier change and the
+    coupling violation alike); the proximal weight tau is always default_tau."""
 
     rho: float = 1.0
-    gamma: float = 1.0
-    tau: float | None = None  # None -> auto from consensus map + dual curvature
-    tol_primal: float = 1e-5
-    tol_dual: float = 1e-5
+    tol: float = 1e-5
     max_iter: int = 500
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 20000
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ScenarioError(f"admm rho must be > 0, got {self.rho}")
-        if not (0 < self.gamma <= 1):
-            raise ScenarioError(f"admm gamma must be in (0, 1], got {self.gamma}")
-        if self.tau is not None and self.tau <= 0:
-            raise ScenarioError(f"admm tau must be > 0, got {self.tau}")
-        for name in ("tol_primal", "tol_dual", "inner_tol"):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"solver {name} must be > 0, got {getattr(self, name)}")
-        for name in ("max_iter", "inner_max_iter"):
-            if getattr(self, name) < 1:
-                raise ScenarioError(f"solver {name} must be >= 1, got {getattr(self, name)}")
+        for name, value in (("rho", self.rho), ("tol", self.tol)):
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ScenarioError(f"solver {name} must be finite and > 0, got {value}")
+        if self.max_iter < 1:
+            raise ScenarioError(f"solver max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -346,9 +341,7 @@ def _parse_solver(node) -> SolverParams:
     unknown = [key for key in node if key not in kinds]
     if unknown:
         raise ScenarioError(f"solver: unknown field {unknown[0]!r}")
-    return SolverParams(**{key: None if key == "tau" and value is None
-                           else _get(node, key, "solver", kinds[key])
-                           for key, value in node.items()})
+    return SolverParams(**{key: _get(node, key, "solver", kinds[key]) for key in node})
 
 
 def _exact(value):
@@ -405,14 +398,12 @@ def validate_scenario(raw: dict) -> Scenario:
     if mode not in ("self-triggered", "periodic"):
         raise ScenarioError(f"trigger_mode must be 'self-triggered' or 'periodic', got {mode!r}")
 
-    solver = _parse_solver(_get(raw, "solver", "scenario", dict, {}))
-    from .dual_admm import consensus_gain  # the ADMM module imports this one
-    floor = solver.rho * consensus_gain(len(agents))
-    if solver.tau is not None and solver.tau < floor:
-        raise ScenarioError(f"solver tau {solver.tau} below rho * sigma_max(E'E) = {floor}")
+    seed = _get(raw, "seed", "scenario", _integer, 0)
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
 
     return Scenario(agents=agents, coupling=coupling, N=N, T_run=T_run,
-                    x0=tuple(x0), seed=_get(raw, "seed", "scenario", _integer, 0),
-                    trigger_mode=mode, solver=solver,
+                    x0=tuple(x0), seed=seed, trigger_mode=mode,
+                    solver=_parse_solver(_get(raw, "solver", "scenario", dict, {})),
                     name=str(raw.get("name", "scenario")))
 

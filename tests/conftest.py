@@ -8,9 +8,9 @@ import pytest
 import yaml
 from hypothesis import settings
 
-from tube_dmpc.local_solver import (ACTIVE_SET_ROUNDS, KKT_TOL, agent_group, condense,
-                                    dead_columns, feedback_guess, polish, rollout_maps,
-                                    solve_inner, split_iterate)
+from tube_dmpc.local_solver import (ACTIVE_SET_ROUNDS, KKT_TOL, SPLIT_MAX_ITER, SPLIT_TOL,
+                                    agent_group, condense, dead_columns, feedback_guess, polish,
+                                    rollout_maps, solve_inner, split_iterate)
 from tube_dmpc.model import validate_scenario
 from tube_dmpc.simulator import prepare
 
@@ -81,7 +81,7 @@ def solve_one(ocp, lam):
     return row(solve_inner(ocp, [lam]).solution)
 
 
-def reference_solve(ocp, lams, guess=None, tol=1e-8, max_iter=20000) -> dict:
+def reference_solve(ocp, lams, guess=None) -> dict:
     """solve_inner's answers and carried fields, computed the straightforward way.
 
     Each round always passes the polish a ball guess and scatters the kept
@@ -91,8 +91,8 @@ def reference_solve(ocp, lams, guess=None, tol=1e-8, max_iter=20000) -> dict:
     terminal ball inactive; a column still refused after ACTIVE_SET_ROUNDS
     rounds from a nonempty first guess moves to the empty guess (ball
     inactive) and runs that many rounds again; the columns left split from
-    zero to `tol` and are polished once more on the splitting's support. The
-    carried fields are recomputed from the answers by the CondensedOcp
+    zero to SPLIT_TOL and are polished once more on the splitting's support.
+    The carried fields are recomputed from the answers by the CondensedOcp
     methods: the status from `feasible` (rows_C u - rhs and the terminal-ball
     norm), the trajectory (the free rollout plus Gamma u), the cost (0.5 u'Hu
     + q'u + c0) and the coupling values (f0 + F u). Returns one array or
@@ -156,7 +156,7 @@ def reference_solve(ocp, lams, guess=None, tol=1e-8, max_iter=20000) -> dict:
                                    *more, recycled]).astype(int))
     if todo.size:
         U[:, todo], Y, iters[todo], flags[todo] = split_iterate(
-            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], tol, max_iter)
+            split, G[:, todo], rhs[:, todo], [ball_off[:, todo]], SPLIT_TOL, SPLIT_MAX_ITER)
         active[:, todo] = Y[:nrows] > 0
         conv = flags[todo] == "converged"
         accept(todo[conv], active[:, todo[conv]], (Y[nrows:, conv] != 0.0).any(axis=0))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import yaml
 
 from tube_dmpc import cli
 from tube_dmpc.cli import load_scenario, main
+from tube_dmpc.model import SolverParams
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "four_agent.yaml")
 INFEASIBLE_X0 = str(Path(__file__).resolve().parent.parent / "scenarios"
@@ -101,6 +103,8 @@ def test_run_x0_outside_state_set_exit_two(tmp_path):
     assert main(["run", "--scenario", path, "--out", str(tmp_path)]) == 2
 
 
+NAN = float("nan")
+
 # malformed documents: (mutation of the default document, text the error line must name)
 MALFORMED = {
     "missing-x0": (lambda raw: raw["agents"][0].pop("x0"), "'x0'"),
@@ -113,16 +117,25 @@ MALFORMED = {
     "fractional-t-run": (lambda raw: raw.update(t_run=30.5), "'t_run'"),
     "missing-t-run": (lambda raw: raw.pop("t_run"), "'t_run'"),
     "fractional-seed": (lambda raw: raw.update(seed=3.9), "'seed'"),
+    "negative-seed": (lambda raw: raw.update(seed=-1), "seed"),
+    "nan-in-A": (lambda raw: raw["agents"][1]["A"][0].__setitem__(1, NAN), "'A'"),
+    "nan-psi-x": (lambda raw: raw["coupling"]["psi_x"][2][0].__setitem__(0, NAN), "'psi_x'"),
+    "nan-disturbance-box": (lambda raw: raw["agents"][0]["disturbance"]["box"]
+                            .__setitem__(1, NAN), "'box'"),
     "unknown-solver-key": (lambda raw: raw["solver"].update(foo=1), "'foo'"),
-    "negative-tau": (lambda raw: raw["solver"].update(tau=-1), "tau"),
-    "tau-below-floor": (lambda raw: raw["solver"].update(tau=0.5), "tau"),
     "zero-max-iter": (lambda raw: raw["solver"].update(max_iter=0), "max_iter"),
-    "zero-inner-max-iter": (lambda raw: raw["solver"].update(inner_max_iter=0),
-                            "inner_max_iter"),
-    "negative-tol": (lambda raw: raw["solver"].update(tol_primal=-1), "tol_primal"),
-    "text-tol": (lambda raw: raw["solver"].update(tol_primal="fast"), "'tol_primal'"),
+    "negative-tol": (lambda raw: raw["solver"].update(tol=-1), "tol"),
+    "text-tol": (lambda raw: raw["solver"].update(tol="fast"), "'tol'"),
+    "inf-tol": (lambda raw: raw["solver"].update(tol=float("inf")), "'tol'"),
+    "nan-rho": (lambda raw: raw["solver"].update(rho=NAN), "'rho'"),
+    "inf-rho": (lambda raw: raw["solver"].update(rho=float("inf")), "'rho'"),
     "fractional-max-iter": (lambda raw: raw["solver"].update(max_iter=2.5), "'max_iter'"),
 }
+# settings that one value served, now refused as unknown solver fields
+MALFORMED.update({f"retired-{key}": (lambda raw, key=key: raw["solver"].update({key: 1e-5}),
+                                     f"'{key}'")
+                  for key in ("gamma", "tau", "tol_primal", "tol_dual", "inner_tol",
+                              "inner_max_iter")})
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -149,14 +162,31 @@ def test_failed_synthesis_exits_two_with_one_error_line(tmp_path, capsys, comman
 
 def test_solver_numbers_without_a_dot_are_converted(tmp_path):
     # YAML 1.1 loads 1e-5 and 5e2 (no dot) as strings
-    text = (Path(SCENARIO).read_text().replace("tol_primal: 1.0e-5", "tol_primal: 1e-5")
+    text = (Path(SCENARIO).read_text().replace("tol: 1.0e-5", "tol: 1e-5")
             .replace("max_iter: 500", "max_iter: 5e2"))
     path = tmp_path / "no_dot.yaml"
     path.write_text(text)
-    assert yaml.safe_load(text)["solver"]["tol_primal"] == "1e-5"
+    assert yaml.safe_load(text)["solver"]["tol"] == "1e-5"
     solver = load_scenario(path).solver
-    assert solver.tol_primal == 1e-5 and solver.max_iter == 500
+    assert solver.tol == 1e-5 and solver.max_iter == 500
     assert isinstance(solver.max_iter, int)
+
+
+def test_retired_gamma_flag_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", SCENARIO, "--out", str(tmp_path), "--gamma", "1"])
+    assert exc.value.code == 2
+    assert "--gamma" in capsys.readouterr().err
+
+
+def test_shipped_scenarios_and_documented_solver_keys_match_the_schema():
+    # every shipped document loads (the bench builds its fleets from four_agent.yaml), and
+    # the solver line of the documented layout names exactly the SolverParams fields
+    for path in sorted(Path(SCENARIO).parent.glob("*.yaml")):
+        load_scenario(path)
+    line = next(line for line in cli.__doc__.splitlines() if line.strip().startswith("solver:"))
+    documented = yaml.safe_load(line)["solver"]
+    assert list(documented) == [f.name for f in dataclasses.fields(SolverParams)]
 
 
 def test_certify_synthesizes_once_per_agent_group(tmp_path, monkeypatch):
