@@ -136,6 +136,11 @@ MALFORMED.update({f"retired-{key}": (lambda raw, key=key: raw["solver"].update({
                                      f"'{key}'")
                   for key in ("gamma", "tau", "tol_primal", "tol_dual", "inner_tol",
                               "inner_max_iter")})
+# a document that still sets tau is refused whatever the value, below the old floor too
+MALFORMED.update({
+    "negative-tau": (lambda raw: raw["solver"].update(tau=-1), "tau"),
+    "tau-below-floor": (lambda raw: raw["solver"].update(tau=0.5), "tau"),
+})
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
